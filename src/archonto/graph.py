@@ -7,7 +7,9 @@ any record order) serializes byte-identically.  Blank nodes are never used.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from urllib.parse import quote, unquote
 
 from .ontology import (
@@ -35,6 +37,10 @@ _DATATYPE_IRIS = {
     XSD_DATETIME: XSD_NAMESPACE + "dateTime",
 }
 _IRI_DATATYPES = {iri: tag for tag, iri in _DATATYPE_IRIS.items()}
+
+# Characters an N-Triples IRIREF may not hold unescaped (RDF 1.1 N-Triples).
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+_IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
 
 
 class GraphError(ValueError):
@@ -77,11 +83,6 @@ class Triple:
     subject: NodeRef
     predicate: str
     object: NodeRef | Literal
-
-    def sort_key(self) -> tuple[str, str, int, str, str]:
-        if isinstance(self.object, NodeRef):
-            return (self.subject.iri, self.predicate, 0, self.object.iri, "")
-        return (self.subject.iri, self.predicate, 1, self.object.text, self.object.datatype)
 
 
 def _encode(segment: str) -> str:
@@ -130,6 +131,11 @@ class Graph:
         base_iri: str = DEFAULT_BASE_IRI,
         strict: bool = False,
     ) -> None:
+        bad = _IRI_FORBIDDEN.search(base_iri)
+        if bad is not None:
+            raise GraphError(
+                f"base IRI {base_iri!r} holds {bad.group()!r}, which an IRI may not contain"
+            )
         self.schema = schema
         self.base_iri = base_iri.rstrip("/") + "/"
         self.strict = strict
@@ -140,11 +146,13 @@ class Graph:
 
     @property
     def triples(self) -> frozenset[Triple]:
+        """Snapshot of the triples; later additions and removals do not show."""
         return frozenset(self._triples)
 
     @property
-    def node_index(self) -> dict[str, NodeRef]:
-        return dict(self._nodes)
+    def node_index(self) -> Mapping[str, NodeRef]:
+        """Live read-only view of the nodes by IRI; later mints show at once."""
+        return MappingProxyType(self._nodes)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -342,8 +350,8 @@ class Graph:
     # -- deserialization -----------------------------------------------------------
 
     _NT_LINE = re.compile(
-        r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+"
-        r"(?:<([^<>\s]+)>|\"((?:[^\"\\]|\\.)*)\"(?:\^\^<([^<>\s]+)>)?)"
+        rf"^<([^{_IRI_EXCLUDED}]+)>\s+<([^{_IRI_EXCLUDED}]+)>\s+"
+        rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"((?:[^\"\\]|\\.)*)\"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)"
         r"\s*\.$"
     )
 
@@ -367,7 +375,9 @@ class Graph:
         }
         parsed: list[tuple[int, str, str, str | None, str | None, str | None]] = []
         types: dict[str, str] = {}
-        for number, raw in enumerate(text.splitlines(), start=1):
+        # LF only: splitlines() would also break on U+2028, U+0085 and other
+        # separators the writer leaves raw inside literals; strip() drops a CR.
+        for number, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

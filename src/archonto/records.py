@@ -210,7 +210,9 @@ def parse_corpus(data: bytes | str) -> RecordTree:
     records: dict[str, IsadRecord] = {}
     order: list[str] = []
     lines_by_ref: dict[str, int] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+    # LF only: splitlines() would also break on U+2028, U+0085 and other
+    # separators that may sit inside a value; strip() drops a CR.
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

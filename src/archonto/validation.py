@@ -7,10 +7,12 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
-from .graph import Graph, Literal, NodeRef
+from .graph import Graph, Literal, NodeRef, Triple
 from .ontology import LITERAL_RANGES, OntologySchema, XSD_DATETIME
 from .vocabulary import LevelNestingGraph, VocabularyRegistry
 
@@ -118,51 +120,53 @@ class _Collector:
         )
 
 
+# Triples by predicate, holding the graph's own Triple objects.
+_Index = dict[str, list[Triple]]
+
+
 def _known_class(schema: OntologySchema, class_id: str) -> bool:
     return bool(class_id) and schema.has_class(class_id)
 
 
-def _check_triples(
-    graph: Graph, schema: OntologySchema, out: _Collector
-) -> None:
-    for triple in graph.triples:
-        subject, predicate, obj = triple.subject, triple.predicate, triple.object
-        if not schema.has_property(predicate):
-            out.add(
-                UNKNOWN_PROPERTY,
-                subject.iri,
-                predicate,
-                f"property {predicate} is not declared in the schema",
-            )
-            continue
-        prop = schema.property_def(predicate)
-        if _known_class(schema, subject.asserted_class) and not schema.is_subclass(
-            subject.asserted_class, prop.domain
-        ):
-            out.add(
-                DOMAIN_VIOLATION,
-                subject.iri,
-                predicate,
-                f"subject class {subject.asserted_class} is outside the "
-                f"domain {prop.domain} of {predicate}",
-            )
-        if prop.range in LITERAL_RANGES:
-            if isinstance(obj, NodeRef):
+def _check_triples(index: _Index, schema: OntologySchema, out: _Collector) -> None:
+    for predicate, triples in index.items():
+        prop = schema.property_def(predicate) if schema.has_property(predicate) else None
+        for triple in triples:
+            subject, obj = triple.subject, triple.object
+            if prop is None:
                 out.add(
-                    RANGE_VIOLATION,
+                    UNKNOWN_PROPERTY,
                     subject.iri,
                     predicate,
-                    f"{predicate} expects a {prop.range} literal, found node {obj.iri}",
+                    f"property {predicate} is not declared in the schema",
                 )
-            elif prop.range == XSD_DATETIME and not validate_datetime(obj.text):
+                continue
+            if _known_class(schema, subject.asserted_class) and not schema.is_subclass(
+                subject.asserted_class, prop.domain
+            ):
                 out.add(
-                    DATETIME_LEXICAL,
+                    DOMAIN_VIOLATION,
                     subject.iri,
                     predicate,
-                    f"literal {obj.text!r} does not match YYYY-MM-DDThh:mm:ss",
+                    f"subject class {subject.asserted_class} is outside the "
+                    f"domain {prop.domain} of {predicate}",
                 )
-        else:
-            if isinstance(obj, Literal):
+            if prop.range in LITERAL_RANGES:
+                if isinstance(obj, NodeRef):
+                    out.add(
+                        RANGE_VIOLATION,
+                        subject.iri,
+                        predicate,
+                        f"{predicate} expects a {prop.range} literal, found node {obj.iri}",
+                    )
+                elif prop.range == XSD_DATETIME and not validate_datetime(obj.text):
+                    out.add(
+                        DATETIME_LEXICAL,
+                        subject.iri,
+                        predicate,
+                        f"literal {obj.text!r} does not match YYYY-MM-DDThh:mm:ss",
+                    )
+            elif isinstance(obj, Literal):
                 out.add(
                     RANGE_VIOLATION,
                     subject.iri,
@@ -183,12 +187,12 @@ def _check_triples(
 
 def _check_nodes(
     graph: Graph,
+    nodes: Mapping[str, NodeRef],
     schema: OntologySchema,
     registry: VocabularyRegistry,
     out: _Collector,
 ) -> None:
-    for iri in sorted(graph.node_index):
-        node = graph.node_index[iri]
+    for iri, node in nodes.items():
         if not _known_class(schema, node.asserted_class):
             out.add(
                 UNKNOWN_CLASS,
@@ -209,12 +213,12 @@ def _check_nodes(
                 )
 
 
-def _document_levels(graph: Graph) -> dict[str, str]:
+def _document_levels(graph: Graph, arp12: list[Triple]) -> dict[str, str]:
     # A document with several ARP12 edges already gets a cardinality finding;
     # take the smallest term so the nesting check stays deterministic.
     levels: dict[str, str] = {}
-    for triple in graph.triples:
-        if triple.predicate != "ARP12" or not isinstance(triple.object, NodeRef):
+    for triple in arp12:
+        if not isinstance(triple.object, NodeRef):
             continue
         shared = graph.shared_term(triple.object)
         if shared is not None and shared[0] == "ARE1":
@@ -226,21 +230,20 @@ def _document_levels(graph: Graph) -> dict[str, str]:
 
 def _check_documents(
     graph: Graph,
+    index: _Index,
+    nodes: Mapping[str, NodeRef],
     schema: OntologySchema,
     nesting: LevelNestingGraph,
     out: _Collector,
 ) -> None:
-    arp12_counts: dict[str, int] = {}
-    for triple in graph.triples:
-        if triple.predicate == "ARP12":
-            arp12_counts[triple.subject.iri] = arp12_counts.get(triple.subject.iri, 0) + 1
-    for iri in sorted(graph.node_index):
-        node = graph.node_index[iri]
+    arp12 = index.get("ARP12", [])
+    arp12_counts = Counter(triple.subject.iri for triple in arp12)
+    for iri, node in nodes.items():
         if not _known_class(graph.schema, node.asserted_class):
             continue
         if not schema.is_subclass(node.asserted_class, "E31"):
             continue
-        count = arp12_counts.get(iri, 0)
+        count = arp12_counts[iri]
         if count == 0:
             out.add(
                 ARP12_CARDINALITY, iri, "ARP12", "document has no level of description"
@@ -252,9 +255,9 @@ def _check_documents(
                 "ARP12",
                 f"document has {count} levels of description",
             )
-    levels = _document_levels(graph)
-    for triple in graph.triples:
-        if triple.predicate != "P165" or not isinstance(triple.object, NodeRef):
+    levels = _document_levels(graph, arp12)
+    for triple in index.get("P165", ()):
+        if not isinstance(triple.object, NodeRef):
             continue
         child_level = levels.get(triple.subject.iri)
         parent_level = levels.get(triple.object.iri)
@@ -271,57 +274,48 @@ def _check_documents(
             )
 
 
-def _check_regex_strings(graph: Graph, schema: OntologySchema, out: _Collector) -> None:
-    patterns: dict[str, list[str]] = {}
+def _check_regex_strings(index: _Index, nodes: Mapping[str, NodeRef], out: _Collector) -> None:
     values: dict[str, list[str]] = {}
-    for triple in graph.triples:
-        if not isinstance(triple.object, Literal):
-            continue
-        if triple.predicate == "DOP4":
-            patterns.setdefault(triple.subject.iri, []).append(triple.object.text)
-        elif triple.predicate == "DOP7":
+    for triple in index.get("DOP7", ()):
+        if isinstance(triple.object, Literal):
             values.setdefault(triple.subject.iri, []).append(triple.object.text)
-    for iri, regexes in patterns.items():
-        node = graph.node_index.get(iri)
-        if node is None or node.asserted_class != "DOE16":
+    for triple in index.get("DOP4", ()):
+        iri, pattern = triple.subject.iri, triple.object
+        node = nodes.get(iri)
+        if not isinstance(pattern, Literal) or node is None or node.asserted_class != "DOE16":
             continue
-        for pattern in sorted(regexes):
-            try:
-                compiled = re.compile(pattern)
-            except re.error as exc:
+        try:
+            compiled = re.compile(pattern.text)
+        except re.error as exc:
+            out.add(
+                REGEX_MISMATCH, iri, "DOP4", f"invalid pattern {pattern.text!r}: {exc}"
+            )
+            continue
+        for value in values.get(iri, ()):
+            if compiled.fullmatch(value) is None:
                 out.add(
-                    REGEX_MISMATCH, iri, "DOP4", f"invalid pattern {pattern!r}: {exc}"
+                    REGEX_MISMATCH,
+                    iri,
+                    "DOP4",
+                    f"value {value!r} does not match pattern {pattern.text!r}",
                 )
-                continue
-            for value in sorted(values.get(iri, [])):
-                if compiled.fullmatch(value) is None:
-                    out.add(
-                        REGEX_MISMATCH,
-                        iri,
-                        "DOP4",
-                        f"value {value!r} does not match pattern {pattern!r}",
-                    )
 
 
-def _check_inverses(graph: Graph, schema: OntologySchema, out: _Collector) -> None:
-    node_triples = [
-        t for t in graph.triples if isinstance(t.object, NodeRef)
-    ]
-    by_predicate: dict[str, set[tuple[str, str]]] = {}
-    for triple in node_triples:
-        by_predicate.setdefault(triple.predicate, set()).add(
-            (triple.subject.iri, triple.object.iri)
-        )
+def _check_inverses(index: _Index, schema: OntologySchema, out: _Collector) -> None:
+    edges = {
+        predicate: {
+            (t.subject.iri, t.object.iri)
+            for t in index.get(predicate, ())
+            if isinstance(t.object, NodeRef)
+        }
+        for pair in schema.inverse_pairs
+        for predicate in pair
+    }
     for left, right in schema.inverse_pairs:
         for a, b in ((left, right), (right, left)):
-            for subject, obj in by_predicate.get(a, ()):
-                if (obj, subject) not in by_predicate.get(b, set()):
-                    out.add(
-                        INVERSE_MISSING,
-                        subject,
-                        a,
-                        f"{a} edge lacks the inverse {b} edge",
-                    )
+            for subject, obj in edges[a]:
+                if (obj, subject) not in edges[b]:
+                    out.add(INVERSE_MISSING, subject, a, f"{a} edge lacks the inverse {b} edge")
 
 
 def validate_graph(
@@ -331,10 +325,15 @@ def validate_graph(
     nesting: LevelNestingGraph,
 ) -> ValidationReport:
     """Run every check over a graph and return the ordered findings."""
+    nodes = graph.node_index
+    index: _Index = {}
+    for triple in graph.triples:
+        index.setdefault(triple.predicate, []).append(triple)
     out = _Collector()
-    _check_triples(graph, schema, out)
-    _check_nodes(graph, schema, registry, out)
-    _check_documents(graph, schema, nesting, out)
-    _check_regex_strings(graph, schema, out)
-    _check_inverses(graph, schema, out)
+    _check_triples(index, schema, out)
+    _check_nodes(graph, nodes, schema, registry, out)
+    _check_documents(graph, index, nodes, schema, nesting, out)
+    _check_regex_strings(index, nodes, out)
+    _check_inverses(index, schema, out)
+    # Findings with equal sort keys are equal, so this sort alone fixes the order.
     return ValidationReport(tuple(sorted(out.findings, key=lambda f: f.sort_key())))

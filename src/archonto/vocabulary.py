@@ -252,7 +252,9 @@ def builtin_nesting() -> LevelNestingGraph:
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    # LF only: splitlines() would also break on U+2028, U+0085 and other
+    # separators that may sit inside a value; strip() drops a CR.
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

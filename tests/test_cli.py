@@ -210,3 +210,24 @@ def test_migrate_stdout(corpus_file, capsysbinary):
     data = capsysbinary.readouterr().out
     parsed = Graph.from_ntriples(data, builtin_schema())
     assert len(parsed) > 0
+
+
+def test_migrate_rejects_base_iri_with_space(tmp_path, corpus_file, capsys):
+    out = tmp_path / "graph.nt"
+    argv = ["migrate", "--in", str(corpus_file), "--out", str(out),
+            "--base-iri", "https://ex.org/a b/"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "base IRI" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+def test_line_separator_in_element_survives_migrate_and_validate(tmp_path, ensure_ascii):
+    entry = {"1.1": "PT/F", "1.2": "Fundo", "title_type": "supplied", "1.4": "Fonds",
+             "3.1": "linha um\u2028linha dois\u2029fim\u0085"}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(entry, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+    out = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus), "--out", str(out)]) == 0
+    assert main(["validate", "--in", str(out), "--out", str(tmp_path / "report.txt")]) == 0
+    assert main(["stats", "--in", str(out), "--out", str(tmp_path / "stats.txt")]) == 0

@@ -1,9 +1,12 @@
 """Node minting, triple semantics and deterministic serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archonto.graph import (
     Graph,
+    GraphError,
     Literal,
     NodeClassConflict,
     NodeRef,
@@ -199,3 +202,50 @@ def test_every_node_gets_exactly_one_type_assertion(graph):
     assert len(type_lines) == 3
     for node in (doc, hmo, level):
         assert sum(l.startswith(f"<{node.iri}>") for l in type_lines) == 1
+
+
+# U+2028, U+2029 and U+0085 are line breaks to str.splitlines, not to N-Triples.
+LINE_SEPARATORS = ("\u2028", "\u2029", "\u0085")
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_line_separator_in_literal_round_trips(separator):
+    schema = builtin_schema()
+    graph = Graph(schema)
+    doc = graph.mint_node("PT/X", "e31", "1", "E31")
+    graph.add_triple(doc, "ISAD18", Literal(f"before{separator}after"))
+    data = graph.serialize("ntriples")
+    parsed = Graph.from_ntriples(data, schema)
+    assert parsed.triples == graph.triples
+    assert parsed.serialize("ntriples") == data
+
+
+@settings(deadline=None)
+@given(st.text())
+def test_any_literal_survives_serialize_read_serialize(text):
+    schema = builtin_schema()
+    graph = Graph(schema)
+    doc = graph.mint_node("PT/X", "e31", "1", "E31")
+    graph.add_triple(doc, "ISAD18", Literal(text))
+    data = graph.serialize("ntriples")
+    parsed = Graph.from_ntriples(data, schema)
+    assert parsed.serialize("ntriples") == data
+    assert Literal(text) in {t.object for t in parsed.triples}
+
+
+@pytest.mark.parametrize(
+    "char", [" ", "\t", "\n", "\x00", "<", ">", '"', "{", "}", "|", "^", "`", "\\"]
+)
+def test_base_iri_with_forbidden_character_rejected(char):
+    with pytest.raises(GraphError):
+        Graph(builtin_schema(), f"https://ex.org/a{char}b/")
+
+
+def test_non_ascii_base_iri_round_trips():
+    schema = builtin_schema()
+    base = "https://ex.org/arquivo\u00a0s\u00e9rie/"
+    graph = Graph(schema, base)
+    doc = graph.mint_node("PT/X", "e31", "1", "E31")
+    graph.add_triple(doc, "ARP12", graph.mint_shared("ARE1", "Fonds"))
+    data = graph.serialize("ntriples")
+    assert Graph.from_ntriples(data, schema, base).serialize("ntriples") == data

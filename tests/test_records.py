@@ -237,3 +237,13 @@ def test_matches_naive_oracle_small():
                     assert record.provenance[key] == Provenance(source)
                 else:
                     assert key not in record.provenance
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_line_separator_inside_corpus_string(separator):
+    title = f"Fundo{separator}documental"
+    raw = json.dumps({"1.1": "A", "1.2": title}, ensure_ascii=False)
+    escaped = json.dumps({"1.1": "B", "1.2": title})
+    tree = parse_corpus(raw + "\r\n" + escaped + "\n")
+    assert tree.record("A").elements["1.2"] == title
+    assert tree.record("B").elements["1.2"] == title

@@ -1,11 +1,14 @@
 """Finding generation for every check and the datetime validator."""
 
+import functools
+import random
+
 import pytest
 
 from archonto.graph import Graph, Literal
 from archonto.migration import attach_isad_fallback, migrate_record, migrate_tree
 from archonto.ontology import XSD_DATETIME
-from archonto.records import parse_corpus
+from archonto.records import parse_corpus, resolve_inheritance
 from archonto.validation import (
     ARP12_CARDINALITY,
     DATETIME_LEXICAL,
@@ -21,7 +24,7 @@ from archonto.validation import (
     validate_graph,
 )
 
-from conftest import make_record
+from conftest import corpus_text, make_record, synthetic_corpus
 
 
 def codes(report, severity=None):
@@ -269,3 +272,38 @@ def test_findings_ordered_by_subject_then_code(schema, registry, nesting):
     report = validate_graph(graph, schema, registry, nesting)
     subjects = [f.subject for f in report.findings]
     assert subjects == sorted(subjects)
+
+
+def test_node_index_is_live_read_only_view(schema):
+    graph = Graph(schema)
+    nodes = graph.node_index
+    with pytest.raises(TypeError):
+        nodes["x"] = graph.mint_node("PT/X", "e31", "1", "E31")
+    later = graph.mint_node("PT/Y", "e31", "1", "E31")
+    assert nodes[later.iri] is later
+
+
+@pytest.mark.parametrize("size", [10, 200])
+def test_validation_reads_graph_views_a_fixed_number_of_times(
+    schema, registry, nesting, rules, monkeypatch, size
+):
+    corpus = corpus_text(synthetic_corpus(random.Random(5), size))
+    tree = resolve_inheritance(parse_corpus(corpus))
+    graph = migrate_tree(tree, rules, schema, registry).graph
+    reads = {"node_index": 0, "triples": 0}
+
+    def counted(name):
+        fget = Graph.__dict__[name].fget
+
+        @functools.wraps(fget)
+        def wrapper(self):
+            reads[name] += 1
+            return fget(self)
+
+        return property(wrapper)
+
+    for name in reads:
+        monkeypatch.setattr(Graph, name, counted(name))
+    validate_graph(graph, schema, registry, nesting)
+    assert reads["node_index"] <= 2
+    assert reads["triples"] <= 2

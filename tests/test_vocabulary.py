@@ -161,3 +161,10 @@ def test_nesting_file_rejects_unknown_level(registry):
     with pytest.raises(VocabularyError) as exc:
         load_nesting("Fonds\tShelf\n", registry)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_line_separator_inside_term(separator):
+    registry = load_vocabularies(f"E57\tVellum{separator}sheet\r\nE57\tPaper\n")
+    assert registry.contains("E57", f"Vellum{separator}sheet") is True
+    assert registry.contains("E57", "Paper") is True
