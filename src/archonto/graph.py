@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from urllib.parse import quote, unquote
 
@@ -85,11 +86,20 @@ class Triple:
     object: NodeRef | Literal
 
 
+# Bounded: a run repeats few segments (roles, discriminators, shared terms)
+# very often, while the distinct reference codes grow with the corpus.
+@lru_cache(maxsize=1024)
 def _encode(segment: str) -> str:
     return quote(segment, safe="")
 
 
+# Characters N-Triples literals must escape; most texts hold none of them.
+_LITERAL_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
+
+
 def _escape_literal(text: str) -> str:
+    if _LITERAL_ESCAPED.search(text) is None:
+        return text
     out = []
     for ch in text:
         if ch == "\\":
@@ -209,8 +219,9 @@ class Graph:
 
     # -- triple assembly -----------------------------------------------------
 
-    def add_triple(self, subject: NodeRef, predicate: str, obj: NodeRef | Literal) -> None:
-        """Insert with set semantics; strict mode rejects range-kind mismatches."""
+    def add_triple(self, subject: NodeRef, predicate: str, obj: NodeRef | Literal) -> Triple:
+        """Insert with set semantics and return the triple; strict mode rejects
+        range-kind mismatches."""
         prop = self.schema.property_def(predicate)
         if self.strict:
             literal_range = prop.range in LITERAL_RANGES
@@ -225,7 +236,9 @@ class Graph:
         self.register_node(subject)
         if isinstance(obj, NodeRef):
             self.register_node(obj)
-        self._triples.add(Triple(subject, predicate, obj))
+        triple = Triple(subject, predicate, obj)
+        self._triples.add(triple)
+        return triple
 
     def remove_triple(self, triple: Triple) -> None:
         self._triples.discard(triple)
@@ -272,38 +285,45 @@ class Graph:
         except UnknownClassError:
             return class_id
 
-    def _sorted_rows(self) -> list[tuple[str, str, NodeRef | Literal | str]]:
-        rows: list[tuple[str, str, NodeRef | Literal | str]] = []
-        for node in self._nodes.values():
-            type_iri = self._type_iri(node.asserted_class)
+    def _predicate_iri(self, property_id: str) -> str:
+        # Unknown properties (foreign input) keep their IRI.
+        try:
+            return self.property_iri(property_id)
+        except UnknownPropertyError:
+            return property_id
+
+    def _sorted_rows(self) -> list[tuple[str, str, int, str, str]]:
+        """Every statement as (subject, predicate, is_literal, object IRI or
+        literal text, datatype or ""), in output order.
+
+        The plain tuple is its own sort key.  Term IRIs are looked up once per
+        distinct class or property.
+        """
+        nodes = self._nodes.values()
+        type_iris = {c: self._type_iri(c) for c in {node.asserted_class for node in nodes}}
+        pred_iris = {p: self._predicate_iri(p) for p in {t.predicate for t in self._triples}}
+        rows: list[tuple[str, str, int, str, str]] = []
+        for node in nodes:
+            type_iri = type_iris[node.asserted_class]
             if type_iri is not None:
-                rows.append((node.iri, RDF_TYPE, type_iri))
+                rows.append((node.iri, RDF_TYPE, 0, type_iri, ""))
         for triple in self._triples:
-            try:
-                pred_iri = self.property_iri(triple.predicate)
-            except UnknownPropertyError:
-                pred_iri = triple.predicate
-            rows.append((triple.subject.iri, pred_iri, triple.object))
-
-        def key(row: tuple[str, str, NodeRef | Literal | str]) -> tuple:
-            obj = row[2]
+            subject, predicate, obj = triple.subject.iri, pred_iris[triple.predicate], triple.object
             if isinstance(obj, Literal):
-                return (row[0], row[1], 1, obj.text, obj.datatype)
-            iri = obj.iri if isinstance(obj, NodeRef) else obj
-            return (row[0], row[1], 0, iri, "")
-
-        rows.sort(key=key)
+                rows.append((subject, predicate, 1, obj.text, obj.datatype))
+            else:
+                rows.append((subject, predicate, 0, obj.iri, ""))
+        rows.sort()
         return rows
 
     @staticmethod
-    def _nt_object(obj: NodeRef | Literal | str) -> str:
-        if isinstance(obj, Literal):
-            text = f'"{_escape_literal(obj.text)}"'
-            if obj.datatype != XSD_STRING:
-                return f"{text}^^<{_DATATYPE_IRIS.get(obj.datatype, obj.datatype)}>"
+    def _nt_object(is_literal: int, value: str, datatype: str) -> str:
+        if is_literal:
+            text = f'"{_escape_literal(value)}"'
+            if datatype != XSD_STRING:
+                return f"{text}^^<{_DATATYPE_IRIS.get(datatype, datatype)}>"
             return text
-        iri = obj.iri if isinstance(obj, NodeRef) else obj
-        return f"<{iri}>"
+        return f"<{value}>"
 
     def _turtle_term(self, iri: str) -> str:
         if iri.startswith(CRM_NAMESPACE):
@@ -318,7 +338,7 @@ class Graph:
         rows = self._sorted_rows()
         if format == "ntriples":
             lines = [
-                f"<{s}> <{p}> {self._nt_object(o)} ." for s, p, o in rows
+                f"<{s}> <{p}> {self._nt_object(lit, o, dt)} ." for s, p, lit, o, dt in rows
             ]
             return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
         if format == "turtle":
@@ -329,30 +349,31 @@ class Graph:
                 f"@prefix xsd: <{XSD_NAMESPACE}> .",
             ]
             lines = []
-            for s, p, o in rows:
+            for s, p, lit, o, dt in rows:
                 if p == RDF_TYPE:
                     pred = "a"
                 else:
                     pred = self._turtle_term(p)
-                if isinstance(o, Literal):
-                    obj = f'"{_escape_literal(o.text)}"'
-                    if o.datatype == XSD_DATETIME:
+                if lit:
+                    obj = f'"{_escape_literal(o)}"'
+                    if dt == XSD_DATETIME:
                         obj += "^^xsd:dateTime"
-                    elif o.datatype != XSD_STRING:
-                        obj += f"^^<{o.datatype}>"
+                    elif dt != XSD_STRING:
+                        obj += f"^^<{dt}>"
                 else:
-                    iri = o.iri if isinstance(o, NodeRef) else o
-                    obj = self._turtle_term(iri)
+                    obj = self._turtle_term(o)
                 lines.append(f"<{s}> {pred} {obj} .")
             return ("\n".join(prefixes + [""] + lines) + "\n").encode("utf-8")
         raise GraphError(f"unsupported serialization format: {format}")
 
     # -- deserialization -----------------------------------------------------------
 
+    # N-Triples whitespace is space and tab only; other Unicode spaces are
+    # not separators.
     _NT_LINE = re.compile(
-        rf"^<([^{_IRI_EXCLUDED}]+)>\s+<([^{_IRI_EXCLUDED}]+)>\s+"
+        rf"^<([^{_IRI_EXCLUDED}]+)>[ \t]+<([^{_IRI_EXCLUDED}]+)>[ \t]+"
         rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"((?:[^\"\\]|\\.)*)\"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)"
-        r"\s*\.$"
+        r"[ \t]*\.$"
     )
 
     @classmethod
@@ -376,9 +397,10 @@ class Graph:
         parsed: list[tuple[int, str, str, str | None, str | None, str | None]] = []
         types: dict[str, str] = {}
         # LF only: splitlines() would also break on U+2028, U+0085 and other
-        # separators the writer leaves raw inside literals; strip() drops a CR.
+        # separators the writer leaves raw inside literals.  Only space, tab
+        # and the CR of a CRLF are trimmed.
         for number, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
+            line = raw.strip(" \t\r")
             if not line or line.startswith("#"):
                 continue
             match = cls._NT_LINE.match(line)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ontology import OntologySchema, builtin_schema
 
@@ -99,6 +99,12 @@ class RuleSet:
         numbers = [rule.rule_no for rule in self.rules]
         if len(numbers) != len(set(numbers)):
             raise ValueError("duplicate rule numbers in rule set")
+
+    @cached_property
+    def application_order(self) -> tuple[MdlRule, ...]:
+        """The rules as the engine applies them: ISAD (document) rules first,
+        then the rest, each group in declaration order."""
+        return tuple(sorted(self.rules, key=lambda rule: rule.selector.name != "ISAD"))
 
     def rule(self, rule_no: int) -> MdlRule:
         for rule in self.rules:

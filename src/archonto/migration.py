@@ -24,7 +24,7 @@ import calendar
 import re
 from dataclasses import dataclass, field
 
-from .graph import Graph, Literal, NodeRef, Triple, DEFAULT_BASE_IRI
+from .graph import DEFAULT_BASE_IRI, Graph, GraphError, Literal, NodeRef, Triple
 from .mdl import BindMode, MdlRule, RuleSet, StepKind
 from .ontology import (
     LITERAL_RANGES,
@@ -248,11 +248,9 @@ def _connect(
         carrier = ctx.graph.mint_node(
             ctx.record.reference_code, _role(prop.domain), app.key, prop.domain
         )
-        ctx.graph.add_triple(subject, LINK_PROPERTY, carrier)
-        emitted.append(Triple(subject, LINK_PROPERTY, carrier))
+        emitted.append(ctx.graph.add_triple(subject, LINK_PROPERTY, carrier))
         subject = carrier
-    ctx.graph.add_triple(subject, property_id, obj)
-    emitted.append(Triple(subject, property_id, obj))
+    emitted.append(ctx.graph.add_triple(subject, property_id, obj))
     return emitted
 
 
@@ -567,11 +565,7 @@ def migrate_record(
     """Apply the rule set to one (already resolved) record."""
     graph = Graph(schema, base_iri, strict)
     ctx = MigrationContext(record, graph, schema, registry, strict)
-    ordered = sorted(
-        range(len(rules.rules)), key=lambda i: (rules.rules[i].selector.name != "ISAD", i)
-    )
-    for position in ordered:
-        rule = rules.rules[position]
+    for rule in rules.application_order:
         apps = _applications_for(ctx, rule)
         if apps is None:
             ctx.warn(f"rule {rule.rule_no}: no engine adapter for selector "
@@ -643,7 +637,7 @@ def migrate_tree(
             attach_isad_fallback(record, outcome.graph)
             graph.absorb(outcome.graph)
             problems.extend(outcome.problems)
-        except Exception as exc:
+        except (MigrationError, GraphError) as exc:
             if fail_fast:
                 raise MigrationError(f"record {reference}: {exc}") from exc
             problems.append(RecordProblem(reference, "error", str(exc)))

@@ -307,6 +307,8 @@ class OntologySchema:
         self._properties = dict(properties)
         self.inverse_pairs = inverse_pairs
         self._check_consistency()
+        # Each class with all its ancestors, so subclass tests are set lookups.
+        self._lineage = {c: frozenset((c,) + self.ancestors(c)) for c in self._classes}
 
     # -- lookups ---------------------------------------------------------
 
@@ -362,9 +364,10 @@ class OntologySchema:
     def is_subclass(self, child: str, ancestor: str) -> bool:
         """Reflexive-transitive subclass test over the class hierarchy."""
         self.class_def(ancestor)
-        if child == ancestor:
-            return True
-        return ancestor in self.ancestors(child)
+        lineage = self._lineage.get(child)
+        if lineage is None:
+            raise UnknownClassError(child)
+        return ancestor in lineage
 
     def property_signature(self, identifier: str) -> tuple[str, str]:
         """Declared (domain, range) of a property; range may be a datatype tag."""

@@ -1,7 +1,7 @@
 """Node minting, triple semantics and deterministic serialization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archonto.graph import (
@@ -249,3 +249,83 @@ def test_non_ascii_base_iri_round_trips():
     graph.add_triple(doc, "ARP12", graph.mint_shared("ARE1", "Fonds"))
     data = graph.serialize("ntriples")
     assert Graph.from_ntriples(data, schema, base).serialize("ntriples") == data
+
+
+# N-Triples separates terms by space and tab only; other Unicode spaces are
+# not whitespace to it.
+_STATEMENT = (
+    "<https://example.org/archonto/PT%2FX/e31/1>{sep}"
+    "<https://example.org/archonto/ontology/ISAD1_has_title>{sep}"
+    '"x" .'
+)
+
+
+@pytest.mark.parametrize("sep", [" ", "\t", " \t "])
+def test_space_and_tab_separate_terms_and_are_trimmed(sep):
+    line = f"{sep}{_STATEMENT.format(sep=sep)}{sep}\r\n"
+    assert len(Graph.from_ntriples(line, builtin_schema())) == 1
+
+
+def test_em_space_between_terms_rejected():
+    good = _STATEMENT.format(sep=" ")
+    bad = _STATEMENT.format(sep="\u2003")
+    with pytest.raises(NTriplesParseError) as exc:
+        Graph.from_ntriples(f"{good}\n{bad}\n", builtin_schema())
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("where", ["start", "end"])
+def test_ideographic_space_at_line_end_rejected(where):
+    good = _STATEMENT.format(sep=" ")
+    bad = "\u3000" + good if where == "start" else good + "\u3000"
+    with pytest.raises(NTriplesParseError) as exc:
+        Graph.from_ntriples(f"{good}\n{good}\n{bad}\n", builtin_schema())
+    assert exc.value.line == 3
+
+
+# Characters an N-Triples IRIREF may not hold unescaped.
+_IRIREF_FORBIDDEN = set('<>"{}|^`\\') | {chr(c) for c in range(0x21)}
+
+
+@settings(deadline=None)
+@given(term=st.text(), reference=st.text(min_size=1))
+@example(term="a/b", reference="PT/TT")
+@example(term="100%", reference="%2F")
+@example(term="two words", reference="\U0001F4DC scroll")
+@example(term="", reference="\u3000")
+def test_any_segment_encodes_and_round_trips(term, reference):
+    schema = builtin_schema()
+    graph = Graph(schema)
+    node = graph.mint_shared("E55", term)
+    assert graph.shared_term(node) == ("E55", term)
+    assert not _IRIREF_FORBIDDEN & set(node.iri)
+    doc = graph.mint_node(reference, "e31", "1", "E31")
+    graph.add_triple(doc, "P2", node)
+    data = graph.serialize("ntriples")
+    assert Graph.from_ntriples(data, schema).serialize("ntriples") == data
+
+
+def _escape_per_character(text):
+    named = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    return "".join(
+        named.get(ch) or (f"\\u{ord(ch):04X}" if ord(ch) < 0x20 else ch) for ch in text
+    )
+
+
+@settings(deadline=None)
+@given(st.text())
+def test_literal_escaping_matches_per_character_reference(text):
+    graph = Graph(builtin_schema())
+    doc = graph.mint_node("PT/X", "e31", "1", "E31")
+    graph.add_triple(doc, "ISAD18", Literal(text))
+    lines = graph.serialize("ntriples").decode().split("\n")
+    expected = f'<{doc.iri}> <{graph.property_iri("ISAD18")}> "{_escape_per_character(text)}" .'
+    assert [line for line in lines if "ISAD18" in line] == [expected]
+
+
+def test_add_triple_returns_the_triple(graph):
+    doc = graph.mint_node("PT/X", "e31", "1", "E31")
+    hmo = graph.mint_node("PT/X", "e22", "1", "E22")
+    triple = graph.add_triple(doc, "P128", hmo)
+    assert triple == Triple(doc, "P128", hmo)
+    assert triple in graph

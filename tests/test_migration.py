@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from archonto import migration
 from archonto.graph import Literal, Triple
+from archonto.mdl import parse_mdl
 from archonto.migration import (
     DateTextError,
     attach_isad_fallback,
@@ -489,3 +491,59 @@ def test_report_lines_format(schema, registry, rules):
     ref, severity, message = line.split("\t", 2)
     assert (ref, severity) == ("A", "warning")
     assert "someday" in message
+
+
+def test_programming_error_is_not_filed_as_a_problem(schema, registry, rules, monkeypatch):
+    def broken(ctx, rule, element):
+        raise TypeError("adapter bug")
+
+    monkeypatch.setattr(migration, "_scalar_application", broken)
+    tree = parse_corpus(_corpus({"1.1": "A", "1.4": "Fonds"}))
+    with pytest.raises(TypeError, match="adapter bug"):
+        migrate_tree(tree, rules, schema, registry)
+
+
+def test_node_class_conflict_is_a_record_error_and_leaves_nothing(
+    schema, registry, rules, monkeypatch
+):
+    # With the creation event keyed like the production event, a record that
+    # holds both a production date and a description date mints one IRI as
+    # E12 and again as E65; a record with only the latter is unaffected.
+    role = migration._role
+    monkeypatch.setattr(
+        migration, "_role", lambda class_id: role("E12" if class_id == "E65" else class_id)
+    )
+    tree = parse_corpus(
+        _corpus(
+            {"1.1": "A", "1.4": "Fonds", "production_date_single": "1813-07-12",
+             "description_creation_date": "2001-01-01"},
+            {"1.1": "B", "1.4": "Fonds", "description_creation_date": "2001-01-01"},
+        )
+    )
+    result = migrate_tree(tree, rules, schema, registry)
+    (line,) = result.report_lines()
+    assert line.startswith("A\terror\t") and "already asserted as E12" in line
+    assert not any("/A/" in iri for iri in result.graph.node_index)
+    assert b"/A/" not in result.graph.serialize()
+    assert result.graph.node_index[result.graph.base_iri + "B/e12/1"].asserted_class == "E65"
+
+
+def test_reordered_rule_file_applies_document_rule_first(schema, registry):
+    reordered = parse_mdl(
+        "RULE 3: $D1 -> Reference Code{RC} =>\n"
+        "  $D1 -> P1 is identified by -> E42 Identifier{=RC}\n\n"
+        "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n",
+        schema,
+    )
+    order = reordered.application_order
+    assert order is reordered.application_order  # computed once per rule set
+    assert [rule.rule_no for rule in order] == [1, 3]
+    outcome = migrate_record(make_record("PT/X"), reordered, schema, registry)
+    assert not outcome.problems
+    assert [entry.rule_no for entry in outcome.trace] == [1, 3]
+
+
+def test_trace_holds_every_triple_of_the_record(schema, registry, rules):
+    outcome = migrate(make_record("PT/X", elements={"1.4": "Fonds"}), rules, schema, registry)
+    emitted = {t for entry in outcome.trace for t in entry.triples}
+    assert emitted == outcome.graph.triples

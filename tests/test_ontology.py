@@ -194,3 +194,24 @@ def test_prefix_source_consistency(schema):
             if cls.identifier.startswith(prefix):
                 assert cls.source is expected[prefix]
                 break
+
+
+def test_is_subclass_matches_ancestor_walk(schema):
+    ids = [c.identifier for c in schema.classes]
+    for child in ids:
+        lineage = (child,) + schema.ancestors(child)
+        for ancestor in ids:
+            assert schema.is_subclass(child, ancestor) is (ancestor in lineage)
+
+
+def test_is_subclass_unknown_ancestor(schema):
+    for child in ("E31", "E999"):
+        with pytest.raises(UnknownClassError) as exc:
+            schema.is_subclass(child, "E998")
+        assert "E998" in str(exc.value)
+
+
+def test_is_subclass_unknown_child_below_known_ancestor(schema):
+    with pytest.raises(UnknownClassError) as exc:
+        schema.is_subclass("E999", "E31")
+    assert "E999" in str(exc.value)
