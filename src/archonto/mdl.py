@@ -17,6 +17,11 @@ the element bound to ``V``; ``{=V}`` assigns the value of ``V`` to the node
 (a fresh anchor when ``V`` is unbound).  Literal assignment accepts
 single-quoted text only.  Lines whose first non-blank character is ``#`` are
 comments.
+
+A selector anchor ``$V ->`` is checked like a dereference (``V`` must be a
+capture of the rule or a cross-rule anchor) and round-trips through
+``render_mdl``, but has no meaning for the engine, which picks a rule's input
+by selector name alone.
 """
 
 from __future__ import annotations
@@ -276,6 +281,9 @@ def _parse_selector(text: str, offset: int) -> Selector:
 
 def _check_variable_hygiene(rule: MdlRule, offset: int) -> None:
     defined = set(rule.selector.captures) | set(CROSS_RULE_ANCHORS)
+    anchor = rule.selector.anchor
+    if anchor is not None and anchor not in defined:
+        raise MdlSyntaxError(f"rule {rule.rule_no}: unbound variable {anchor}", offset)
     for path in rule.paths:
         for step in path:
             if step.binding is None:

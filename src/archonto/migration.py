@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import calendar
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError, Literal, NodeRef, Triple
 from .mdl import BindMode, MdlRule, RuleSet, StepKind
@@ -32,7 +34,7 @@ from .ontology import (
     SourceOntology,
     XSD_STRING,
 )
-from .records import IsadRecord, RecordTree
+from .records import PARENT_FIELD, IsadRecord, RecordTree
 from .validation import validate_datetime
 from .vocabulary import VocabularyRegistry
 
@@ -348,15 +350,6 @@ def _paths_with_emit(rule: MdlRule) -> frozenset[int]:
     )
 
 
-def _title_type(record: IsadRecord) -> str:
-    return record.text("title_type") or "absent"
-
-
-def _dimension_entries(record: IsadRecord, kind: str) -> list[dict]:
-    entries = record.value("dimensions") or []
-    return [e for e in entries if e.get("kind", "dimension") == kind]
-
-
 def _widen_or_warn(
     ctx: MigrationContext, text: str, position: str, element: str
 ) -> str | None:
@@ -371,61 +364,51 @@ def _widen_or_warn(
 
 
 def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
-    record = ctx.record
-    captures = rule.selector.captures
-    if len(captures) == 2:
-        start = record.text("production_date_start")
-        end = record.text("production_date_end")
-        if not start or not end:
-            return []
-        widened_start = _widen_or_warn(ctx, start, "start", "production date")
-        widened_end = _widen_or_warn(ctx, end, "end", "production date")
-        if widened_start is None or widened_end is None:
-            return []
-        return [Application("interval", {captures[0]: widened_start, captures[1]: widened_end})]
-    single = record.text("production_date_single")
-    if not single or not captures:
+    if len(rule.selector.captures) == 2:
+        key, fields = "interval", (("production_date_start", "start"), ("production_date_end", "end"))
+    else:
+        key, fields = "instant", (("production_date_single", "single"),)
+    texts = [ctx.record.text(element) for element, _ in fields]
+    if not all(texts):
         return []
-    widened = _widen_or_warn(ctx, single, "single", "production date")
-    if widened is None:
+    widened = [
+        _widen_or_warn(ctx, text, position, "production date")
+        for text, (_, position) in zip(texts, fields)
+    ]
+    if None in widened:
         return []
-    return [Application("instant", {captures[0]: widened})]
+    return [Application(key, dict(zip(rule.selector.captures, widened)))]
+
+
+# Description dates: application key, element, warning label, literal overrides.
+_DESCRIPTION_DATES = (
+    ("creation", "description_creation_date", "description creation date", {}),
+    ("modification", "description_last_modification", "description last modification",
+     {"Creation Date": "Last Modification"}),
+)
 
 
 def _description_date_applications(
     ctx: MigrationContext, rule: MdlRule
 ) -> list[Application]:
-    if not rule.selector.captures:
-        return []
-    capture = rule.selector.captures[0]
     apps = []
-    created = ctx.record.text("description_creation_date")
-    if created:
-        widened = _widen_or_warn(ctx, created, "single", "description creation date")
-        if widened is not None:
-            apps.append(Application("creation", {capture: widened}))
-    modified = ctx.record.text("description_last_modification")
-    if modified:
-        widened = _widen_or_warn(ctx, modified, "single", "description last modification")
+    for key, element, label, overrides in _DESCRIPTION_DATES:
+        text = ctx.record.text(element)
+        widened = _widen_or_warn(ctx, text, "single", label) if text else None
         if widened is not None:
             apps.append(
-                Application(
-                    "modification",
-                    {capture: widened},
-                    literal_overrides={"Creation Date": "Last Modification"},
-                )
+                Application(key, {rule.selector.captures[0]: widened}, literal_overrides=overrides)
             )
     return apps
 
 
 def _measure_applications(
-    ctx: MigrationContext, rule: MdlRule, kind: str
+    ctx: MigrationContext, rule: MdlRule, *, kind: str
 ) -> list[Application]:
-    if not rule.selector.captures:
-        return []
     capture = rule.selector.captures[0]
+    entries = [e for e in ctx.record.value("dimensions") or [] if e.get("kind", "dimension") == kind]
     apps = []
-    for index, entry in enumerate(_dimension_entries(ctx.record, kind), start=1):
+    for index, entry in enumerate(entries, start=1):
         raw_value = entry.get("value")
         value = str(raw_value).strip() if raw_value is not None else ""
         unit = (entry.get("unit") or "").strip()
@@ -448,10 +431,8 @@ def _measure_applications(
 
 
 def _term_list_applications(
-    ctx: MigrationContext, rule: MdlRule, element: str
+    ctx: MigrationContext, rule: MdlRule, *, element: str
 ) -> list[Application]:
-    if not rule.selector.captures:
-        return []
     capture = rule.selector.captures[0]
     terms = ctx.record.value(element) or []
     return [
@@ -461,21 +442,20 @@ def _term_list_applications(
     ]
 
 
-def _scalar_application(
-    ctx: MigrationContext, rule: MdlRule, element: str
+def _element_applications(
+    ctx: MigrationContext, rule: MdlRule, *, element: str, title_type: str | None = None
 ) -> list[Application]:
-    if not rule.selector.captures:
+    """One application for a non-blank scalar element; the title rules also
+    require the record's title type (an unset type counts as ``absent``)."""
+    record = ctx.record
+    if title_type is not None and (record.text("title_type") or "absent") != title_type:
         return []
-    value = ctx.record.text(element)
-    if not value:
-        return []
-    return [Application("1", {rule.selector.captures[0]: value})]
+    value = record.parent_reference if element == PARENT_FIELD else record.text(element)
+    return [Application("1", {rule.selector.captures[0]: value})] if value else []
 
 
 def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
     captures = rule.selector.captures
-    if not captures:
-        return []
     apps = []
     for index, entry in enumerate(ctx.record.value("creators") or [], start=1):
         name = (entry.get("name") or "").strip()
@@ -493,54 +473,36 @@ def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> list[Applicat
     return apps
 
 
+# Selector name -> adapter yielding a rule's applications to one record.
+# The dispatcher calls an adapter only when the selector has captures.
+_ADAPTERS: dict[str, Callable[[MigrationContext, MdlRule], list[Application]]] = {
+    "Description Level": partial(_element_applications, element="1.4"),
+    "Reference Code": partial(_element_applications, element="1.1"),
+    "Title": partial(_element_applications, element="1.2", title_type="absent"),
+    "Formal Title": partial(_element_applications, element="1.2", title_type="formal"),
+    "Supplied Title": partial(_element_applications, element="1.2", title_type="supplied"),
+    "Production Date": _date_applications,
+    "Dimension": partial(_measure_applications, kind="dimension"),
+    "Extension": partial(_measure_applications, kind="extension"),
+    "Support": partial(_term_list_applications, element="supports"),
+    "Language": partial(_term_list_applications, element="languages"),
+    "Physical Location": partial(_element_applications, element="physical_location"),
+    "Original Numbering": partial(_element_applications, element="original_numbering"),
+    "Previous Location": partial(_element_applications, element="previous_location"),
+    "Creation Date": _description_date_applications,
+    "Parent Record": partial(_element_applications, element=PARENT_FIELD),
+    "Creator": _creator_applications,
+}
+
+
 def _applications_for(ctx: MigrationContext, rule: MdlRule) -> list[Application] | None:
-    name = rule.selector.name
-    record = ctx.record
-    if name == "ISAD":
+    """The rule's applications to the record; None for an unknown selector."""
+    if rule.selector.name == "ISAD":
         return [Application("1")]
-    if name == "Description Level":
-        level = record.text("1.4")
-        return [Application("1", {rule.selector.captures[0]: level})] if level and rule.selector.captures else []
-    if name == "Reference Code":
-        return _scalar_application(ctx, rule, "1.1")
-    if name == "Title":
-        if _title_type(record) != "absent":
-            return []
-        return _scalar_application(ctx, rule, "1.2")
-    if name == "Formal Title":
-        if _title_type(record) != "formal":
-            return []
-        return _scalar_application(ctx, rule, "1.2")
-    if name == "Supplied Title":
-        if _title_type(record) != "supplied":
-            return []
-        return _scalar_application(ctx, rule, "1.2")
-    if name == "Production Date":
-        return _date_applications(ctx, rule)
-    if name == "Dimension":
-        return _measure_applications(ctx, rule, "dimension")
-    if name == "Extension":
-        return _measure_applications(ctx, rule, "extension")
-    if name == "Support":
-        return _term_list_applications(ctx, rule, "supports")
-    if name == "Language":
-        return _term_list_applications(ctx, rule, "languages")
-    if name == "Physical Location":
-        return _scalar_application(ctx, rule, "physical_location")
-    if name == "Original Numbering":
-        return _scalar_application(ctx, rule, "original_numbering")
-    if name == "Previous Location":
-        return _scalar_application(ctx, rule, "previous_location")
-    if name == "Creation Date":
-        return _description_date_applications(ctx, rule)
-    if name == "Parent Record":
-        parent = record.parent_reference
-        if parent is None or not rule.selector.captures:
-            return []
-        return [Application("1", {rule.selector.captures[0]: parent})]
-    if name == "Creator":
-        return _creator_applications(ctx, rule)
-    return None
+    adapter = _ADAPTERS.get(rule.selector.name)
+    if adapter is None:
+        return None
+    return adapter(ctx, rule) if rule.selector.captures else []
 
 
 # -- record and corpus drivers ---------------------------------------------------
@@ -625,7 +587,8 @@ def migrate_tree(
     strict: bool = False,
     fail_fast: bool = False,
 ) -> MigrationResult:
-    """Migrate every record of a resolved tree into one deterministic graph."""
+    """Migrate every record of a resolved tree into one deterministic graph;
+    with ``fail_fast`` the first record with an error stops the run."""
     graph = Graph(schema, base_iri, strict)
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
@@ -636,13 +599,12 @@ def migrate_tree(
             )
             attach_isad_fallback(record, outcome.graph)
             graph.absorb(outcome.graph)
-            problems.extend(outcome.problems)
+            record_problems = outcome.problems
         except (MigrationError, GraphError) as exc:
-            if fail_fast:
-                raise MigrationError(f"record {reference}: {exc}") from exc
-            problems.append(RecordProblem(reference, "error", str(exc)))
+            record_problems = (RecordProblem(reference, "error", str(exc)),)
+        errors = [p.message for p in record_problems if p.severity == "error"]
+        if fail_fast and errors:
+            raise MigrationError(f"record {reference}: {min(errors)}")
+        problems.extend(record_problems)
     problems.sort(key=lambda p: (p.reference, p.severity, p.message))
-    if fail_fast and any(p.severity == "error" for p in problems):
-        first = next(p for p in problems if p.severity == "error")
-        raise MigrationError(f"record {first.reference}: {first.message}")
     return MigrationResult(graph, tuple(problems), len(tree.records))

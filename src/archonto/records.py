@@ -65,9 +65,6 @@ ALLOWED_FIELDS = (
 TITLE_TYPES = frozenset({"formal", "supplied", "absent"})
 DIMENSION_KINDS = frozenset({"dimension", "extension"})
 
-# Identity elements are per-unit by definition and never inherit.
-IDENTITY_ELEMENTS = frozenset({"1.1", "1.2", "1.4"})
-
 # Context, content/structure, access/use and allied-materials areas: the
 # areas the non-repetition principle targets.
 DEFAULT_INHERITABLE = frozenset(
@@ -124,9 +121,6 @@ class IsadRecord:
     def text(self, key: str) -> str:
         value = self.elements.get(key)
         return value.strip() if isinstance(value, str) else ""
-
-    def has(self, key: str) -> bool:
-        return not is_blank(self.elements.get(key))
 
 
 @dataclass(frozen=True)
@@ -284,7 +278,10 @@ def resolve_inheritance(
     """
     keys = frozenset(DEFAULT_INHERITABLE if inheritable is None else inheritable)
     if "1.1" in keys:
-        raise ValueError("reference codes are per-unit and can never inherit")
+        raise CorpusError("element 1.1 (reference code) is per-unit and can never inherit")
+    unknown = sorted(keys - (ALLOWED_FIELDS - {PARENT_FIELD}))
+    if unknown:
+        raise CorpusError(f"cannot inherit unknown element id {', '.join(map(repr, unknown))}")
     resolved: dict[str, IsadRecord] = {}
     for reference, record in tree.records.items():
         elements = dict(record.elements)

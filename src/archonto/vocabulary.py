@@ -47,7 +47,7 @@ class Vocabulary:
             seen.add(term)
 
     def __contains__(self, term: str) -> bool:
-        return term in set(self.terms)
+        return term in self.terms
 
 
 class VocabularyRegistry:

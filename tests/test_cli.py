@@ -231,3 +231,20 @@ def test_line_separator_in_element_survives_migrate_and_validate(tmp_path, ensur
     assert main(["migrate", "--in", str(corpus), "--out", str(out)]) == 0
     assert main(["validate", "--in", str(out), "--out", str(tmp_path / "report.txt")]) == 0
     assert main(["stats", "--in", str(out), "--out", str(tmp_path / "stats.txt")]) == 0
+
+
+@pytest.mark.parametrize(
+    "spec,named", [("1.1", ["1.1"]), ("9.9,bogus", ["'9.9'", "'bogus'"]), ("1.4,parent", ["'parent'"])]
+)
+def test_migrate_rejects_bad_inherit_ids(tmp_path, corpus_file, capsys, spec, named):
+    out = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus_file), "--out", str(out), "--inherit", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(name in err for name in named)
+    assert not out.exists()
+
+
+def test_migrate_accepts_inherit_ids(tmp_path, corpus_file):
+    out = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus_file), "--out", str(out), "--inherit", "1.4, 4.3"]) == 0
+    assert main(["migrate", "--in", str(corpus_file), "--out", str(out), "--inherit", "none"]) == 0

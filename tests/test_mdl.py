@@ -77,6 +77,13 @@ def test_unbound_variable_rejected(schema):
     assert "unbound" in str(exc.value)
 
 
+def test_unbound_selector_anchor_rejected(schema):
+    with pytest.raises(MdlSyntaxError, match="rule 4: unbound variable MYSTERY"):
+        parse_mdl("RULE 4: $MYSTERY -> Title{T} =>\n  $D1 -> P102 has title -> E35 Title\n", schema)
+    ruleset = parse_mdl("RULE 4: $T -> Title{T} =>\n  $D1 -> P102 has title -> E35 Title\n", schema)
+    assert ruleset.rules[0].selector.anchor == "T"
+
+
 def test_cross_rule_anchors_allowed(schema):
     ruleset = parse_mdl(
         "RULE 11: $D1 -> Support{SP} =>\n  $HMO1 -> P45 consists of -> E57 Material{=SP}\n",

@@ -493,11 +493,40 @@ def test_report_lines_format(schema, registry, rules):
     assert "someday" in message
 
 
+def test_fail_fast_stops_at_the_first_failing_record(schema, registry, rules, monkeypatch):
+    calls = []
+    real = migration.migrate_record
+
+    def counted(record, *args, **kwargs):
+        calls.append(record.reference_code)
+        return real(record, *args, **kwargs)
+
+    monkeypatch.setattr(migration, "migrate_record", counted)
+    entries = [{"1.1": "A", "1.4": "Bogus"}]
+    entries += [{"1.1": f"B{index:03d}", "1.4": "Fonds"} for index in range(200)]
+    tree = parse_corpus(_corpus(*entries))
+    with pytest.raises(MigrationError, match=r"^record A: .*'Bogus'"):
+        migrate_tree(tree, rules, schema, registry, strict=True, fail_fast=True)
+    assert calls == ["A"]
+
+
+def test_fail_fast_raises_on_a_record_level_error(schema, registry, rules, monkeypatch):
+    def conflict(ctx, rule):
+        raise migration.GraphError("node conflict")
+
+    monkeypatch.setitem(migration._ADAPTERS, "Reference Code", conflict)
+    tree = parse_corpus(_corpus({"1.1": "A"}, {"1.1": "B"}))
+    with pytest.raises(MigrationError, match=r"^record A: node conflict$"):
+        migrate_tree(tree, rules, schema, registry, fail_fast=True)
+    result = migrate_tree(tree, rules, schema, registry)
+    assert result.report_lines() == ["A\terror\tnode conflict", "B\terror\tnode conflict"]
+
+
 def test_programming_error_is_not_filed_as_a_problem(schema, registry, rules, monkeypatch):
-    def broken(ctx, rule, element):
+    def broken(ctx, rule):
         raise TypeError("adapter bug")
 
-    monkeypatch.setattr(migration, "_scalar_application", broken)
+    monkeypatch.setitem(migration._ADAPTERS, "Reference Code", broken)
     tree = parse_corpus(_corpus({"1.1": "A", "1.4": "Fonds"}))
     with pytest.raises(TypeError, match="adapter bug"):
         migrate_tree(tree, rules, schema, registry)
@@ -547,3 +576,47 @@ def test_trace_holds_every_triple_of_the_record(schema, registry, rules):
     outcome = migrate(make_record("PT/X", elements={"1.4": "Fonds"}), rules, schema, registry)
     emitted = {t for entry in outcome.trace for t in entry.triples}
     assert emitted == outcome.graph.triples
+
+
+def test_every_builtin_selector_has_an_adapter(rules):
+    names = {rule.selector.name for rule in rules.rules} - {"ISAD"}
+    assert names <= set(migration._ADAPTERS)
+
+
+def test_unknown_selector_warns_and_emits_nothing(schema, registry):
+    ruleset = parse_mdl(
+        "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
+        "RULE 2: $D1 -> Mystery{M} =>\n  $D1 -> P2 has type -> E55 Type{=M}\n",
+        schema,
+    )
+    outcome = migrate_record(make_record("PT/X", elements={"1.4": "Fonds"}), ruleset, schema, registry)
+    assert [p.line() for p in outcome.problems] == [
+        "PT/X\twarning\trule 2: no engine adapter for selector 'Mystery'; rule skipped"
+    ]
+    (entry,) = [e for e in outcome.trace if e.rule_no == 2]
+    assert (entry.application, entry.triples, entry.note) == (None, (), "unknown selector")
+    assert not any(t.predicate == "P2" for t in outcome.graph.triples)
+
+
+def test_selector_without_captures_is_skipped_quietly(schema, registry):
+    names = sorted(migration._ADAPTERS)
+    ruleset = parse_mdl(
+        "RULE 1: ISAD =>\n  E31 Document{=D1} -> P128 is carried by -> E22 Human-Made Object\n\n"
+        + "\n\n".join(
+            f"RULE {number}: $D1 -> {name} =>\n  $D1 -> P2 has type -> E55 Type"
+            for number, name in enumerate(names, start=2)
+        ),
+        schema,
+    )
+    record = make_record(
+        "PT/X",
+        parent="PT",
+        elements={"1.4": "Fonds", "1.2": "T", "production_date_single": "circa 1650",
+                  "creators": [{"role": "Producer"}], "supports": ["Paper"]},
+    )
+    outcome = migrate_record(record, ruleset, schema, registry)
+    assert outcome.problems == ()
+    assert [(e.rule_no, e.note) for e in outcome.trace[1:]] == [
+        (number, "element blank; skipped") for number in range(2, len(names) + 2)
+    ]
+    assert outcome.trace[0].triples  # the document rule fires without captures

@@ -178,6 +178,13 @@ def test_reference_code_refuses_to_inherit():
         resolve_inheritance(tree, {"1.1"})
 
 
+@pytest.mark.parametrize("keys", [{"9.9"}, {"2.2", "parent"}, {"Title"}])
+def test_unknown_inheritable_id_refused(keys):
+    tree = parse_corpus(_line(**{"1.1": "A"}))
+    with pytest.raises(CorpusError, match="cannot inherit unknown element id"):
+        resolve_inheritance(tree, keys)
+
+
 def test_custom_inheritable_set():
     corpus = "\n".join(
         [
