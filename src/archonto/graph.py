@@ -14,11 +14,10 @@ from types import MappingProxyType
 from urllib.parse import quote, unquote
 
 from .ontology import (
-    LITERAL_RANGES,
+    ClassDef,
     OntologySchema,
+    PropertyDef,
     SourceOntology,
-    UnknownClassError,
-    UnknownPropertyError,
     XSD_DATETIME,
     XSD_STRING,
 )
@@ -33,11 +32,12 @@ XSD_NAMESPACE = "http://www.w3.org/2001/XMLSchema#"
 # never collide with the lowercase role names used for per-record nodes.
 SHARED_SEGMENT = "shared"
 
-_DATATYPE_IRIS = {
-    XSD_STRING: XSD_NAMESPACE + "string",
-    XSD_DATETIME: XSD_NAMESPACE + "dateTime",
-}
-_IRI_DATATYPES = {iri: tag for tag, iri in _DATATYPE_IRIS.items()}
+_IRI_DATATYPES = {XSD_NAMESPACE + "string": XSD_STRING, XSD_NAMESPACE + "dateTime": XSD_DATETIME}
+
+# What follows a literal's quoted text, by datatype tag, in each format.  Any
+# other datatype is a foreign IRI read from input and is written in full.
+_NT_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: f"^^<{XSD_NAMESPACE}dateTime>"}
+_TURTLE_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: "^^xsd:dateTime"}
 
 # Characters an N-Triples IRIREF may not hold unescaped (RDF 1.1 N-Triples).
 _IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
@@ -53,10 +53,6 @@ class NodeClassConflict(GraphError):
         super().__init__(
             f"node {iri} already asserted as {existing}, re-minted as {requested}"
         )
-
-
-class StrictRangeError(GraphError):
-    pass
 
 
 class NTriplesParseError(GraphError):
@@ -93,30 +89,57 @@ def _encode(segment: str) -> str:
     return quote(segment, safe="")
 
 
-# Characters N-Triples literals must escape; most texts hold none of them.
+@dataclass(frozen=True)
+class _TermTable:
+    """Class and property IRIs of one schema under one base IRI, both ways."""
+
+    class_iris: dict[str, str]
+    property_iris: dict[str, str]
+    class_ids: dict[str, str]
+    property_ids: dict[str, str]
+
+
+# Keyed by schema identity and base IRI: a run uses one or two of each, while
+# every record of a migration builds its own Graph.
+@lru_cache(maxsize=16)
+def _term_table(schema: OntologySchema, base_iri: str) -> _TermTable:
+    ontology = base_iri + "ontology/"
+
+    def iri(term: ClassDef | PropertyDef) -> str:
+        namespace = CRM_NAMESPACE if term.source is SourceOntology.CIDOC else ontology
+        return f"{namespace}{term.identifier}_{term.label.replace(' ', '_')}"
+
+    class_iris = {c.identifier: iri(c) for c in schema.classes}
+    property_iris = {p.identifier: iri(p) for p in schema.properties}
+    return _TermTable(
+        class_iris,
+        property_iris,
+        {v: k for k, v in class_iris.items()},
+        {v: k for k, v in property_iris.items()},
+    )
+
+
+# Characters N-Triples literals must escape; most texts hold none of them,
+# and the search is cheaper than a translate that changes nothing.
 _LITERAL_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
+_LITERAL_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20)} | {
+    ord("\\"): "\\\\",
+    ord('"'): '\\"',
+    ord("\n"): "\\n",
+    ord("\r"): "\\r",
+    ord("\t"): "\\t",
+}
 
 
 def _escape_literal(text: str) -> str:
     if _LITERAL_ESCAPED.search(text) is None:
         return text
-    out = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_LITERAL_ESCAPES)
+
+
+def _literal(text: str, datatype: str, suffixes: Mapping[str, str]) -> str:
+    suffix = suffixes.get(datatype)
+    return f'"{_escape_literal(text)}"' + (f"^^<{datatype}>" if suffix is None else suffix)
 
 
 _UNESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
@@ -135,12 +158,7 @@ def _unescape_literal(text: str) -> str:
 class Graph:
     """Triple set plus node index; single-writer during construction."""
 
-    def __init__(
-        self,
-        schema: OntologySchema,
-        base_iri: str = DEFAULT_BASE_IRI,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, schema: OntologySchema, base_iri: str = DEFAULT_BASE_IRI) -> None:
         bad = _IRI_FORBIDDEN.search(base_iri)
         if bad is not None:
             raise GraphError(
@@ -148,7 +166,6 @@ class Graph:
             )
         self.schema = schema
         self.base_iri = base_iri.rstrip("/") + "/"
-        self.strict = strict
         self._nodes: dict[str, NodeRef] = {}
         self._triples: set[Triple] = set()
 
@@ -220,19 +237,9 @@ class Graph:
     # -- triple assembly -----------------------------------------------------
 
     def add_triple(self, subject: NodeRef, predicate: str, obj: NodeRef | Literal) -> Triple:
-        """Insert with set semantics and return the triple; strict mode rejects
-        range-kind mismatches."""
-        prop = self.schema.property_def(predicate)
-        if self.strict:
-            literal_range = prop.range in LITERAL_RANGES
-            if literal_range and isinstance(obj, NodeRef):
-                raise StrictRangeError(
-                    f"{predicate} expects a {prop.range} literal, got node {obj.iri}"
-                )
-            if not literal_range and isinstance(obj, Literal):
-                raise StrictRangeError(
-                    f"{predicate} expects a {prop.range} node, got literal {obj.text!r}"
-                )
+        """Insert with set semantics and return the triple; range kinds are
+        checked by validation (or, in strict mode, by the engine)."""
+        self.schema.property_def(predicate)
         self.register_node(subject)
         if isinstance(obj, NodeRef):
             self.register_node(obj)
@@ -252,78 +259,41 @@ class Graph:
         self._triples.update(other._triples)
 
     def copy(self) -> Graph:
-        clone = Graph(self.schema, self.base_iri, self.strict)
+        clone = Graph(self.schema, self.base_iri)
         clone._nodes = dict(self._nodes)
         clone._triples = set(self._triples)
         return clone
 
-    # -- term IRIs ------------------------------------------------------------
-
-    def class_iri(self, class_id: str) -> str:
-        cls = self.schema.class_def(class_id)
-        local = f"{cls.identifier}_{cls.label.replace(' ', '_')}"
-        if cls.source is SourceOntology.CIDOC:
-            return CRM_NAMESPACE + local
-        return self.base_iri + "ontology/" + local
-
     def property_iri(self, property_id: str) -> str:
-        prop = self.schema.property_def(property_id)
-        local = f"{prop.identifier}_{prop.label.replace(' ', '_')}"
-        if prop.source is SourceOntology.CIDOC:
-            return CRM_NAMESPACE + local
-        return self.base_iri + "ontology/" + local
+        self.schema.property_def(property_id)
+        return _term_table(self.schema, self.base_iri).property_iris[property_id]
 
     # -- serialization ----------------------------------------------------------
-
-    def _type_iri(self, class_id: str) -> str | None:
-        # Unknown classes (foreign input) keep their IRI; untyped nodes get
-        # no type assertion, so parse -> serialize round-trips faithfully.
-        if not class_id:
-            return None
-        try:
-            return self.class_iri(class_id)
-        except UnknownClassError:
-            return class_id
-
-    def _predicate_iri(self, property_id: str) -> str:
-        # Unknown properties (foreign input) keep their IRI.
-        try:
-            return self.property_iri(property_id)
-        except UnknownPropertyError:
-            return property_id
 
     def _sorted_rows(self) -> list[tuple[str, str, int, str, str]]:
         """Every statement as (subject, predicate, is_literal, object IRI or
         literal text, datatype or ""), in output order.
 
-        The plain tuple is its own sort key.  Term IRIs are looked up once per
-        distinct class or property.
+        The plain tuple is its own sort key.  Unknown classes and properties
+        (foreign input) keep their IRI, and untyped nodes get no type
+        assertion, so parse -> serialize round-trips faithfully.
         """
-        nodes = self._nodes.values()
-        type_iris = {c: self._type_iri(c) for c in {node.asserted_class for node in nodes}}
-        pred_iris = {p: self._predicate_iri(p) for p in {t.predicate for t in self._triples}}
-        rows: list[tuple[str, str, int, str, str]] = []
-        for node in nodes:
-            type_iri = type_iris[node.asserted_class]
-            if type_iri is not None:
-                rows.append((node.iri, RDF_TYPE, 0, type_iri, ""))
+        terms = _term_table(self.schema, self.base_iri)
+        class_iris, property_iris = terms.class_iris, terms.property_iris
+        rows: list[tuple[str, str, int, str, str]] = [
+            (node.iri, RDF_TYPE, 0, class_iris.get(node.asserted_class, node.asserted_class), "")
+            for node in self._nodes.values()
+            if node.asserted_class
+        ]
         for triple in self._triples:
-            subject, predicate, obj = triple.subject.iri, pred_iris[triple.predicate], triple.object
+            subject, obj = triple.subject.iri, triple.object
+            predicate = property_iris.get(triple.predicate, triple.predicate)
             if isinstance(obj, Literal):
                 rows.append((subject, predicate, 1, obj.text, obj.datatype))
             else:
                 rows.append((subject, predicate, 0, obj.iri, ""))
         rows.sort()
         return rows
-
-    @staticmethod
-    def _nt_object(is_literal: int, value: str, datatype: str) -> str:
-        if is_literal:
-            text = f'"{_escape_literal(value)}"'
-            if datatype != XSD_STRING:
-                return f"{text}^^<{_DATATYPE_IRIS.get(datatype, datatype)}>"
-            return text
-        return f"<{value}>"
 
     def _turtle_term(self, iri: str) -> str:
         if iri.startswith(CRM_NAMESPACE):
@@ -338,33 +308,25 @@ class Graph:
         rows = self._sorted_rows()
         if format == "ntriples":
             lines = [
-                f"<{s}> <{p}> {self._nt_object(lit, o, dt)} ." for s, p, lit, o, dt in rows
+                f"<{s}> <{p}> {_literal(o, dt, _NT_SUFFIXES) if lit else f'<{o}>'} ."
+                for s, p, lit, o, dt in rows
             ]
-            return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-        if format == "turtle":
-            prefixes = [
+        elif format == "turtle":
+            lines = [
                 f"@prefix aont: <{self.base_iri}ontology/> .",
                 f"@prefix crm: <{CRM_NAMESPACE}> .",
                 '@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .',
                 f"@prefix xsd: <{XSD_NAMESPACE}> .",
+                "",
             ]
-            lines = []
-            for s, p, lit, o, dt in rows:
-                if p == RDF_TYPE:
-                    pred = "a"
-                else:
-                    pred = self._turtle_term(p)
-                if lit:
-                    obj = f'"{_escape_literal(o)}"'
-                    if dt == XSD_DATETIME:
-                        obj += "^^xsd:dateTime"
-                    elif dt != XSD_STRING:
-                        obj += f"^^<{dt}>"
-                else:
-                    obj = self._turtle_term(o)
-                lines.append(f"<{s}> {pred} {obj} .")
-            return ("\n".join(prefixes + [""] + lines) + "\n").encode("utf-8")
-        raise GraphError(f"unsupported serialization format: {format}")
+            lines += [
+                f"<{s}> {'a' if p == RDF_TYPE else self._turtle_term(p)} "
+                f"{_literal(o, dt, _TURTLE_SUFFIXES) if lit else self._turtle_term(o)} ."
+                for s, p, lit, o, dt in rows
+            ]
+        else:
+            raise GraphError(f"unsupported serialization format: {format}")
+        return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
     # -- deserialization -----------------------------------------------------------
 
@@ -386,16 +348,14 @@ class Graph:
         """Rebuild a graph from N-Triples produced by :meth:`serialize`.
 
         Unknown predicate or class IRIs are preserved verbatim so validation
-        can report them; untyped nodes get an empty asserted class.
+        can report them; untyped nodes get an empty asserted class.  Each IRI
+        has one :class:`NodeRef`, shared by every triple that names it.
         """
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         graph = cls(schema, base_iri)
-        class_by_iri = {graph.class_iri(c.identifier): c.identifier for c in schema.classes}
-        prop_by_iri = {
-            graph.property_iri(p.identifier): p.identifier for p in schema.properties
-        }
-        parsed: list[tuple[int, str, str, str | None, str | None, str | None]] = []
-        types: dict[str, str] = {}
+        terms = _term_table(graph.schema, graph.base_iri)
+        nodes = graph._nodes
+        statements: list[tuple[str, str, str | None, str | None, str | None]] = []
         # LF only: splitlines() would also break on U+2028, U+0085 and other
         # separators the writer leaves raw inside literals.  Only space, tab
         # and the CR of a CRLF are trimmed.
@@ -406,26 +366,28 @@ class Graph:
             match = cls._NT_LINE.match(line)
             if match is None:
                 raise NTriplesParseError("not a valid N-Triples statement", number)
-            s_iri, p_iri, o_iri, o_text, o_dt = match.groups()
-            if p_iri == RDF_TYPE:
-                if o_iri is None:
-                    raise NTriplesParseError("rdf:type object must be an IRI", number)
-                types[s_iri] = class_by_iri.get(o_iri, o_iri)
-                continue
-            parsed.append((number, s_iri, p_iri, o_iri, o_text, o_dt))
-        for number, s_iri, p_iri, o_iri, o_text, o_dt in parsed:
-            subject = NodeRef(s_iri, types.get(s_iri, ""))
-            predicate = prop_by_iri.get(p_iri, p_iri)
+            s_iri, p_iri, o_iri, _, _ = statement = match.groups()
+            if p_iri != RDF_TYPE:
+                statements.append(statement)
+            elif o_iri is None:
+                raise NTriplesParseError("rdf:type object must be an IRI", number)
+            else:
+                nodes[s_iri] = NodeRef(s_iri, terms.class_ids.get(o_iri, o_iri))
+
+        # Untyped nodes are made on first use, after every type line is read.
+        def node(iri: str) -> NodeRef:
+            ref = nodes.get(iri)
+            if ref is None:
+                ref = nodes[iri] = NodeRef(iri, "")
+            return ref
+
+        property_ids = terms.property_ids
+        for s_iri, p_iri, o_iri, o_text, o_dt in statements:
             obj: NodeRef | Literal
             if o_iri is not None:
-                obj = NodeRef(o_iri, types.get(o_iri, ""))
+                obj = node(o_iri)
             else:
                 datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
                 obj = Literal(_unescape_literal(o_text or ""), datatype)
-            graph.register_node(subject)
-            if isinstance(obj, NodeRef):
-                graph.register_node(obj)
-            graph._triples.add(Triple(subject, predicate, obj))
-        for iri, class_id in types.items():
-            graph.register_node(NodeRef(iri, class_id))
+            graph._triples.add(Triple(node(s_iri), property_ids.get(p_iri, p_iri), obj))
         return graph

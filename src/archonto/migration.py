@@ -96,6 +96,10 @@ class StrictVocabularyError(MigrationError):
         self.term = term
 
 
+class StrictRangeError(GraphError):
+    """Strict mode's range-kind mismatch; a GraphError, so the record is refused."""
+
+
 class DateTextError(MigrationError):
     def __init__(self, text: str) -> None:
         super().__init__(f"cannot interpret date text {text!r}")
@@ -240,6 +244,10 @@ def _connect(
     obj: NodeRef | Literal,
 ) -> list[Triple]:
     prop = ctx.schema.property_def(property_id)
+    if ctx.strict and prop.has_literal_range is not isinstance(obj, Literal):
+        got = f"literal {obj.text!r}" if isinstance(obj, Literal) else f"node {obj.iri}"
+        kind = "literal" if prop.has_literal_range else "node"
+        raise StrictRangeError(f"{property_id} expects a {prop.range} {kind}, got {got}")
     emitted: list[Triple] = []
     if (
         isinstance(obj, Literal)
@@ -364,8 +372,9 @@ def _widen_or_warn(
 
 
 def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
+    interval = (("production_date_start", "start"), ("production_date_end", "end"))
     if len(rule.selector.captures) == 2:
-        key, fields = "interval", (("production_date_start", "start"), ("production_date_end", "end"))
+        key, fields = "interval", interval
     else:
         key, fields = "instant", (("production_date_single", "single"),)
     texts = [ctx.record.text(element) for element, _ in fields]
@@ -376,6 +385,10 @@ def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application
         for text, (_, position) in zip(texts, fields)
     ]
     if None in widened:
+        return []
+    # One Production has one time-span, and an interval wins over an instant.
+    if key == "instant" and all(ctx.record.text(e) for e, _ in interval):
+        ctx.warn(f"production date: single date {texts[0]!r} ignored for the interval")
         return []
     return [Application(key, dict(zip(rule.selector.captures, widened)))]
 
@@ -525,7 +538,7 @@ def migrate_record(
     strict: bool = False,
 ) -> RecordMigration:
     """Apply the rule set to one (already resolved) record."""
-    graph = Graph(schema, base_iri, strict)
+    graph = Graph(schema, base_iri)
     ctx = MigrationContext(record, graph, schema, registry, strict)
     for rule in rules.application_order:
         apps = _applications_for(ctx, rule)
@@ -589,7 +602,7 @@ def migrate_tree(
 ) -> MigrationResult:
     """Migrate every record of a resolved tree into one deterministic graph;
     with ``fail_fast`` the first record with an error stops the run."""
-    graph = Graph(schema, base_iri, strict)
+    graph = Graph(schema, base_iri)
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
         record = tree.records[reference]

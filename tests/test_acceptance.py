@@ -4,6 +4,9 @@ import json
 import random
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from archonto.graph import Graph, Literal, NodeRef, Triple
 from archonto.mdl import parse_mdl, render_mdl
 from archonto.migration import migrate_record, migrate_tree
@@ -306,6 +309,35 @@ def test_determinism_under_rerun_and_shuffle(schema, registry, rules):
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"determinism check took {elapsed:.2f}s"
     _passed("determinism")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=40),
+    order=st.randoms(use_true_random=False),
+    dates=st.dictionaries(
+        st.integers(min_value=0, max_value=39), st.sampled_from(("circa 1650", "1720")), max_size=8
+    ),
+)
+def test_shuffled_corpus_gives_identical_graph_and_report(
+    schema, registry, rules, seed, size, order, dates
+):
+    """Any record order gives the same N-Triples and problem report.  Single
+    dates, unusable or beside an interval, give the report some lines."""
+    entries = synthetic_corpus(random.Random(seed), size)
+    for index, text in dates.items():
+        if index < size:
+            entries[index]["production_date_single"] = text
+
+    def run(corpus: str) -> tuple[bytes, list[str]]:
+        result = migrate_tree(resolve_inheritance(parse_corpus(corpus)), rules, schema, registry)
+        return result.graph.serialize("ntriples"), result.report_lines()
+
+    lines = corpus_text(entries).splitlines()
+    expected = run("\n".join(lines) + "\n")
+    order.shuffle(lines)
+    assert run("\n".join(lines) + "\n") == expected
 
 
 # -- criterion 4: inheritance oracle --------------------------------------------------

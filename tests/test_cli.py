@@ -248,3 +248,25 @@ def test_migrate_accepts_inherit_ids(tmp_path, corpus_file):
     out = tmp_path / "graph.nt"
     assert main(["migrate", "--in", str(corpus_file), "--out", str(out), "--inherit", "1.4, 4.3"]) == 0
     assert main(["migrate", "--in", str(corpus_file), "--out", str(out), "--inherit", "none"]) == 0
+
+
+@pytest.mark.parametrize(
+    "single,warning",
+    [
+        ("1720", "production date: single date '1720' ignored for the interval"),
+        ("circa 1650", "production date: date text 'circa 1650' is not usable; "
+                       "kept as legacy text only"),
+    ],
+    ids=["usable", "unusable"],
+)
+def test_interval_and_single_date_give_one_time_span(tmp_path, single, warning):
+    entry = {"1.1": "PT/A", "1.4": "Fonds", "production_date_start": "1700",
+             "production_date_end": "1750", "production_date_single": single}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+    out, report = tmp_path / "graph.nt", tmp_path / "problems.tsv"
+    assert main(["migrate", "--in", str(corpus), "--out", str(out), "--report", str(report)]) == 0
+    has_time_span = f"> <{Graph(builtin_schema()).property_iri('P4')}> <"
+    assert out.read_text(encoding="utf-8").count(has_time_span) == 1
+    assert report.read_text(encoding="utf-8") == f"PT/A\twarning\t{warning}\n"
+    assert main(["validate", "--in", str(out), "--out", str(tmp_path / "findings.txt")]) == 0

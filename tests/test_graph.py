@@ -11,7 +11,6 @@ from archonto.graph import (
     NodeClassConflict,
     NodeRef,
     NTriplesParseError,
-    StrictRangeError,
     Triple,
 )
 from archonto.ontology import XSD_DATETIME, builtin_schema
@@ -66,16 +65,6 @@ def test_add_triple_accepts_level_edge(graph):
     level = graph.mint_shared("ARE1", "Fonds")
     graph.add_triple(doc, "ARP12", level)
     assert Triple(doc, "ARP12", level) in graph
-
-
-def test_strict_mode_rejects_node_for_datetime_range():
-    graph = Graph(builtin_schema(), strict=True)
-    doc = graph.mint_node("PT/X", "e31", "1", "E31")
-    instant = graph.mint_node("PT/X", "doe10", "1", "DOE10")
-    with pytest.raises(StrictRangeError):
-        graph.add_triple(instant, "DOP8", doc)
-    with pytest.raises(StrictRangeError):
-        graph.add_triple(doc, "P128", Literal("not a node"))
 
 
 def test_lenient_mode_defers_to_validation(graph):
@@ -329,3 +318,50 @@ def test_add_triple_returns_the_triple(graph):
     triple = graph.add_triple(doc, "P128", hmo)
     assert triple == Triple(doc, "P128", hmo)
     assert triple in graph
+
+
+def test_reader_makes_one_node_per_iri():
+    schema = builtin_schema()
+    graph = Graph(schema)
+    doc = graph.mint_node("PT/X", "e31", "1", "E31")
+    hmo = graph.mint_node("PT/X", "e22", "1", "E22")
+    graph.add_triple(doc, "P128", hmo)
+    graph.add_triple(hmo, "P45", graph.mint_shared("E57", "Paper"))
+    graph.add_triple(doc, "ISAD1", Literal("Fundo"))
+    # A foreign node with no type line, named by two statements.
+    foreign = "<https://other.example/a> <https://other.example/p> <https://other.example/b> ."
+    data = graph.serialize("ntriples").decode() + foreign + "\n" + foreign.replace("/a>", "/c>")
+    read = Graph.from_ntriples(data, schema)
+    index = read.node_index
+    assert index["https://other.example/b"].asserted_class == ""
+    assert index[hmo.iri].asserted_class == "E22"
+    for triple in read.triples:
+        assert triple.subject is index[triple.subject.iri]
+        if isinstance(triple.object, NodeRef):
+            assert triple.object is index[triple.object.iri]
+
+
+def test_each_base_iri_has_its_own_term_iris():
+    schema = builtin_schema()
+    bases = ("https://one.example/", "https://two.example/archive/")
+    graphs = [Graph(schema, base) for base in bases]
+    for graph in graphs:
+        doc = graph.mint_node("PT/X", "e31", "1", "E31")
+        graph.add_triple(doc, "ARP12", graph.mint_shared("ARE1", "Fonds"))
+    # Interleaved, so a table cached for one base IRI would show in the other.
+    outputs = [(g.serialize("ntriples").decode(), g.serialize("turtle").decode()) for g in graphs]
+    for (base, other), (nt, ttl) in zip((bases, bases[::-1]), outputs):
+        assert f"<{base}ontology/ARP12_has_level_of_description>" in nt
+        assert f"<{base}ontology/ARE1_Level_of_Description>" in nt
+        assert f"{other}ontology/" not in nt
+        assert f"@prefix aont: <{base}ontology/> ." in ttl
+        assert "aont:ARP12_has_level_of_description" in ttl
+        own = Graph.from_ntriples(nt, schema, base)
+        assert {t.predicate for t in own.triples} == {"ARP12"}
+        assert sorted(n.asserted_class for n in own.node_index.values()) == ["ARE1", "E31"]
+        assert own.serialize("ntriples").decode() == nt
+        foreign = Graph.from_ntriples(nt, schema, other)
+        assert {t.predicate for t in foreign.triples} == {
+            f"{base}ontology/ARP12_has_level_of_description"
+        }
+        assert foreign.serialize("ntriples").decode() == nt

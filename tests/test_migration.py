@@ -7,7 +7,7 @@ import pytest
 
 from archonto import migration
 from archonto.graph import Literal, Triple
-from archonto.mdl import parse_mdl
+from archonto.mdl import parse_mdl, render_mdl
 from archonto.migration import (
     DateTextError,
     attach_isad_fallback,
@@ -15,6 +15,7 @@ from archonto.migration import (
     migrate_tree,
     widen_date_text,
     MigrationError,
+    RecordProblem,
 )
 from archonto.records import parse_corpus, resolve_inheritance
 from archonto.validation import validate_datetime
@@ -482,6 +483,42 @@ def test_fail_fast_raises(schema, registry, rules):
     result = migrate_tree(tree, rules, schema, registry, strict=True)
     assert result.has_errors
     assert result.report_lines()[0].startswith("A\terror\t")
+
+
+_TITLE_PATH = "$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> T"
+
+
+@pytest.mark.parametrize(
+    "path,predicate,message",
+    [
+        ("$D1 -> P128 is carried by -> T", "P128",
+         "P128 expects a E22 node, got literal 'Unidade {ref}'"),
+        ("$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> E22 Human-Made Object",
+         "DOP7", "DOP7 expects a xsd:string literal, got node https://example.org/archonto/{ref}/e22/1"),
+    ],
+    ids=["literal-on-P128", "node-on-DOP7"],
+)
+def test_strict_range_kind_mismatch_refuses_each_record(
+    schema, registry, rules, path, predicate, message
+):
+    text = render_mdl(rules, schema)
+    assert _TITLE_PATH in text
+    mismatched = parse_mdl(text.replace(_TITLE_PATH, path), schema)
+    tree = parse_corpus(_corpus(*({"1.1": ref, "1.4": "Fonds", "1.2": f"Unidade {ref}"}
+                                  for ref in ("A", "B"))))
+    strict = migrate_tree(tree, mismatched, schema, registry, strict=True)
+    assert strict.problems == tuple(
+        RecordProblem(ref, "error", message.format(ref=ref)) for ref in ("A", "B")
+    )
+    assert len(strict.graph) == 0 and not strict.graph.node_index
+    lenient = migrate_tree(tree, mismatched, schema, registry)
+    assert not lenient.problems
+    literal_range = schema.property_def(predicate).has_literal_range
+    mismatches = [
+        t for t in lenient.graph.triples
+        if t.predicate == predicate and isinstance(t.object, Literal) is not literal_range
+    ]
+    assert len(mismatches) == 2
 
 
 def test_report_lines_format(schema, registry, rules):
