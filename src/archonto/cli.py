@@ -1,8 +1,8 @@
 """Command-line front-end for the migration pipeline.
 
 Diagnostics go to stderr and data to the output path or stdout, so graphs
-can be piped safely.  Exit status: 0 success, 1 validation errors present,
-2 input or parse failure.
+can be piped safely.  Exit status: 0 success, 1 validation errors or
+refused records present, 2 input or parse failure.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--out", type=Path, help="report output path (default stdout)")
     validate.add_argument("--format", choices=("text", "tsv"), default="text")
     validate.add_argument("--inherit", help=argparse.SUPPRESS)
-    validate.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
     _add_common(validate)
     validate.set_defaults(handler=_cmd_validate)
 
@@ -217,14 +216,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        CorpusError,
-        MdlSyntaxError,
-        VocabularyError,
-        GraphError,
-        MigrationError,
-        OSError,
-    ) as exc:
+    except MigrationError as exc:
+        # Only the --fail-fast stop gets here: a refused record, as without it.
+        _diag(f"error: {exc}")
+        return EXIT_FINDINGS
+    except (CorpusError, MdlSyntaxError, VocabularyError, GraphError, OSError) as exc:
         _diag(f"error: {exc}")
         return EXIT_INPUT_ERROR
 

@@ -10,6 +10,8 @@ once per date type.  Node identity is deterministic:
 * type-like individuals (any class under E55 Type) are shared corpus-wide
   and keyed by their term;
 * other value-bearing nodes (identifiers, persons) are keyed by their value;
+  the first rule to mint a value owns its node, and another rule minting the
+  same value gets the role ``<class>.<rule>`` and a node of its own;
 * remaining structural nodes are keyed by the rule application they belong
   to, so repeated elements mint distinct nodes.
 
@@ -96,8 +98,8 @@ class StrictVocabularyError(MigrationError):
         self.term = term
 
 
-class StrictRangeError(GraphError):
-    """Strict mode's range-kind mismatch; a GraphError, so the record is refused."""
+class StrictRangeError(MigrationError):
+    """Strict mode's refusal of a literal on a node range, or a node on a literal range."""
 
 
 class DateTextError(MigrationError):
@@ -199,6 +201,7 @@ class MigrationContext:
     registry: VocabularyRegistry
     strict: bool = False
     bindings: dict[str, _Slot] = field(default_factory=dict)
+    value_owners: dict[tuple[str, str], int] = field(default_factory=dict)
     trace: list[TraceEntry] = field(default_factory=list)
     problems: list[RecordProblem] = field(default_factory=list)
 
@@ -207,29 +210,29 @@ class MigrationContext:
             RecordProblem(self.record.reference_code, "warning", message)
         )
 
-    def error(self, message: str) -> None:
-        self.problems.append(RecordProblem(self.record.reference_code, "error", message))
-
 
 def _role(class_id: str) -> str:
     return class_id.lower()
 
 
-def _valued_node(ctx: MigrationContext, class_id: str, text: str) -> NodeRef:
+def _valued_node(ctx: MigrationContext, class_id: str, text: str, rule_no: int) -> NodeRef:
     term = text.strip()
     if ctx.schema.is_subclass(class_id, TYPE_ROOT):
         if ctx.strict and ctx.registry.contains(class_id, term) is False:
             raise StrictVocabularyError(class_id, term)
         return ctx.graph.mint_shared(class_id, term)
-    return ctx.graph.mint_node(
-        ctx.record.reference_code, _role(class_id), term, class_id
-    )
+    role = _role(class_id)
+    if ctx.value_owners.setdefault((class_id, term), rule_no) != rule_no:
+        role += f".{rule_no}"
+    return ctx.graph.mint_node(ctx.record.reference_code, role, term, class_id)
 
 
-def _structural_node(ctx: MigrationContext, class_id: str, app: Application) -> NodeRef:
+def _structural_node(
+    ctx: MigrationContext, class_id: str, app: Application, rule_no: int
+) -> NodeRef:
     term = app.class_terms.get(class_id)
     if term is not None:
-        return _valued_node(ctx, class_id, term)
+        return _valued_node(ctx, class_id, term, rule_no)
     disc = "1" if class_id in SINGLETON_CLASSES else app.key
     return ctx.graph.mint_node(
         ctx.record.reference_code, _role(class_id), disc, class_id
@@ -315,16 +318,16 @@ def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[T
                 if slot is not None and slot.node is not None:
                     target = slot.node
                 elif slot is not None and slot.text is not None:
-                    target = _valued_node(ctx, step.ident, slot.text)
+                    target = _valued_node(ctx, step.ident, slot.text, rule.rule_no)
                     frame[var] = _Slot(node=target, text=slot.text)
                 else:
-                    target = _structural_node(ctx, step.ident, app)
+                    target = _structural_node(ctx, step.ident, app, rule.rule_no)
                     frame[var] = _Slot(node=target)
             elif mode is BindMode.ASSIGN_LITERAL:
                 text = app.literal_overrides.get(step.binding.value, step.binding.value)
-                target = _valued_node(ctx, step.ident, text)
+                target = _valued_node(ctx, step.ident, text, rule.rule_no)
             else:
-                target = _structural_node(ctx, step.ident, app)
+                target = _structural_node(ctx, step.ident, app, rule.rule_no)
             if pending is not None:
                 if current is None:
                     raise MigrationError("path emitted an edge with no subject")
@@ -358,6 +361,14 @@ def _paths_with_emit(rule: MdlRule) -> frozenset[int]:
     )
 
 
+def _widens(text: str, position: str) -> bool:
+    try:
+        widen_date_text(text, position)
+    except DateTextError:
+        return False
+    return True
+
+
 def _widen_or_warn(
     ctx: MigrationContext, text: str, position: str, element: str
 ) -> str | None:
@@ -386,8 +397,9 @@ def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application
     ]
     if None in widened:
         return []
-    # One Production has one time-span, and an interval wins over an instant.
-    if key == "instant" and all(ctx.record.text(e) for e, _ in interval):
+    # One Production has one time-span, and an interval that is written (both
+    # ends widen) wins over an instant.
+    if key == "instant" and all(_widens(ctx.record.text(e), p) for e, p in interval):
         ctx.warn(f"production date: single date {texts[0]!r} ignored for the interval")
         return []
     return [Application(key, dict(zip(rule.selector.captures, widened)))]
@@ -537,7 +549,8 @@ def migrate_record(
     base_iri: str = DEFAULT_BASE_IRI,
     strict: bool = False,
 ) -> RecordMigration:
-    """Apply the rule set to one (already resolved) record."""
+    """Apply the rule set to one (already resolved) record; a rule's migration
+    or graph error is raised as ``MigrationError("rule N (key): reason")``."""
     graph = Graph(schema, base_iri)
     ctx = MigrationContext(record, graph, schema, registry, strict)
     for rule in rules.application_order:
@@ -553,10 +566,8 @@ def migrate_record(
         for app in apps:
             try:
                 triples = apply_rule(ctx, rule, app)
-            except MigrationError as exc:
-                ctx.error(f"rule {rule.rule_no} ({app.key}): {exc}")
-                ctx.trace.append(TraceEntry(rule.rule_no, app.key, (), str(exc)))
-                continue
+            except (MigrationError, GraphError) as exc:
+                raise MigrationError(f"rule {rule.rule_no} ({app.key}): {exc}") from exc
             ctx.trace.append(TraceEntry(rule.rule_no, app.key, tuple(triples)))
     return RecordMigration(graph, tuple(ctx.trace), tuple(ctx.problems))
 
@@ -600,8 +611,9 @@ def migrate_tree(
     strict: bool = False,
     fail_fast: bool = False,
 ) -> MigrationResult:
-    """Migrate every record of a resolved tree into one deterministic graph;
-    with ``fail_fast`` the first record with an error stops the run."""
+    """Migrate every record of a resolved tree into one deterministic graph.
+    A record that raises adds no triple, only one ``error`` problem; with
+    ``fail_fast`` it stops the run."""
     graph = Graph(schema, base_iri)
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
@@ -612,12 +624,11 @@ def migrate_tree(
             )
             attach_isad_fallback(record, outcome.graph)
             graph.absorb(outcome.graph)
-            record_problems = outcome.problems
         except (MigrationError, GraphError) as exc:
-            record_problems = (RecordProblem(reference, "error", str(exc)),)
-        errors = [p.message for p in record_problems if p.severity == "error"]
-        if fail_fast and errors:
-            raise MigrationError(f"record {reference}: {min(errors)}")
-        problems.extend(record_problems)
+            if fail_fast:
+                raise MigrationError(f"record {reference}: {exc}") from exc
+            problems.append(RecordProblem(reference, "error", str(exc)))
+            continue
+        problems.extend(outcome.problems)
     problems.sort(key=lambda p: (p.reference, p.severity, p.message))
     return MigrationResult(graph, tuple(problems), len(tree.records))

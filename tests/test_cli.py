@@ -64,6 +64,20 @@ def test_migrate_strict_vocab_error(tmp_path):
     assert "A\terror\t" in report.read_text(encoding="utf-8")
 
 
+def test_strict_refusal_exits_1_with_and_without_fail_fast(tmp_path, capsysbinary):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"1.1": "A", "1.4": "Fonds", "supports": ["Bogus"]}\n', encoding="utf-8")
+    message = "rule 11 (1): term 'Bogus' is not in the vocabulary bound to E57"
+    assert main(["migrate", "--in", str(corpus), "--strict"]) == 1
+    assert capsysbinary.readouterr().err.decode() == f"A\terror\t{message}\n"
+    assert main(["migrate", "--in", str(corpus), "--strict", "--fail-fast"]) == 1
+    out, err = capsysbinary.readouterr()
+    assert out == b"" and err.decode() == f"error: record A: {message}\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{broken\n", encoding="utf-8")
+    assert main(["migrate", "--in", str(bad), "--strict", "--fail-fast"]) == 2
+
+
 def test_validate_graph_with_bad_date(tmp_path, corpus_file):
     out = tmp_path / "graph.nt"
     main(["migrate", "--in", str(corpus_file), "--out", str(out)])

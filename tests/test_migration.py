@@ -316,9 +316,12 @@ def test_creator_and_dates_share_production_event(schema, registry, rules):
 
 def test_strict_vocabulary_violation(schema, registry, rules):
     record = make_record("PT/TT/JIM", elements={"1.4": "Bogus Level"})
-    outcome = migrate(record, rules, schema, registry, [1, 2], strict=True)
-    assert not any(t.predicate == "ARP12" for t in outcome.graph.triples)
-    assert any(p.severity == "error" and "Bogus Level" in p.message for p in outcome.problems)
+    with pytest.raises(MigrationError, match=r"^rule 2 \(1\): term 'Bogus Level' is not"):
+        migrate(record, rules, schema, registry, [1, 2], strict=True)
+    tree = parse_corpus(_corpus({"1.1": "PT/TT/JIM", "1.4": "Bogus Level"}))
+    strict = migrate_tree(tree, rules.subset(1, 2), schema, registry, strict=True)
+    assert len(strict.graph) == 0 and not strict.graph.node_index
+    assert [p.severity for p in strict.problems] == ["error"]
     lenient = migrate(record, rules, schema, registry, [1, 2], strict=False)
     assert any(t.predicate == "ARP12" for t in lenient.graph.triples)
 
@@ -492,9 +495,10 @@ _TITLE_PATH = "$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> T"
     "path,predicate,message",
     [
         ("$D1 -> P128 is carried by -> T", "P128",
-         "P128 expects a E22 node, got literal 'Unidade {ref}'"),
+         "rule 4 (1): P128 expects a E22 node, got literal 'Unidade {ref}'"),
         ("$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> E22 Human-Made Object",
-         "DOP7", "DOP7 expects a xsd:string literal, got node https://example.org/archonto/{ref}/e22/1"),
+         "DOP7",
+         "rule 4 (1): DOP7 expects a xsd:string literal, got node https://example.org/archonto/{ref}/e22/1"),
     ],
     ids=["literal-on-P128", "node-on-DOP7"],
 )
@@ -519,6 +523,65 @@ def test_strict_range_kind_mismatch_refuses_each_record(
         if t.predicate == predicate and isinstance(t.object, Literal) is not literal_range
     ]
     assert len(mismatches) == 2
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"creators": [{"name": "Joao", "role": "Bogus"}]},
+         "rule 18 (1): term 'Bogus' is not in the vocabulary bound to ARE8"),
+        ({"dimensions": [{"value": 3, "unit": "Furlong", "kind": "dimension"}]},
+         "rule 9 (1): term 'Furlong' is not in the vocabulary bound to E58"),
+    ],
+    ids=["creator-role", "dimension-unit"],
+)
+def test_strict_refusal_leaves_nothing_of_the_record(schema, registry, rules, entry, message):
+    clean = {"1.1": "PT/B", "1.4": "Fonds", "supports": ["Paper"]}
+    tree = parse_corpus(_corpus({"1.1": "PT/A", "1.4": "Fonds", **entry}, clean))
+    result = migrate_tree(tree, rules, schema, registry, strict=True)
+    assert result.report_lines() == [f"PT/A\terror\t{message}"]
+    assert not any("/PT%2FA/" in iri for iri in result.graph.node_index)
+    alone = migrate_tree(parse_corpus(_corpus(clean)), rules, schema, registry, strict=True)
+    assert result.graph.serialize() == alone.graph.serialize()
+
+
+def test_unbound_anchor_in_a_custom_rule_refuses_the_record(schema, registry):
+    ruleset = parse_mdl(
+        "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
+        "RULE 11: $D1 -> Support{SP} =>\n  $HMO1 -> P45 consists of -> E57 Material{=SP}\n",
+        schema,
+    )
+    tree = parse_corpus(_corpus({"1.1": "A", "supports": ["Paper"]}, {"1.1": "B"}))
+    result = migrate_tree(tree, ruleset, schema, registry)
+    assert result.report_lines() == [
+        "A\terror\trule 11 (1): variable HMO1 is unbound (was the document rule applied first?)"
+    ]
+    assert not any("/A/" in iri for iri in result.graph.node_index)
+    assert result.graph.base_iri + "B/e31/1" in result.graph.node_index
+
+
+def test_identifier_equal_to_the_reference_code_keeps_its_own_node(schema, registry, rules):
+    tree = parse_corpus(_corpus({"1.1": "PT/A", "1.4": "Fonds", "physical_location": "PT/A"}))
+    graph = migrate_tree(tree, rules, schema, registry).graph
+    identifiers = [n for n in graph.node_index.values() if n.asserted_class == "E42"]
+    assert len(identifiers) == 2
+    types = []
+    for node in identifiers:
+        (edge,) = [t for t in graph.triples if t.subject == node and t.predicate == "P2"]
+        types.append(graph.shared_term(edge.object))
+    assert sorted(types) == [("ARE5", "Physical Location"), ("ARE5", "Reference Code")]
+
+
+def test_unwritten_interval_leaves_the_single_date(schema, registry, rules):
+    tree = parse_corpus(_corpus({"1.1": "PT/A", "1.4": "Fonds", "production_date_start": "circa 1700",
+                                 "production_date_end": "1750", "production_date_single": "1720"}))
+    result = migrate_tree(tree, rules, schema, registry)
+    (span,) = [t for t in result.graph.triples if t.predicate == "P4"]
+    assert span.object.iri.endswith("/e52/instant")
+    assert result.report_lines() == [
+        "PT/A\twarning\tproduction date: date text 'circa 1700' is not usable; "
+        "kept as legacy text only"
+    ]
 
 
 def test_report_lines_format(schema, registry, rules):
