@@ -64,7 +64,7 @@ def _load_environment(args: argparse.Namespace):
     else:
         nesting = builtin_nesting()
     if args.rules is not None:
-        rules = parse_mdl(args.rules.read_text(encoding="utf-8"), schema)
+        rules = parse_mdl(args.rules.read_bytes(), schema)
     else:
         rules = builtin_rules()
     return schema, registry, nesting, rules
@@ -145,7 +145,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_rules(args: argparse.Namespace) -> int:
     schema = builtin_schema()
     if args.check is not None:
-        ruleset = parse_mdl(args.check.read_text(encoding="utf-8"), schema)
+        ruleset = parse_mdl(args.check.read_bytes(), schema)
         _diag(f"{args.check}: {len(ruleset.rules)} rule(s) OK")
         return EXIT_OK
     _write_output(render_mdl(builtin_rules(), schema).encode("utf-8"), args.out)

@@ -13,6 +13,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from urllib.parse import quote, unquote
 
+from . import utf8
 from .ontology import (
     ClassDef,
     OntologySchema,
@@ -142,17 +143,24 @@ def _literal(text: str, datatype: str, suffixes: Mapping[str, str]) -> str:
     return f'"{_escape_literal(text)}"' + (f"^^<{datatype}>" if suffix is None else suffix)
 
 
+# The escapes of RDF 1.1 N-Triples: ECHAR and UCHAR.
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _UNESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 
 
-def _unescape_literal(text: str) -> str:
+def _unescape_literal(text: str, line: int) -> str:
     def sub(match: re.Match[str]) -> str:
         code = match.group(1)
-        if code[0] in "uU":
-            return chr(int(code[1:], 16))
-        return {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}.get(code, code)
+        if code in _ECHARS:
+            return _ECHARS[code]
+        if code[0] not in "uU" or len(code) == 1:
+            raise NTriplesParseError(f"unknown escape \\{code} in a literal", line)
+        point = int(code[1:], 16)
+        if point > 0x10FFFF or 0xD800 <= point <= 0xDFFF:
+            raise NTriplesParseError(f"escape \\{code} is not a Unicode scalar value", line)
+        return chr(point)
 
-    return _UNESCAPE_RE.sub(sub, text)
+    return _UNESCAPE_RE.sub(sub, text) if "\\" in text else text
 
 
 class Graph:
@@ -331,10 +339,10 @@ class Graph:
     # -- deserialization -----------------------------------------------------------
 
     # N-Triples whitespace is space and tab only; other Unicode spaces are
-    # not separators.
+    # not separators.  A literal holds no raw CR (nor LF, which ends a line).
     _NT_LINE = re.compile(
         rf"^<([^{_IRI_EXCLUDED}]+)>[ \t]+<([^{_IRI_EXCLUDED}]+)>[ \t]+"
-        rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"((?:[^\"\\]|\\.)*)\"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)"
+        rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"((?:[^\"\\\r]|\\.)*)\"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)"
         r"[ \t]*\.$"
     )
 
@@ -349,9 +357,10 @@ class Graph:
 
         Unknown predicate or class IRIs are preserved verbatim so validation
         can report them; untyped nodes get an empty asserted class.  Each IRI
-        has one :class:`NodeRef`, shared by every triple that names it.
+        has one :class:`NodeRef`, shared by every triple that names it, and
+        one class: a second type line with another class is a parse error.
         """
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = utf8.decode(data, NTriplesParseError)
         graph = cls(schema, base_iri)
         terms = _term_table(graph.schema, graph.base_iri)
         nodes = graph._nodes
@@ -366,13 +375,20 @@ class Graph:
             match = cls._NT_LINE.match(line)
             if match is None:
                 raise NTriplesParseError("not a valid N-Triples statement", number)
-            s_iri, p_iri, o_iri, _, _ = statement = match.groups()
+            s_iri, p_iri, o_iri, o_text, o_dt = match.groups()
             if p_iri != RDF_TYPE:
-                statements.append(statement)
+                if o_text is not None:
+                    o_text = _unescape_literal(o_text, number)
+                statements.append((s_iri, p_iri, o_iri, o_text, o_dt))
             elif o_iri is None:
                 raise NTriplesParseError("rdf:type object must be an IRI", number)
             else:
-                nodes[s_iri] = NodeRef(s_iri, terms.class_ids.get(o_iri, o_iri))
+                class_id = terms.class_ids.get(o_iri, o_iri)
+                if nodes.setdefault(s_iri, NodeRef(s_iri, class_id)).asserted_class != class_id:
+                    raise NTriplesParseError(
+                        f"<{s_iri}> is typed again with another class; a node has one class",
+                        number,
+                    )
 
         # Untyped nodes are made on first use, after every type line is read.
         def node(iri: str) -> NodeRef:
@@ -388,6 +404,6 @@ class Graph:
                 obj = node(o_iri)
             else:
                 datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
-                obj = Literal(_unescape_literal(o_text or ""), datatype)
+                obj = Literal(o_text or "", datatype)
             graph._triples.add(Triple(node(s_iri), property_ids.get(p_iri, p_iri), obj))
         return graph

@@ -298,9 +298,19 @@ def _check_variable_hygiene(rule: MdlRule, offset: int) -> None:
                     )
 
 
-def parse_mdl(text: str, schema: OntologySchema | None = None) -> RuleSet:
-    """Parse MDL text into a rule set, checking ids against the schema."""
+def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSet:
+    """Parse MDL text into a rule set, checking ids against the schema.  Bytes
+    are read as a text file is: UTF-8, with CRLF and CR line ends as LF."""
     schema = schema or builtin_schema()
+    if isinstance(text, bytes):
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            prefix = text[: exc.start].decode("utf-8")
+            line = prefix.count("\n") + 1
+            message = f"line {line}: invalid UTF-8 byte 0x{text[exc.start]:02X}"
+            raise MdlSyntaxError(message, len(prefix)) from None
     clean = _strip_comments(text)
     headers = list(_RULE_HEADER_RE.finditer(clean))
     if not headers and clean.strip():

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError, Literal, NodeRef, Triple
-from .mdl import BindMode, MdlRule, RuleSet, StepKind
+from .mdl import BindMode, MdlRule, Path, RuleSet, StepKind
 from .ontology import (
     LITERAL_RANGES,
     OntologySchema,
@@ -110,47 +110,31 @@ class DateTextError(MigrationError):
 
 # -- date widening -----------------------------------------------------------
 
-_FULL_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}$")
-_YMD_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_YM_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_Y_RE = re.compile(r"^(\d{4})$")
+# Year, month or day precision; a full timestamp is left to validate_datetime.
+_PARTIAL_DATE_RE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 
 
 def widen_date_text(text: str, position: str) -> str:
     """Widen year / month / day precision dates to full timestamps.
 
     ``position`` is ``start``, ``end`` or ``single``; start and single widen
-    to the earliest instant of the stated span, end to the latest.
+    to the earliest instant of the stated span, end to the latest.  Every
+    result must pass :func:`validate_datetime`.
     """
     value = text.strip()
-    if _FULL_RE.match(value):
-        if not validate_datetime(value):
-            raise DateTextError(text)
-        return value
-    low = position in ("start", "single")
-    match = _Y_RE.match(value)
-    if match:
-        year = int(match.group(1))
-        if year < 1:
-            raise DateTextError(text)
-        return f"{year:04d}-01-01T00:00:00" if low else f"{year:04d}-12-31T23:59:59"
-    match = _YM_RE.match(value)
-    if match:
-        year, month = int(match.group(1)), int(match.group(2))
-        if year < 1 or not 1 <= month <= 12:
-            raise DateTextError(text)
-        if low:
-            return f"{year:04d}-{month:02d}-01T00:00:00"
-        last = calendar.monthrange(year, month)[1]
-        return f"{year:04d}-{month:02d}-{last:02d}T23:59:59"
-    match = _YMD_RE.match(value)
-    if match:
-        suffix = "T00:00:00" if low else "T23:59:59"
-        widened = value + suffix
-        if not validate_datetime(widened):
-            raise DateTextError(text)
-        return widened
-    raise DateTextError(text)
+    match = _PARTIAL_DATE_RE.fullmatch(value)
+    if match is not None:
+        year, month, day = match.groups()
+        if position in ("start", "single"):
+            value = f"{year}-{month or '01'}-{day or '01'}T00:00:00"
+        else:
+            month = month or "12"
+            if day is None and "01" <= month <= "12":
+                day = f"{calendar.monthrange(int(year), int(month))[1]:02d}"
+            value = f"{year}-{month}-{day or '01'}T23:59:59"  # a bad month fails below
+    if not validate_datetime(value):
+        raise DateTextError(text)
+    return value
 
 
 # -- rule application ----------------------------------------------------------
@@ -158,19 +142,13 @@ def widen_date_text(text: str, position: str) -> str:
 
 @dataclass(frozen=True)
 class Application:
-    """One firing of a rule: its captures plus engine-supplied context."""
+    """One firing of a rule: its capture values, and the terms that name the
+    nodes of some classes.  A blank value or term marks an absent optional
+    part: every path that reads it is skipped."""
 
     key: str
     captures: dict[str, str] = field(default_factory=dict)
     class_terms: dict[str, str] = field(default_factory=dict)
-    literal_overrides: dict[str, str] = field(default_factory=dict)
-    skip_paths: frozenset[int] = frozenset()
-
-
-@dataclass
-class _Slot:
-    node: NodeRef | None = None
-    text: str | None = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +178,7 @@ class MigrationContext:
     schema: OntologySchema
     registry: VocabularyRegistry
     strict: bool = False
-    bindings: dict[str, _Slot] = field(default_factory=dict)
+    anchors: dict[str, NodeRef] = field(default_factory=dict)
     value_owners: dict[tuple[str, str], int] = field(default_factory=dict)
     trace: list[TraceEntry] = field(default_factory=list)
     problems: list[RecordProblem] = field(default_factory=list)
@@ -267,19 +245,31 @@ def _connect(
     return emitted
 
 
+def _reads_blank(path: Path, app: Application) -> bool:
+    """Whether a step reads a blank capture or names a class with a blank term."""
+    for step in path:
+        binding = step.binding
+        if binding is not None and binding.mode is not BindMode.ASSIGN_LITERAL:
+            if app.captures.get(binding.value) == "":
+                return True
+        if step.kind is StepKind.NODE and app.class_terms.get(step.ident) == "":
+            return True
+    return False
+
+
 def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[Triple]:
-    """Apply one rule firing; returns the triples it emitted."""
-    frame: dict[str, _Slot] = {
-        var: _Slot(text=value) for var, value in app.captures.items()
-    }
+    """Apply one rule firing; returns the triples it emitted.
 
-    def lookup(var: str) -> _Slot | None:
-        return frame.get(var) or ctx.bindings.get(var)
-
+    A variable is looked up in the nodes this firing assigned, then in the
+    captures, then in the document rule's anchors.
+    """
+    captures, anchors = app.captures, ctx.anchors
+    assigned: dict[str, NodeRef] = {}
+    paths = rule.paths
+    if "" in captures.values() or "" in app.class_terms.values():
+        paths = tuple(path for path in paths if not _reads_blank(path, app))
     emitted: list[Triple] = []
-    for index, path in enumerate(rule.paths):
-        if index in app.skip_paths:
-            continue
+    for path in paths:
         current: NodeRef | None = None
         pending: str | None = None
         for step in path:
@@ -288,43 +278,42 @@ def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[T
                 continue
             target: NodeRef | Literal
             mode = step.binding.mode if step.binding else None
+            var = step.binding.value if step.binding else ""
             if mode is BindMode.DEREF:
-                slot = lookup(step.binding.value)
-                if slot is None:
-                    raise UnboundVariableError(step.binding.value)
-                if slot.node is not None:
-                    target = slot.node
-                elif slot.text is not None:
+                if var in assigned:
+                    target = assigned[var]
+                elif var in captures:
                     # A textual binding dereferences to the document node of
                     # the record that text names (e.g. a parent reference).
                     target = ctx.graph.mint_node(
-                        slot.text, _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
+                        captures[var], _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
                     )
+                elif var in anchors:
+                    target = anchors[var]
                 else:
-                    raise UnboundVariableError(step.binding.value)
+                    raise UnboundVariableError(var)
             elif mode is BindMode.EMIT:
-                slot = lookup(step.binding.value)
-                if slot is None or slot.text is None:
-                    raise UnboundVariableError(step.binding.value)
+                if var not in captures:
+                    raise UnboundVariableError(var)
                 datatype = XSD_STRING
                 if pending is not None:
                     prop_range = ctx.schema.property_def(pending).range
                     if prop_range in LITERAL_RANGES:
                         datatype = prop_range
-                target = Literal(slot.text, datatype)
+                target = Literal(captures[var], datatype)
             elif mode is BindMode.ASSIGN:
-                var = step.binding.value
-                slot = lookup(var)
-                if slot is not None and slot.node is not None:
-                    target = slot.node
-                elif slot is not None and slot.text is not None:
-                    target = _valued_node(ctx, step.ident, slot.text, rule.rule_no)
-                    frame[var] = _Slot(node=target, text=slot.text)
+                if var in assigned:
+                    target = assigned[var]
+                elif var in captures:
+                    target = assigned[var] = _valued_node(
+                        ctx, step.ident, captures[var], rule.rule_no
+                    )
+                elif var in anchors:
+                    target = anchors[var]
                 else:
-                    target = _structural_node(ctx, step.ident, app, rule.rule_no)
-                    frame[var] = _Slot(node=target)
+                    target = assigned[var] = _structural_node(ctx, step.ident, app, rule.rule_no)
             elif mode is BindMode.ASSIGN_LITERAL:
-                text = app.literal_overrides.get(step.binding.value, step.binding.value)
+                text = app.class_terms.get(step.ident, var)
                 target = _valued_node(ctx, step.ident, text, rule.rule_no)
             else:
                 target = _structural_node(ctx, step.ident, app, rule.rule_no)
@@ -335,30 +324,11 @@ def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[T
                 pending = None
             current = target if isinstance(target, NodeRef) else None
     if rule.selector.name == "ISAD":
-        ctx.bindings.update(frame)
+        anchors.update(assigned)
     return emitted
 
 
 # -- selector adapters ---------------------------------------------------------
-
-
-def _paths_with_class(rule: MdlRule, class_id: str) -> frozenset[int]:
-    return frozenset(
-        index
-        for index, path in enumerate(rule.paths)
-        if any(step.kind is StepKind.NODE and step.ident == class_id for step in path)
-    )
-
-
-def _paths_with_emit(rule: MdlRule) -> frozenset[int]:
-    return frozenset(
-        index
-        for index, path in enumerate(rule.paths)
-        if any(
-            step.binding is not None and step.binding.mode is BindMode.EMIT
-            for step in path
-        )
-    )
 
 
 def _widens(text: str, position: str) -> bool:
@@ -405,11 +375,12 @@ def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application
     return [Application(key, dict(zip(rule.selector.captures, widened)))]
 
 
-# Description dates: application key, element, warning label, literal overrides.
+# Description dates: application key, element, warning label, class terms
+# (the modification date names its date type in place of the rule's literal).
 _DESCRIPTION_DATES = (
     ("creation", "description_creation_date", "description creation date", {}),
     ("modification", "description_last_modification", "description last modification",
-     {"Creation Date": "Last Modification"}),
+     {"ARE6": "Last Modification"}),
 )
 
 
@@ -417,13 +388,11 @@ def _description_date_applications(
     ctx: MigrationContext, rule: MdlRule
 ) -> list[Application]:
     apps = []
-    for key, element, label, overrides in _DESCRIPTION_DATES:
+    for key, element, label, class_terms in _DESCRIPTION_DATES:
         text = ctx.record.text(element)
         widened = _widen_or_warn(ctx, text, "single", label) if text else None
         if widened is not None:
-            apps.append(
-                Application(key, {rule.selector.captures[0]: widened}, literal_overrides=overrides)
-            )
+            apps.append(Application(key, {rule.selector.captures[0]: widened}, class_terms))
     return apps
 
 
@@ -437,21 +406,8 @@ def _measure_applications(
         raw_value = entry.get("value")
         value = str(raw_value).strip() if raw_value is not None else ""
         unit = (entry.get("unit") or "").strip()
-        if not value and not unit:
-            continue
-        skip: frozenset[int] = frozenset()
-        if not unit:
-            skip |= _paths_with_class(rule, "E58")
-        if not value:
-            skip |= _paths_with_emit(rule)
-        apps.append(
-            Application(
-                str(index),
-                {capture: value} if value else {},
-                class_terms={"E58": unit} if unit else {},
-                skip_paths=skip,
-            )
-        )
+        if value or unit:
+            apps.append(Application(str(index), {capture: value}, {"E58": unit}))
     return apps
 
 
@@ -480,7 +436,6 @@ def _element_applications(
 
 
 def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
-    captures = rule.selector.captures
     apps = []
     for index, entry in enumerate(ctx.record.value("creators") or [], start=1):
         name = (entry.get("name") or "").strip()
@@ -488,13 +443,7 @@ def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> list[Applicat
         if not name:
             ctx.warn(f"creator entry {index} has no name; skipped")
             continue
-        app_captures = {captures[0]: name}
-        skip: frozenset[int] = frozenset()
-        if len(captures) > 1 and role:
-            app_captures[captures[1]] = role
-        else:
-            skip = _paths_with_class(rule, "ARE8")
-        apps.append(Application(str(index), app_captures, skip_paths=skip))
+        apps.append(Application(str(index), dict(zip(rule.selector.captures, (name, role)))))
     return apps
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import utf8
+
 # The 26 description elements, by area.
 ELEMENT_NAMES = {
     "1.1": "Reference code",
@@ -200,7 +202,7 @@ def _check_entry(obj: dict, line: int) -> None:
 
 def parse_corpus(data: bytes | str) -> RecordTree:
     """Parse a JSON Lines corpus into a validated record forest."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = utf8.decode(data, CorpusError)
     records: dict[str, IsadRecord] = {}
     order: list[str] = []
     lines_by_ref: dict[str, int] = {}

@@ -46,12 +46,13 @@ FINDING_CODES = frozenset(
 )
 _WARNING_CODES = frozenset({ARP12_CARDINALITY, INVERSE_MISSING})
 
-_DATETIME_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})$")
+# ASCII digits only: \d would also take other scripts' digits, which int() reads.
+_DATETIME_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
 
 
 def validate_datetime(text: str) -> bool:
     """Exact YYYY-MM-DDThh:mm:ss check denoting a real proleptic-Gregorian instant."""
-    match = _DATETIME_RE.match(text)
+    match = _DATETIME_RE.fullmatch(text)
     if match is None:
         return False
     year, month, day, hour, minute, second = (int(g) for g in match.groups())

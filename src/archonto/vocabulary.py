@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import utf8
+
 
 class VocabularyError(ValueError):
     """Raised for malformed vocabulary or nesting input."""
@@ -267,7 +269,7 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
 
     An empty file yields an empty registry, making membership checks vacuous.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = utf8.decode(data, VocabularyError)
     terms_by_class: dict[str, list[str]] = {}
     for number, line in _data_lines(text):
         parts = line.split("\t")
@@ -292,7 +294,7 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
 
 def load_nesting(data: bytes | str, registry: VocabularyRegistry) -> LevelNestingGraph:
     """Parse ``UPPER_LEVEL<TAB>LOWER_LEVEL`` lines against the ARE1 vocabulary."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = utf8.decode(data, VocabularyError)
     vocab = registry.vocabulary(LEVEL_CLASS)
     if vocab is None:
         raise VocabularyError("registry has no level-of-description vocabulary")

@@ -1,13 +1,23 @@
 """Command-line behaviour: exit codes, determinism, file outputs."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import archonto
 from archonto.cli import main
 from archonto.graph import Graph
 from archonto.mdl import builtin_rules, parse_mdl
 from archonto.ontology import builtin_schema
+
+from conftest import corpus_text, synthetic_corpus
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample" / "corpus.jsonl"
 
 
 @pytest.fixture()
@@ -284,3 +294,107 @@ def test_interval_and_single_date_give_one_time_span(tmp_path, single, warning):
     assert out.read_text(encoding="utf-8").count(has_time_span) == 1
     assert report.read_text(encoding="utf-8") == f"PT/A\twarning\t{warning}\n"
     assert main(["validate", "--in", str(out), "--out", str(tmp_path / "findings.txt")]) == 0
+
+
+@pytest.mark.parametrize(
+    "entry,label",
+    [
+        # Production dates keep their legacy text in 1.3 Dates.
+        ({"production_date_single": "２０２０-01-01T00:00:00", "1.3": "２０２０-01-01T00:00:00"},
+         "production date"),
+        ({"description_creation_date": "١٩٩٩"}, "description creation date"),
+    ],
+    ids=["fullwidth", "arabic-indic"],
+)
+def test_date_with_non_ascii_digits_is_unusable_text(tmp_path, entry, label):
+    text = next(iter(entry.values()))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"1.1": "A", "1.4": "Fonds", **entry}) + "\n", encoding="utf-8")
+    out, report = tmp_path / "graph.nt", tmp_path / "problems.tsv"
+    assert main(["migrate", "--in", str(corpus), "--out", str(out), "--report", str(report)]) == 0
+    assert report.read_text(encoding="utf-8") == (
+        f"A\twarning\t{label}: date text {text!r} is not usable; kept as legacy text only\n"
+    )
+    graph = out.read_text(encoding="utf-8")
+    assert "dateTime" not in graph and graph.count(f'"{text}"') == 1
+    assert main(["validate", "--in", str(out), "--out", str(tmp_path / "findings.txt")]) == 0
+
+
+def _bad_byte_on_line_2(path, first_line: str) -> str:
+    path.write_bytes(first_line.encode("utf-8") + b"\n\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "ntriples", "vocab", "nesting", "rules", "rules-check"])
+def test_invalid_utf8_input_exits_2_naming_the_line(tmp_path, corpus_file, capsys, kind):
+    corpus = str(corpus_file)
+    if kind == "corpus":
+        argv = ["migrate", "--in", _bad_byte_on_line_2(tmp_path / "c.jsonl", '{"1.1": "A"}')]
+    elif kind == "ntriples":
+        argv = ["validate", "--in", _bad_byte_on_line_2(tmp_path / "g.nt", "# graph")]
+    elif kind == "vocab":
+        argv = ["validate", "--corpus", corpus,
+                "--vocab", _bad_byte_on_line_2(tmp_path / "v.tsv", "ARE1\tFonds")]
+    elif kind == "nesting":
+        argv = ["validate", "--corpus", corpus,
+                "--nesting", _bad_byte_on_line_2(tmp_path / "n.tsv", "Fonds\tSerie")]
+    elif kind == "rules":
+        argv = ["migrate", "--in", corpus,
+                "--rules", _bad_byte_on_line_2(tmp_path / "r.mdl", "# rules")]
+    else:
+        argv = ["rules", "--check", _bad_byte_on_line_2(tmp_path / "r.mdl", "# rules")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2: invalid UTF-8 byte 0xFF" in err
+    assert err.count("\n") == 1
+
+
+def test_code_point_above_unicode_in_a_graph_exits_2(tmp_path, corpus_file, capsys):
+    graph = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus_file), "--out", str(graph)]) == 0
+    text = graph.read_text(encoding="utf-8").replace('"Fundo"', r'"Fundo\U00110000"', 1)
+    graph.write_text(text, encoding="utf-8")
+    assert main(["validate", "--in", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and "not a Unicode scalar value" in err
+
+
+def _cli_outputs(workdir: Path, hash_seed: str, corpora: dict[str, Path]) -> dict[str, bytes]:
+    """Every output, stream and exit status of a fixed command list, each
+    command in its own interpreter under the given PYTHONHASHSEED."""
+    source = str(Path(archonto.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    workdir.mkdir()
+    outputs = {}
+    for name, corpus in corpora.items():
+        graph = workdir / f"{name}.nt"
+        commands = {
+            "nt": ["migrate", "--in", str(corpus), "--out", str(graph),
+                   "--report", str(workdir / f"{name}.nt.tsv")],
+            "ttl": ["migrate", "--in", str(corpus), "--format", "turtle",
+                    "--report", str(workdir / f"{name}.ttl.tsv")],
+            "validate": ["validate", "--in", str(graph)],
+            "stats": ["stats", "--in", str(graph)],
+        }
+        for label, argv in commands.items():
+            run = subprocess.run([sys.executable, "-m", "archonto.cli", *argv],
+                                 capture_output=True, env=env, check=False)
+            outputs[f"{name} {label}"] = b"%d\n%s\n%s" % (run.returncode, run.stdout, run.stderr)
+    for path in sorted(workdir.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    entries = synthetic_corpus(random.Random(5), 40)
+    entries[3]["production_date_single"] = "circa 1650"
+    entries[7]["supports"] = ["Papiro"]  # outside the E57 vocabulary
+    synthetic = tmp_path / "synthetic.jsonl"
+    synthetic.write_text(corpus_text(entries), encoding="utf-8")
+    corpora = {"sample": SAMPLE, "synthetic": synthetic}
+    first = _cli_outputs(tmp_path / "seed0", "0", corpora)
+    second = _cli_outputs(tmp_path / "seed1", "1", corpora)
+    assert first == second
+    assert b"vocabulary-violation" in first["synthetic validate"]
+    assert b"circa 1650" in first["synthetic.nt.tsv"]

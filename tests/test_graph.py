@@ -365,3 +365,51 @@ def test_each_base_iri_has_its_own_term_iris():
             f"{base}ontology/ARP12_has_level_of_description"
         }
         assert foreign.serialize("ntriples").decode() == nt
+
+
+# -- RDF 1.1 N-Triples literal escapes and one class per node ---------------------
+
+_DOC = "<https://example.org/archonto/PT/e31/1>"
+_TYPE_LINE = (
+    f"{_DOC} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://www.cidoc-crm.org/cidoc-crm/E31_Document> ."
+)
+
+
+def _read_note(escaped: str) -> Graph:
+    note = f'{_DOC} <https://example.org/archonto/ontology/ISAD18_has_notes> "{escaped}" .'
+    return Graph.from_ntriples(f"{_TYPE_LINE}\n{note}\n", builtin_schema())
+
+
+@pytest.mark.parametrize(
+    "escaped,text",
+    [
+        (r"a\bb\fc", "a\bb\fc"),
+        (r"\t\n\r\"\'\\", "\t\n\r\"'\\"),
+        (r"é\U0001F600\U0010FFFF", "é\U0001F600\U0010FFFF"),
+        ("no escapes", "no escapes"),
+    ],
+)
+def test_reader_decodes_exactly_the_ntriples_escapes(escaped, text):
+    (triple,) = _read_note(escaped).triples
+    assert triple.object == Literal(text)
+
+
+@pytest.mark.parametrize(
+    "escaped",
+    [r"\x41", r"\a", r"\u12", r"\U0010", r"\U00110000", r"\uD800", r"\U0000DFFF", "a\rb"],
+    ids=["x", "a", "short-u", "short-U", "above-max", "high-surrogate", "low-surrogate", "raw-cr"],
+)
+def test_reader_rejects_other_escapes_and_code_points(escaped):
+    with pytest.raises(NTriplesParseError) as exc:
+        _read_note(escaped)
+    assert exc.value.line == 2
+
+
+def test_second_type_line_with_another_class_is_a_parse_error():
+    other = _TYPE_LINE.replace("E31_Document", "E22_Human-Made_Object")
+    read = Graph.from_ntriples(f"{_TYPE_LINE}\n{_TYPE_LINE}\n", builtin_schema())
+    assert [n.asserted_class for n in read.node_index.values()] == ["E31"]
+    with pytest.raises(NTriplesParseError, match=r"^line 3: .* another class") as exc:
+        Graph.from_ntriples(f"{_TYPE_LINE}\n\n{other}\n", builtin_schema())
+    assert exc.value.line == 3

@@ -59,6 +59,18 @@ def test_widen_rejects_bad_text(text):
         widen_date_text(text, "single")
 
 
+# Digits of other scripts are digits to \d and to int(), but not to xsd:dateTime.
+@pytest.mark.parametrize(
+    "text",
+    ["\uff12\uff10\uff12\uff10-01-01T00:00:00", "\u0661\u0669\u0669\u0669", "1999-\u0660\u0661",
+     "1999-01-\u0660\u0661", "1999-01-01T0\u0661:00:00"],
+)
+@pytest.mark.parametrize("position", ["start", "end", "single"])
+def test_widen_takes_ascii_digits_only(text, position):
+    with pytest.raises(DateTextError):
+        widen_date_text(text, position)
+
+
 def test_numeric_dimension_value_stringified(schema, registry, rules):
     record = make_record(
         "PT/X", elements={"dimensions": [{"value": 25, "unit": "Gram", "kind": "dimension"}]}
@@ -720,3 +732,77 @@ def test_selector_without_captures_is_skipped_quietly(schema, registry):
         (number, "element blank; skipped") for number in range(2, len(names) + 2)
     ]
     assert outcome.trace[0].triples  # the document rule fires without captures
+
+
+# -- optional parts and variable lookup in custom rule files ----------------------
+
+
+def _builtin_rules_with(schema, rules, *edits):
+    """The built-in rules rendered to MDL, with each (old, new) text edit made once."""
+    text = render_mdl(rules, schema)
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return parse_mdl(text, schema)
+
+
+def test_one_capture_creator_rule_writes_its_role_path(schema, registry, rules):
+    ruleset = _builtin_rules_with(
+        schema, rules,
+        ("Creator{CN, CR}", "Creator{CN}"),
+        ("ARE8 Role Type{=CR}", "ARE8 Role Type"),
+    )
+    record = make_record("PT/X", elements={"creators": [{"name": "Lino", "role": "Producer"}]})
+    graph = migrate(record, ruleset, schema, registry).graph
+    role = graph.node_index[graph.base_iri + "PT%2FX/are8/1"]
+    (edge,) = [t for t in graph.triples if t.predicate == "P14.1"]
+    assert edge.object == role and role.asserted_class == "ARE8"
+
+
+def test_every_path_reading_a_blank_value_is_skipped(schema, registry, rules):
+    ruleset = _builtin_rules_with(
+        schema, rules,
+        ("$DIM1 -> P90 has value -> DIM",
+         "$DIM1 -> P90 has value -> DIM;\n  $DIM1 -> P3 has note -> DIM"),
+    )
+    dimensions = [{"unit": "Gram"}, {"value": "25", "unit": "Gram"}]
+    record = make_record("PT/X", elements={"dimensions": dimensions})
+    graph = migrate(record, ruleset, schema, registry).graph
+    by_entry = sorted(
+        (t.subject.iri.rsplit("/", 1)[-1], t.predicate)
+        for t in graph.triples
+        if t.predicate in ("P3", "P90", "P91")
+    )
+    assert by_entry == [("1", "P91"), ("2", "P3"), ("2", "P90"), ("2", "P91")]
+
+
+def test_a_capture_named_like_a_class_does_not_hide_the_class_term(schema, registry, rules):
+    ruleset = _builtin_rules_with(
+        schema, rules,
+        ("Extension{EXT}", "Extension{E58}"),
+        ("$E1 -> P90 has value -> EXT", "$E1 -> P1 is identified by -> E42 Identifier{=E58}"),
+    )
+    extensions = [{"value": " ", "unit": "Pack", "kind": "extension"},
+                  {"value": "120", "kind": "extension"}]
+    record = make_record("PT/X", elements={"dimensions": extensions})
+    graph = migrate(record, ruleset, schema, registry).graph
+    edges = sorted(
+        (t.subject.iri.rsplit("/", 1)[-1], t.predicate, t.object.iri.rsplit("/", 1)[-1])
+        for t in graph.triples
+        if t.predicate in ("P1", "P91") and t.subject.asserted_class == "ARE4"
+    )
+    assert edges == [("1", "P91", "Pack"), ("2", "P1", "120")]
+
+
+def test_a_capture_is_found_before_an_anchor_of_the_same_name(schema, registry, rules):
+    ruleset = _builtin_rules_with(
+        schema, rules,
+        ("Parent Record{PR}", "Parent Record{HMO1}"),
+        ("$D1 -> P165 incorporates -> $PR", "$D1 -> P165 incorporates -> $HMO1"),
+    )
+    tree = parse_corpus(_corpus({"1.1": "PT/A"}, {"1.1": "PT/A/B", "parent": "PT/A"}))
+    graph = migrate_tree(tree, ruleset, schema, registry).graph
+    (link,) = [t for t in graph.triples if t.predicate == "P165"]
+    assert (link.subject.iri, link.object.iri) == (
+        graph.base_iri + "PT%2FA%2FB/e31/1", graph.base_iri + "PT%2FA/e31/1"
+    )

@@ -51,6 +51,9 @@ def codes(report, severity=None):
         ("1813-7-12T00:00:00", False),
         ("0000-01-01T00:00:00", False),
         ("", False),
+        ("\uff12\uff10\uff12\uff10-01-01T00:00:00", False),  # fullwidth digits
+        ("1813-07-12T00:00:0\u0661", False),  # an Arabic-Indic digit
+        ("1813-07-12T00:00:00\n", False),
     ],
 )
 def test_validate_datetime(text, expected):
@@ -73,6 +76,16 @@ def test_lexical_violation_date_without_time(schema, registry, nesting):
     instant = graph.mint_node("PT/X", "doe10", "1", "DOE10")
     graph.add_triple(instant, "DOP8", Literal("1813-07-12", XSD_DATETIME))
     report = validate_graph(graph, schema, registry, nesting)
+    assert codes(report, "error") == {DATETIME_LEXICAL}
+
+
+@pytest.mark.parametrize("text", ["２０２０-01-01T00:00:00", "١٩٩٩-01-01T00:00:00"])
+def test_lexical_violation_non_ascii_digits(schema, registry, nesting, text):
+    graph = Graph(schema)
+    instant = graph.mint_node("PT/X", "doe10", "1", "DOE10")
+    graph.add_triple(instant, "DOP8", Literal(text, XSD_DATETIME))
+    read = Graph.from_ntriples(graph.serialize(), schema)
+    report = validate_graph(read, schema, registry, nesting)
     assert codes(report, "error") == {DATETIME_LEXICAL}
 
 
