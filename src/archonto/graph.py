@@ -62,7 +62,7 @@ class NTriplesParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A typed literal value; datatype is a tag from the schema ranges."""
 
@@ -70,13 +70,13 @@ class Literal:
     datatype: str = XSD_STRING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     iri: str
     asserted_class: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: NodeRef
     predicate: str
@@ -360,15 +360,12 @@ class Graph:
         has one :class:`NodeRef`, shared by every triple that names it, and
         one class: a second type line with another class is a parse error.
         """
-        text = utf8.decode(data, NTriplesParseError)
         graph = cls(schema, base_iri)
         terms = _term_table(graph.schema, graph.base_iri)
         nodes = graph._nodes
         statements: list[tuple[str, str, str | None, str | None, str | None]] = []
-        # LF only: splitlines() would also break on U+2028, U+0085 and other
-        # separators the writer leaves raw inside literals.  Only space, tab
-        # and the CR of a CRLF are trimmed.
-        for number, raw in enumerate(text.split("\n"), start=1):
+        # Only space, tab and the CR of a CRLF are trimmed.
+        for number, raw in utf8.lines(data, NTriplesParseError):
             line = raw.strip(" \t\r")
             if not line or line.startswith("#"):
                 continue

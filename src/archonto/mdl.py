@@ -300,7 +300,8 @@ def _check_variable_hygiene(rule: MdlRule, offset: int) -> None:
 
 def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSet:
     """Parse MDL text into a rule set, checking ids against the schema.  Bytes
-    are read as a text file is: UTF-8, with CRLF and CR line ends as LF."""
+    are decoded whole, as a text file is: UTF-8, with CRLF and CR line ends as
+    LF.  Unlike the line files, MDL is parsed by character offset, not by line."""
     schema = schema or builtin_schema()
     if isinstance(text, bytes):
         text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")

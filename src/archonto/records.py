@@ -139,14 +139,6 @@ class RecordTree:
     def __len__(self) -> int:
         return len(self.records)
 
-    def ancestors(self, reference: str) -> tuple[str, ...]:
-        chain = []
-        current = self.records[reference].parent_reference
-        while current is not None:
-            chain.append(current)
-            current = self.records[current].parent_reference
-        return tuple(chain)
-
 
 def _check_entry(obj: dict, line: int) -> None:
     for key in obj:
@@ -202,13 +194,9 @@ def _check_entry(obj: dict, line: int) -> None:
 
 def parse_corpus(data: bytes | str) -> RecordTree:
     """Parse a JSON Lines corpus into a validated record forest."""
-    text = utf8.decode(data, CorpusError)
     records: dict[str, IsadRecord] = {}
-    order: list[str] = []
     lines_by_ref: dict[str, int] = {}
-    # LF only: splitlines() would also break on U+2028, U+0085 and other
-    # separators that may sit inside a value; strip() drops a CR.
-    for number, raw in enumerate(text.split("\n"), start=1):
+    for number, raw in utf8.lines(data, CorpusError):
         line = raw.strip()
         if not line:
             continue
@@ -228,40 +216,34 @@ def parse_corpus(data: bytes | str) -> RecordTree:
         parent = parent.strip() if isinstance(parent, str) and parent.strip() else None
         elements = {k: v for k, v in obj.items() if k != PARENT_FIELD and v is not None}
         records[reference] = IsadRecord(reference, parent, elements)
-        order.append(reference)
         lines_by_ref[reference] = number
 
-    for reference in order:
-        parent = records[reference].parent_reference
-        if parent is not None and parent not in records:
+    children: dict[str, list[str]] = {ref: [] for ref in records}
+    roots = []
+    for reference, record in records.items():
+        parent = record.parent_reference
+        if parent is None:
+            roots.append(reference)
+        elif parent in children:
+            children[parent].append(reference)
+        else:
             raise CorpusError(
                 f"record {reference!r} names missing parent {parent!r}",
                 lines_by_ref[reference],
             )
-    # Cycle detection over parent links.
-    state: dict[str, int] = {}
-    for reference in order:
-        path = []
-        current: str | None = reference
-        while current is not None and state.get(current, 0) == 0:
-            state[current] = 1
-            path.append(current)
+    # Every record no root reaches lies on a cycle or below one; the walk up
+    # from the first of them in file order repeats a record of that cycle.
+    reached = list(roots)
+    for reference in reached:  # grows while it is read: a top-down walk
+        reached.extend(children[reference])
+    if len(reached) < len(records):
+        reachable = set(reached)
+        current = next(ref for ref in records if ref not in reachable)
+        walked = set()
+        while current not in walked:
+            walked.add(current)
             current = records[current].parent_reference
-        if current is not None and state[current] == 1:
-            raise CorpusError(
-                f"cyclic parentage through {current!r}", lines_by_ref[current]
-            )
-        for visited in path:
-            state[visited] = 2
-
-    children: dict[str, list[str]] = {ref: [] for ref in order}
-    roots = []
-    for reference in order:
-        parent = records[reference].parent_reference
-        if parent is None:
-            roots.append(reference)
-        else:
-            children[parent].append(reference)
+        raise CorpusError(f"cyclic parentage through {current!r}", lines_by_ref[current])
     return RecordTree(
         records,
         {ref: tuple(kids) for ref, kids in children.items()},
@@ -276,7 +258,8 @@ def resolve_inheritance(
 
     Own (non-blank) values are never overwritten; each resolved element gets a
     provenance flag.  The operation is idempotent: elements whose provenance
-    is already recorded are left untouched.
+    is already recorded are left untouched.  One top-down walk resolves each
+    record after its parent, whose resolved value is the nearest ancestor's.
     """
     keys = frozenset(DEFAULT_INHERITABLE if inheritable is None else inheritable)
     if "1.1" in keys:
@@ -284,23 +267,24 @@ def resolve_inheritance(
     unknown = sorted(keys - (ALLOWED_FIELDS - {PARENT_FIELD}))
     if unknown:
         raise CorpusError(f"cannot inherit unknown element id {', '.join(map(repr, unknown))}")
+    ordered_keys = sorted(keys)
     resolved: dict[str, IsadRecord] = {}
-    for reference, record in tree.records.items():
+    stack: list[tuple[str, IsadRecord | None]] = [(ref, None) for ref in tree.roots]
+    while stack:
+        reference, parent = stack.pop()
+        record = tree.records[reference]
         elements = dict(record.elements)
         provenance = dict(record.provenance)
-        for key in sorted(keys):
+        for key in ordered_keys:
             if key in provenance:
                 continue
             if not is_blank(elements.get(key)):
                 provenance[key] = Provenance()
-                continue
-            for ancestor_ref in tree.ancestors(reference):
-                value = tree.records[ancestor_ref].elements.get(key)
-                if not is_blank(value):
-                    elements[key] = value
-                    provenance[key] = Provenance(ancestor_ref)
-                    break
-        resolved[reference] = IsadRecord(
+            elif parent is not None and not is_blank(parent.elements.get(key)):
+                elements[key] = parent.elements[key]
+                provenance[key] = Provenance(parent.provenance[key].source or parent.reference_code)
+        record = resolved[reference] = IsadRecord(
             record.reference_code, record.parent_reference, elements, provenance
         )
-    return RecordTree(resolved, dict(tree.children), tree.roots)
+        stack.extend((child, record) for child in tree.children[reference])
+    return RecordTree({ref: resolved[ref] for ref in tree.records}, dict(tree.children), tree.roots)

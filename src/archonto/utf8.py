@@ -1,16 +1,22 @@
-"""UTF-8 decoding of input files that names the line of an undecodable byte."""
+"""The one line reader of the line-based input files: UTF-8, split at LF only."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import io
+from collections.abc import Callable, Iterator
 
 
-def decode(data: bytes | str, error: Callable[[str, int], Exception]) -> str:
-    """``data`` as text; an undecodable byte raises ``error(message, line)``."""
+def lines(data: bytes | str, error: Callable[[str, int], Exception]) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` per line, split at LF only and without it:
+    splitlines() would also break on U+2028, U+0085 and other separators that
+    may sit inside a value.  A CR is left for the reader.  A bad byte raises
+    ``error(message, line)`` as its line is read: the first fault in line order."""
     if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"invalid UTF-8 byte 0x{data[exc.start]:02X}", line) from None
+        yield from enumerate(data.split("\n"), start=1)
+        return
+    for number, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"invalid UTF-8 byte 0x{raw[exc.start]:02X}", number) from None
+        yield number, text.removesuffix("\n")

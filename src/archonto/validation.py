@@ -240,7 +240,7 @@ def _check_documents(
     arp12 = index.get("ARP12", [])
     arp12_counts = Counter(triple.subject.iri for triple in arp12)
     for iri, node in nodes.items():
-        if not _known_class(graph.schema, node.asserted_class):
+        if not _known_class(schema, node.asserted_class):
             continue
         if not schema.is_subclass(node.asserted_class, "E31"):
             continue

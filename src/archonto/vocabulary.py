@@ -7,6 +7,7 @@ data errors the validator exists to surface.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,16 +253,11 @@ def builtin_nesting() -> LevelNestingGraph:
     return LevelNestingGraph(edges, terms)
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    lines = []
-    # LF only: splitlines() would also break on U+2028, U+0085 and other
-    # separators that may sit inside a value; strip() drops a CR.
-    for number, raw in enumerate(text.split("\n"), start=1):
+def _data_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
+    for number, raw in utf8.lines(data, VocabularyError):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append((number, line))
-    return lines
+        if line and not line.startswith("#"):
+            yield number, line
 
 
 def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
@@ -269,9 +265,8 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
 
     An empty file yields an empty registry, making membership checks vacuous.
     """
-    text = utf8.decode(data, VocabularyError)
     terms_by_class: dict[str, list[str]] = {}
-    for number, line in _data_lines(text):
+    for number, line in _data_lines(data):
         parts = line.split("\t")
         if len(parts) != 2:
             raise VocabularyError("expected CLASS_ID<TAB>TERM", line=number)
@@ -294,12 +289,11 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
 
 def load_nesting(data: bytes | str, registry: VocabularyRegistry) -> LevelNestingGraph:
     """Parse ``UPPER_LEVEL<TAB>LOWER_LEVEL`` lines against the ARE1 vocabulary."""
-    text = utf8.decode(data, VocabularyError)
     vocab = registry.vocabulary(LEVEL_CLASS)
     if vocab is None:
         raise VocabularyError("registry has no level-of-description vocabulary")
     edges = set()
-    for number, line in _data_lines(text):
+    for number, line in _data_lines(data):
         parts = line.split("\t")
         if len(parts) != 2:
             raise VocabularyError("expected UPPER_LEVEL<TAB>LOWER_LEVEL", line=number)

@@ -413,3 +413,17 @@ def test_second_type_line_with_another_class_is_a_parse_error():
     with pytest.raises(NTriplesParseError, match=r"^line 3: .* another class") as exc:
         Graph.from_ntriples(f"{_TYPE_LINE}\n\n{other}\n", builtin_schema())
     assert exc.value.line == 3
+
+
+def test_first_fault_in_line_order_wins_over_a_later_bad_byte():
+    good = _STATEMENT.format(sep=" ").encode()
+    data = good + b"\nnot a statement\n# comment\n\n" + good.replace(b'"x"', b'"\xff"') + b"\n"
+    with pytest.raises(NTriplesParseError) as exc:
+        Graph.from_ntriples(data, builtin_schema())
+    assert str(exc.value) == "line 2: not a valid N-Triples statement"
+
+
+def test_value_classes_have_slots():
+    node = NodeRef("https://example.org/a", "E31")
+    for value in (Literal("x"), node, Triple(node, "P3", Literal("x"))):
+        assert not hasattr(value, "__dict__")

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archonto.records import (
     CorpusError,
@@ -229,21 +231,105 @@ def test_locality():
     assert resolved_base.record("A/B") != resolved_changed.record("A/B")
 
 
+def _assert_matches_oracle(resolved, tree, keys):
+    oracle = naive_inheritance(tree, keys)
+    assert list(resolved.records) == list(tree.records)
+    for ref, expected in oracle.items():
+        record = resolved.record(ref)
+        for key in keys:
+            if key in expected:
+                value, source = expected[key]
+                assert record.elements.get(key) == value, (ref, key)
+                assert record.provenance[key] == Provenance(source)
+            else:
+                assert key not in record.provenance
+
+
 def test_matches_naive_oracle_small():
     rng = random.Random(42)
     for _ in range(25):
         tree = random_forest_tree(rng, max_nodes=30)
-        resolved = resolve_inheritance(tree)
-        oracle = naive_inheritance(tree, DEFAULT_INHERITABLE)
-        for ref, expected in oracle.items():
-            record = resolved.record(ref)
-            for key in DEFAULT_INHERITABLE:
-                if key in expected:
-                    value, source = expected[key]
-                    assert record.elements.get(key) == value, (ref, key)
-                    assert record.provenance[key] == Provenance(source)
-                else:
-                    assert key not in record.provenance
+        _assert_matches_oracle(resolve_inheritance(tree), tree, DEFAULT_INHERITABLE)
+
+
+_FOREST_KEYS = ("1.2", "1.4", "2.2", "3.1", "4.3", "5.4")
+_FOREST_VALUES = ("value", "   ", "", "Fundo\u2028documental", "Contém\u0085livros")
+
+
+@st.composite
+def _forests(draw):
+    """Corpus lines with random parent links: cycles, missing parents and
+    blank lines included, so each line's number differs from its index."""
+    size = draw(st.integers(1, 12))
+    refs = [f"R{index}" for index in range(size)]
+    faulty = draw(st.booleans())
+    lines = []
+    for index, ref in enumerate(refs):
+        entry = {"1.1": ref}
+        # Links to earlier records alone make a forest; any link may not.
+        links = ["MISSING", *refs] if faulty else refs[:index]
+        parent = draw(st.sampled_from([None, *links]))
+        if parent is not None:
+            entry["parent"] = parent
+        for key in draw(st.sets(st.sampled_from(_FOREST_KEYS))):
+            entry[key] = draw(st.sampled_from(_FOREST_VALUES)) + (" " + ref if draw(st.booleans()) else "")
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(json.dumps(entry, ensure_ascii=False))
+    return "\r\n".join(lines) if draw(st.booleans()) else "\n".join(lines)
+
+
+def _expected_parse_error(text: str) -> str | None:
+    """The first missing parent in file order; else the record where the walk
+    up from the first record that no root reaches repeats."""
+    numbered = [(n, json.loads(line)) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+    line_of = {entry["1.1"]: n for n, entry in numbered}
+    parent_of = {entry["1.1"]: entry.get("parent") for _, entry in numbered}
+    for n, entry in numbered:
+        if entry.get("parent") not in (None, *line_of):
+            return f"line {n}: record {entry['1.1']!r} names missing parent {entry['parent']!r}"
+    for ref in parent_of:
+        chain: list[str] = []
+        current = ref
+        while current is not None and current not in chain:
+            chain.append(current)
+            current = parent_of[current]
+        if current is not None:
+            return f"line {line_of[current]}: cyclic parentage through {current!r}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_forests(),
+    first=st.one_of(st.none(), st.sets(st.sampled_from(_FOREST_KEYS))),
+    more=st.sets(st.sampled_from(_FOREST_KEYS)),
+)
+def test_random_forests_refused_or_resolved_as_the_naive_walk(text, first, more):
+    expected_error = _expected_parse_error(text)
+    if expected_error is not None:
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(text)
+        assert str(exc.value) == expected_error
+        return
+    tree = parse_corpus(text)
+    assert parse_corpus(text.encode("utf-8")) == tree
+    keys = DEFAULT_INHERITABLE if first is None else first
+    once = resolve_inheritance(tree, first)
+    _assert_matches_oracle(once, tree, keys)
+    # A second resolve with a larger set fills only the keys new to it.
+    _assert_matches_oracle(resolve_inheritance(once, keys | more), tree, keys | more)
+
+
+def test_first_fault_in_line_order_wins_over_a_later_bad_byte():
+    data = (
+        _line(**{"1.1": "A"}).encode()
+        + b"\n{not json\n\n\n"
+        + b'{"1.1": "\xff"}\n'
+    )
+    with pytest.raises(CorpusError) as exc:
+        parse_corpus(data)
+    assert str(exc.value) == "line 2: invalid JSON (Expecting property name enclosed in double quotes)"
+    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])

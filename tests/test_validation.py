@@ -7,7 +7,7 @@ import pytest
 
 from archonto.graph import Graph, Literal
 from archonto.migration import attach_isad_fallback, migrate_record, migrate_tree
-from archonto.ontology import XSD_DATETIME
+from archonto.ontology import XSD_DATETIME, ClassDef, OntologySchema, SourceOntology
 from archonto.records import parse_corpus, resolve_inheritance
 from archonto.validation import (
     ARP12_CARDINALITY,
@@ -320,3 +320,20 @@ def test_validation_reads_graph_views_a_fixed_number_of_times(
     validate_graph(graph, schema, registry, nesting)
     assert reads["node_index"] <= 2
     assert reads["triples"] <= 2
+
+
+def test_class_unknown_to_the_validating_schema_is_a_finding(schema, registry, nesting):
+    extra = ClassDef("E999", "Extra Thing", SourceOntology.CIDOC, "E1")
+    wider = OntologySchema(
+        {c.identifier: c for c in schema.classes} | {"E999": extra},
+        {p.identifier: p for p in schema.properties},
+        schema.inverse_pairs,
+    )
+    graph = Graph(wider)
+    node = graph.mint_node("PT/X", "thing", "1", "E999")
+    graph.add_triple(node, "P3", Literal("note"))
+    report = validate_graph(graph, schema, registry, nesting)
+    unknown = [f for f in report.findings if f.code == UNKNOWN_CLASS]
+    assert [(f.subject, f.message) for f in unknown] == [
+        (node.iri, "node class E999 is not declared")
+    ]

@@ -168,3 +168,15 @@ def test_line_separator_inside_term(separator):
     registry = load_vocabularies(f"E57\tVellum{separator}sheet\r\nE57\tPaper\n")
     assert registry.contains("E57", f"Vellum{separator}sheet") is True
     assert registry.contains("E57", "Paper") is True
+
+
+@pytest.mark.parametrize("loader", ["vocabulary", "nesting"])
+def test_first_fault_in_line_order_wins_over_a_later_bad_byte(registry, loader):
+    data = b"ARE1\tFonds\nbroken line\n\n# comment\nARE1\t\xffFonds\n"
+    with pytest.raises(VocabularyError) as exc:
+        if loader == "vocabulary":
+            load_vocabularies(data)
+        else:
+            load_nesting(data.replace(b"ARE1\tFonds", b"Fonds\tSerie"), registry)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith("line 2: expected ")
