@@ -43,6 +43,8 @@ _TURTLE_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: "^^xsd:dateTime"}
 # Characters an N-Triples IRIREF may not hold unescaped (RDF 1.1 N-Triples).
 _IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
+# An absolute IRI starts with a scheme (RFC 3987); N-Triples allows no other.
+_IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 
 class GraphError(ValueError):
@@ -92,12 +94,14 @@ def _encode(segment: str) -> str:
 
 @dataclass(frozen=True)
 class _TermTable:
-    """Class and property IRIs of one schema under one base IRI, both ways."""
+    """Class and property IRIs of one schema under one base IRI, both ways,
+    and the Turtle prefixed name of each of those IRIs."""
 
     class_iris: dict[str, str]
     property_iris: dict[str, str]
     class_ids: dict[str, str]
     property_ids: dict[str, str]
+    turtle_names: dict[str, str]
 
 
 # Keyed by schema identity and base IRI: a run uses one or two of each, while
@@ -106,17 +110,22 @@ class _TermTable:
 def _term_table(schema: OntologySchema, base_iri: str) -> _TermTable:
     ontology = base_iri + "ontology/"
 
-    def iri(term: ClassDef | PropertyDef) -> str:
-        namespace = CRM_NAMESPACE if term.source is SourceOntology.CIDOC else ontology
-        return f"{namespace}{term.identifier}_{term.label.replace(' ', '_')}"
+    def names(term: ClassDef | PropertyDef) -> tuple[str, str]:
+        local = f"{term.identifier}_{term.label.replace(' ', '_')}"
+        if term.source is SourceOntology.CIDOC:
+            return CRM_NAMESPACE + local, "crm:" + local
+        return ontology + local, "aont:" + local
 
-    class_iris = {c.identifier: iri(c) for c in schema.classes}
-    property_iris = {p.identifier: iri(p) for p in schema.properties}
+    class_names = {c.identifier: names(c) for c in schema.classes}
+    property_names = {p.identifier: names(p) for p in schema.properties}
+    class_iris = {ident: iri for ident, (iri, _) in class_names.items()}
+    property_iris = {ident: iri for ident, (iri, _) in property_names.items()}
     return _TermTable(
         class_iris,
         property_iris,
         {v: k for k, v in class_iris.items()},
         {v: k for k, v in property_iris.items()},
+        dict((*class_names.values(), *property_names.values())),
     )
 
 
@@ -172,6 +181,8 @@ class Graph:
             raise GraphError(
                 f"base IRI {base_iri!r} holds {bad.group()!r}, which an IRI may not contain"
             )
+        if _IRI_SCHEME.match(base_iri) is None:
+            raise GraphError(f"base IRI {base_iri!r} has no scheme; it must be an absolute IRI")
         self.schema = schema
         self.base_iri = base_iri.rstrip("/") + "/"
         self._nodes: dict[str, NodeRef] = {}
@@ -303,14 +314,6 @@ class Graph:
         rows.sort()
         return rows
 
-    def _turtle_term(self, iri: str) -> str:
-        if iri.startswith(CRM_NAMESPACE):
-            return "crm:" + iri[len(CRM_NAMESPACE) :]
-        onto = self.base_iri + "ontology/"
-        if iri.startswith(onto):
-            return "aont:" + iri[len(onto) :]
-        return f"<{iri}>"
-
     def serialize(self, format: str = "ntriples") -> bytes:
         """Deterministic N-Triples or Turtle; one type assertion per node."""
         rows = self._sorted_rows()
@@ -327,9 +330,12 @@ class Graph:
                 f"@prefix xsd: <{XSD_NAMESPACE}> .",
                 "",
             ]
+            # Only schema terms get a prefixed name: a node IRI's path may
+            # hold a '/', which a prefixed name's local part may not.
+            names = _term_table(self.schema, self.base_iri).turtle_names
             lines += [
-                f"<{s}> {'a' if p == RDF_TYPE else self._turtle_term(p)} "
-                f"{_literal(o, dt, _TURTLE_SUFFIXES) if lit else self._turtle_term(o)} ."
+                f"<{s}> {'a' if p == RDF_TYPE else names.get(p) or f'<{p}>'} "
+                f"{_literal(o, dt, _TURTLE_SUFFIXES) if lit else names.get(o) or f'<{o}>'} ."
                 for s, p, lit, o, dt in rows
             ]
         else:

@@ -26,6 +26,7 @@ by selector name alone.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -300,11 +301,12 @@ def _check_variable_hygiene(rule: MdlRule, offset: int) -> None:
 
 def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSet:
     """Parse MDL text into a rule set, checking ids against the schema.  Bytes
-    are decoded whole, as a text file is: UTF-8, with CRLF and CR line ends as
-    LF.  Unlike the line files, MDL is parsed by character offset, not by line."""
+    are decoded whole, as a text file is: UTF-8 without a leading byte order
+    mark, with CRLF and CR line ends as LF.  Unlike the line files, MDL is
+    parsed by character offset, not by line."""
     schema = schema or builtin_schema()
     if isinstance(text, bytes):
-        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        text = text.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError, Literal, NodeRef, Triple
-from .mdl import BindMode, MdlRule, Path, RuleSet, StepKind
+from .mdl import BindMode, MdlRule, Path, PathStep, RuleSet
 from .ontology import (
     LITERAL_RANGES,
     OntologySchema,
@@ -246,13 +246,13 @@ def _connect(
 
 
 def _reads_blank(path: Path, app: Application) -> bool:
-    """Whether a step reads a blank capture or names a class with a blank term."""
-    for step in path:
+    """Whether a node step reads a blank capture or names a class with a blank term."""
+    for step in path[0::2]:
         binding = step.binding
         if binding is not None and binding.mode is not BindMode.ASSIGN_LITERAL:
             if app.captures.get(binding.value) == "":
                 return True
-        if step.kind is StepKind.NODE and app.class_terms.get(step.ident) == "":
+        if app.class_terms.get(step.ident) == "":
             return True
     return False
 
@@ -260,69 +260,55 @@ def _reads_blank(path: Path, app: Application) -> bool:
 def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[Triple]:
     """Apply one rule firing; returns the triples it emitted.
 
+    A path is its start node, then ``(edge, node)`` hops: the parser makes
+    steps alternate, puts a node at both ends and an emission only last.
     A variable is looked up in the nodes this firing assigned, then in the
     captures, then in the document rule's anchors.
     """
     captures, anchors = app.captures, ctx.anchors
     assigned: dict[str, NodeRef] = {}
+
+    def resolve(step: PathStep, edge: str | None) -> NodeRef | Literal:
+        binding = step.binding
+        if binding is None:
+            return _structural_node(ctx, step.ident, app, rule.rule_no)
+        mode, var = binding.mode, binding.value
+        if mode is BindMode.ASSIGN_LITERAL:
+            text = app.class_terms.get(step.ident, var)
+            return _valued_node(ctx, step.ident, text, rule.rule_no)
+        if mode is BindMode.EMIT:
+            if var not in captures:
+                raise UnboundVariableError(var)
+            datatype = ctx.schema.property_def(edge).range
+            return Literal(captures[var], datatype if datatype in LITERAL_RANGES else XSD_STRING)
+        if var in assigned:
+            return assigned[var]
+        if var in captures:
+            if mode is BindMode.DEREF:
+                # A textual binding dereferences to the document node of the
+                # record that text names (e.g. a parent reference).
+                return ctx.graph.mint_node(
+                    captures[var], _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
+                )
+            node = assigned[var] = _valued_node(ctx, step.ident, captures[var], rule.rule_no)
+            return node
+        if var in anchors:
+            return anchors[var]
+        if mode is BindMode.DEREF:
+            raise UnboundVariableError(var)
+        node = assigned[var] = _structural_node(ctx, step.ident, app, rule.rule_no)
+        return node
+
     paths = rule.paths
     if "" in captures.values() or "" in app.class_terms.values():
         paths = tuple(path for path in paths if not _reads_blank(path, app))
     emitted: list[Triple] = []
     for path in paths:
-        current: NodeRef | None = None
-        pending: str | None = None
-        for step in path:
-            if step.kind is StepKind.EDGE:
-                pending = step.ident
-                continue
-            target: NodeRef | Literal
-            mode = step.binding.mode if step.binding else None
-            var = step.binding.value if step.binding else ""
-            if mode is BindMode.DEREF:
-                if var in assigned:
-                    target = assigned[var]
-                elif var in captures:
-                    # A textual binding dereferences to the document node of
-                    # the record that text names (e.g. a parent reference).
-                    target = ctx.graph.mint_node(
-                        captures[var], _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
-                    )
-                elif var in anchors:
-                    target = anchors[var]
-                else:
-                    raise UnboundVariableError(var)
-            elif mode is BindMode.EMIT:
-                if var not in captures:
-                    raise UnboundVariableError(var)
-                datatype = XSD_STRING
-                if pending is not None:
-                    prop_range = ctx.schema.property_def(pending).range
-                    if prop_range in LITERAL_RANGES:
-                        datatype = prop_range
-                target = Literal(captures[var], datatype)
-            elif mode is BindMode.ASSIGN:
-                if var in assigned:
-                    target = assigned[var]
-                elif var in captures:
-                    target = assigned[var] = _valued_node(
-                        ctx, step.ident, captures[var], rule.rule_no
-                    )
-                elif var in anchors:
-                    target = anchors[var]
-                else:
-                    target = assigned[var] = _structural_node(ctx, step.ident, app, rule.rule_no)
-            elif mode is BindMode.ASSIGN_LITERAL:
-                text = app.class_terms.get(step.ident, var)
-                target = _valued_node(ctx, step.ident, text, rule.rule_no)
-            else:
-                target = _structural_node(ctx, step.ident, app, rule.rule_no)
-            if pending is not None:
-                if current is None:
-                    raise MigrationError("path emitted an edge with no subject")
-                emitted.extend(_connect(ctx, app, current, pending, target))
-                pending = None
-            current = target if isinstance(target, NodeRef) else None
+        subject = resolve(path[0], None)
+        for edge, step in zip(path[1::2], path[2::2]):
+            target = resolve(step, edge.ident)
+            emitted.extend(_connect(ctx, app, subject, edge.ident, target))
+            subject = target
     if rule.selector.name == "ISAD":
         anchors.update(assigned)
     return emitted

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import io
 from collections.abc import Callable, Iterator
 
@@ -10,11 +11,15 @@ def lines(data: bytes | str, error: Callable[[str, int], Exception]) -> Iterator
     """Yield ``(line number, text)`` per line, split at LF only and without it:
     splitlines() would also break on U+2028, U+0085 and other separators that
     may sit inside a value.  A CR is left for the reader.  A bad byte raises
-    ``error(message, line)`` as its line is read: the first fault in line order."""
+    ``error(message, line)`` as its line is read: the first fault in line order.
+    A leading UTF-8 byte order mark is not part of line 1."""
     if isinstance(data, str):
         yield from enumerate(data.split("\n"), start=1)
         return
-    for number, raw in enumerate(io.BytesIO(data), start=1):
+    stream = io.BytesIO(data)
+    if data.startswith(codecs.BOM_UTF8):
+        stream.seek(len(codecs.BOM_UTF8))
+    for number, raw in enumerate(stream, start=1):
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:

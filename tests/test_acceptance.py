@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archonto.graph import Graph, Literal, NodeRef, Triple
-from archonto.mdl import parse_mdl, render_mdl
+from archonto.mdl import BindMode, StepKind, parse_mdl, render_mdl
 from archonto.migration import migrate_record, migrate_tree
 from archonto.ontology import XSD_DATETIME
 from archonto.records import DEFAULT_INHERITABLE, Provenance, parse_corpus, resolve_inheritance
@@ -457,6 +457,18 @@ def test_mdl_round_trip_builtins_and_fuzz(schema, rules):
         reparsed = parse_mdl(rendered, schema)
         assert reparsed == ruleset
         assert render_mdl(reparsed, schema) == rendered
+        # The shape the engine's hop walk relies on: nodes at even places and
+        # at both ends, edges between them, an emission only last.
+        for rule in ruleset.rules:
+            for path in rule.paths:
+                assert len(path) % 2 == 1
+                assert [step.kind for step in path] == [
+                    StepKind.EDGE if index % 2 else StepKind.NODE for index in range(len(path))
+                ]
+                assert all(
+                    step.binding is None or step.binding.mode is not BindMode.EMIT
+                    for step in path[:-1]
+                )
 
     fuzz()
     _passed("mdl-round-trip")

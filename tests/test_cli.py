@@ -1,8 +1,10 @@
 """Command-line behaviour: exit codes, determinism, file outputs."""
 
+import codecs
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from archonto.cli import main
 from archonto.graph import Graph
 from archonto.mdl import builtin_rules, parse_mdl
 from archonto.ontology import builtin_schema
+from archonto.records import parse_corpus
+from archonto.vocabulary import builtin_vocabularies, load_nesting, load_vocabularies
 
 from conftest import corpus_text, synthetic_corpus
 
@@ -48,6 +52,36 @@ def test_migrate_turtle(tmp_path, corpus_file):
         ["migrate", "--in", str(corpus_file), "--out", str(out), "--format", "turtle"]
     ) == 0
     assert out.read_text(encoding="utf-8").startswith("@prefix aont:")
+
+
+# Turtle's PN_LOCAL production (RDF 1.1 Turtle, section 6.5).
+_PN_CHARS_U = (
+    "A-Za-z_\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF"
+    "\u200C-\u200D\u2070-\u218F\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF"
+    "\uFDF0-\uFFFD\U00010000-\U000EFFFF"
+)
+_PN_CHARS = _PN_CHARS_U + "\\-0-9\u00B7\u0300-\u036F\u203F-\u2040"
+_PLX = r"(?:%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%])"
+_PN_LOCAL = re.compile(
+    f"(?:[{_PN_CHARS_U}:0-9]|{_PLX})(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?"
+)
+
+
+def test_turtle_prefixed_names_are_valid_local_names(tmp_path):
+    # A record named "ontology" mints nodes under the aont: namespace IRI.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"1.1": "ontology", "1.4": "Fonds"}\n', encoding="utf-8")
+    out = tmp_path / "graph.ttl"
+    assert main(["migrate", "--in", str(corpus), "--out", str(out), "--format", "turtle"]) == 0
+    names = []
+    for line in out.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("@prefix"):
+            terms = re.sub(r'<[^>]*>|"(?:[^"\\]|\\.)*"(?:\^\^)?', " ", line).split()
+            names += [term for term in terms if term not in ("a", ".")]
+    assert "aont:ARE1_Level_of_Description" in names
+    for name in names:
+        prefix, _, local = name.partition(":")
+        assert prefix in ("aont", "crm", "xsd") and _PN_LOCAL.fullmatch(local), name
 
 
 def test_migrate_missing_corpus(tmp_path):
@@ -245,6 +279,14 @@ def test_migrate_rejects_base_iri_with_space(tmp_path, corpus_file, capsys):
     assert "base IRI" in capsys.readouterr().err
 
 
+def test_migrate_rejects_relative_base_iri(tmp_path, corpus_file, capsys):
+    out = tmp_path / "graph.nt"
+    argv = ["migrate", "--in", str(corpus_file), "--out", str(out), "--base-iri", "foo"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "has no scheme" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ensure_ascii", [True, False])
 def test_line_separator_in_element_survives_migrate_and_validate(tmp_path, ensure_ascii):
     entry = {"1.1": "PT/F", "1.2": "Fundo", "title_type": "supplied", "1.4": "Fonds",
@@ -347,6 +389,36 @@ def test_invalid_utf8_input_exits_2_naming_the_line(tmp_path, corpus_file, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 2: invalid UTF-8 byte 0xFF" in err
     assert err.count("\n") == 1
+
+
+# Each line-based reader and the rules reader: (read, input text, comparable result).
+_BOM_READERS = {
+    "corpus": (parse_corpus, '{"1.1": "PT/A", "1.4": "Fonds"}\n', lambda tree: tree),
+    "vocabulary": (
+        load_vocabularies,
+        "ARE1\tFonds\nARE1\tSerie\n",
+        lambda reg: [(c, reg.vocabulary(c).terms) for c in reg.class_ids],
+    ),
+    "nesting": (
+        lambda data: load_nesting(data, builtin_vocabularies()),
+        "Fonds\tSerie\n",
+        lambda nesting: nesting.lower_edges,
+    ),
+    "ntriples": (
+        lambda data: Graph.from_ntriples(data, builtin_schema()),
+        "<https://example.org/archonto/PT%2FA/e31/1> "
+        '<https://example.org/archonto/ontology/ISAD1_has_title> "x" .\n',
+        lambda graph: graph.serialize(),
+    ),
+    "rules": (parse_mdl, "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n", lambda rules: rules),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOM_READERS))
+def test_leading_byte_order_mark_is_dropped(kind):
+    read, text, result = _BOM_READERS[kind]
+    data = text.encode("utf-8")
+    assert result(read(codecs.BOM_UTF8 + data)) == result(read(data))
 
 
 def test_code_point_above_unicode_in_a_graph_exits_2(tmp_path, corpus_file, capsys):

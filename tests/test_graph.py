@@ -230,6 +230,12 @@ def test_base_iri_with_forbidden_character_rejected(char):
         Graph(builtin_schema(), f"https://ex.org/a{char}b/")
 
 
+@pytest.mark.parametrize("base", ["foo", "foo/bar/", "/archonto/", "1http://ex.org/", ""])
+def test_base_iri_without_scheme_rejected(base):
+    with pytest.raises(GraphError):
+        Graph(builtin_schema(), base)
+
+
 def test_non_ascii_base_iri_round_trips():
     schema = builtin_schema()
     base = "https://ex.org/arquivo\u00a0s\u00e9rie/"
