@@ -108,7 +108,12 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         args.report.write_text(report + ("\n" if report else ""), encoding="utf-8")
     elif report:
         _diag(report)
-    _write_output(result.graph.serialize(args.format), args.out)
+    # Written in chunks: the whole output never exists as one bytes object.
+    if args.out is None:
+        result.graph.write(sys.stdout.buffer, args.format)
+    else:
+        with open(args.out, "wb") as sink:
+            result.graph.write(sink, args.format)
     return EXIT_FINDINGS if result.has_errors else EXIT_OK
 
 

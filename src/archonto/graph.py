@@ -6,11 +6,13 @@ any record order) serializes byte-identically.  Blank nodes are never used.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import BinaryIO
 from urllib.parse import quote, unquote
 
 from . import utf8
@@ -39,6 +41,9 @@ _IRI_DATATYPES = {XSD_NAMESPACE + "string": XSD_STRING, XSD_NAMESPACE + "dateTim
 # other datatype is a foreign IRI read from input and is written in full.
 _NT_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: f"^^<{XSD_NAMESPACE}dateTime>"}
 _TURTLE_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: "^^xsd:dateTime"}
+# Rows rendered and encoded per write: the writer never holds the whole
+# output as lines or as one string.
+_WRITE_CHUNK = 8192
 
 # Characters an N-Triples IRIREF may not hold unescaped (RDF 1.1 N-Triples).
 _IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
@@ -83,6 +88,13 @@ class Triple:
     subject: NodeRef
     predicate: str
     object: NodeRef | Literal
+
+
+# How a graph stores a statement: (subject IRI, predicate IRI, 1 for a
+# literal object else 0, object IRI or literal text, datatype tag or "").
+# CPython does not track a tuple of strings and small ints for garbage
+# collection, and the tuple is its own sort key in output order.
+_Row = tuple[str, str, int, str, str]
 
 
 # Bounded: a run repeats few segments (roles, discriminators, shared terms)
@@ -173,7 +185,10 @@ def _unescape_literal(text: str, line: int) -> str:
 
 
 class Graph:
-    """Triple set plus node index; single-writer during construction."""
+    """Statement rows plus node index; single-writer during construction.
+
+    Node classes live in the node index alone; a row names its nodes by IRI.
+    """
 
     def __init__(self, schema: OntologySchema, base_iri: str = DEFAULT_BASE_IRI) -> None:
         bad = _IRI_FORBIDDEN.search(base_iri)
@@ -186,25 +201,63 @@ class Graph:
         self.schema = schema
         self.base_iri = base_iri.rstrip("/") + "/"
         self._nodes: dict[str, NodeRef] = {}
-        self._triples: set[Triple] = set()
+        self._triples: set[_Row] = set()
+
+    @cached_property
+    def _terms(self) -> _TermTable:
+        return _term_table(self.schema, self.base_iri)
 
     # -- content views -----------------------------------------------------
 
     @property
     def triples(self) -> frozenset[Triple]:
-        """Snapshot of the triples; later additions and removals do not show."""
-        return frozenset(self._triples)
+        """Snapshot of the statements as Triple objects, made on each call;
+        later additions and removals do not show."""
+        nodes, property_ids = self._nodes, self._terms.property_ids
+        return frozenset(
+            Triple(
+                nodes[s],
+                property_ids.get(p, p),
+                Literal(o, dt) if literal else nodes[o],
+            )
+            for s, p, literal, o, dt in self._triples
+        )
 
     @property
     def node_index(self) -> Mapping[str, NodeRef]:
         """Live read-only view of the nodes by IRI; later mints show at once."""
         return MappingProxyType(self._nodes)
 
+    def _rows_by_predicate(self) -> tuple[Mapping[str, NodeRef], dict[str, list[_Row]]]:
+        """For the package's readers, which must change neither: the node
+        dict itself, and the stored rows (not copies) grouped by predicate
+        id, a foreign predicate keeping its IRI."""
+        by_iri: dict[str, list[_Row]] = {}
+        for row in self._triples:
+            rows = by_iri.get(row[1])
+            if rows is None:
+                rows = by_iri[row[1]] = []
+            rows.append(row)
+        property_ids = self._terms.property_ids
+        return self._nodes, {property_ids.get(p, p): rows for p, rows in by_iri.items()}
+
     def __len__(self) -> int:
         return len(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        subject, obj = triple.subject, triple.object
+        return (
+            self._row(triple) in self._triples
+            and self._nodes[subject.iri] == subject
+            and (isinstance(obj, Literal) or self._nodes[obj.iri] == obj)
+        )
+
+    def _row(self, triple: Triple) -> _Row:
+        obj, predicate = triple.object, triple.predicate
+        predicate = self._terms.property_iris.get(predicate, predicate)
+        if isinstance(obj, Literal):
+            return (triple.subject.iri, predicate, 1, obj.text, obj.datatype)
+        return (triple.subject.iri, predicate, 0, obj.iri, "")
 
     # -- node minting -------------------------------------------------------
 
@@ -258,23 +311,34 @@ class Graph:
     def add_triple(self, subject: NodeRef, predicate: str, obj: NodeRef | Literal) -> Triple:
         """Insert with set semantics and return the triple; range kinds are
         checked by validation (or, in strict mode, by the engine)."""
-        self.schema.property_def(predicate)
-        self.register_node(subject)
-        if isinstance(obj, NodeRef):
-            self.register_node(obj)
-        triple = Triple(subject, predicate, obj)
-        self._triples.add(triple)
-        return triple
+        predicate_iri = self._terms.property_iris.get(predicate)
+        if predicate_iri is None:
+            self.schema.property_def(predicate)
+        nodes = self._nodes
+        # A node minted by this graph is already in the index as this object.
+        if nodes.get(subject.iri) is not subject:
+            self.register_node(subject)
+        if isinstance(obj, Literal):
+            self._triples.add((subject.iri, predicate_iri, 1, obj.text, obj.datatype))
+        else:
+            if nodes.get(obj.iri) is not obj:
+                self.register_node(obj)
+            self._triples.add((subject.iri, predicate_iri, 0, obj.iri, ""))
+        return Triple(subject, predicate, obj)
 
     def remove_triple(self, triple: Triple) -> None:
-        self._triples.discard(triple)
+        if triple in self:
+            self._triples.discard(self._row(triple))
 
     def absorb(self, other: Graph) -> None:
         """Merge another graph built against the same schema and base IRI."""
         if other.base_iri != self.base_iri:
             raise GraphError("cannot merge graphs with different base IRIs")
-        for node in other._nodes.values():
-            self.register_node(node)
+        nodes = self._nodes
+        for iri, node in other._nodes.items():
+            existing = nodes.setdefault(iri, node)
+            if existing is not node and existing.asserted_class != node.asserted_class:
+                raise NodeClassConflict(iri, existing.asserted_class, node.asserted_class)
         self._triples.update(other._triples)
 
     def copy(self) -> Graph:
@@ -285,45 +349,41 @@ class Graph:
 
     def property_iri(self, property_id: str) -> str:
         self.schema.property_def(property_id)
-        return _term_table(self.schema, self.base_iri).property_iris[property_id]
+        return self._terms.property_iris[property_id]
 
     # -- serialization ----------------------------------------------------------
 
-    def _sorted_rows(self) -> list[tuple[str, str, int, str, str]]:
-        """Every statement as (subject, predicate, is_literal, object IRI or
-        literal text, datatype or ""), in output order.
+    def _sorted_rows(self) -> list[_Row]:
+        """The stored rows plus one type row per typed node, in output order.
 
-        The plain tuple is its own sort key.  Unknown classes and properties
-        (foreign input) keep their IRI, and untyped nodes get no type
-        assertion, so parse -> serialize round-trips faithfully.
+        Unknown classes and properties (foreign input) keep their IRI, and
+        untyped nodes get no type assertion, so parse -> serialize
+        round-trips faithfully.
         """
-        terms = _term_table(self.schema, self.base_iri)
-        class_iris, property_iris = terms.class_iris, terms.property_iris
-        rows: list[tuple[str, str, int, str, str]] = [
+        class_iris = self._terms.class_iris
+        rows: list[_Row] = [
             (node.iri, RDF_TYPE, 0, class_iris.get(node.asserted_class, node.asserted_class), "")
             for node in self._nodes.values()
             if node.asserted_class
         ]
-        for triple in self._triples:
-            subject, obj = triple.subject.iri, triple.object
-            predicate = property_iris.get(triple.predicate, triple.predicate)
-            if isinstance(obj, Literal):
-                rows.append((subject, predicate, 1, obj.text, obj.datatype))
-            else:
-                rows.append((subject, predicate, 0, obj.iri, ""))
+        rows.extend(self._triples)
         rows.sort()
         return rows
 
-    def serialize(self, format: str = "ntriples") -> bytes:
-        """Deterministic N-Triples or Turtle; one type assertion per node."""
-        rows = self._sorted_rows()
+    def write(self, sink: BinaryIO, format: str = "ntriples") -> None:
+        """Write deterministic N-Triples or Turtle, one type assertion per
+        node, to a binary file object, ``_WRITE_CHUNK`` rows per write."""
         if format == "ntriples":
-            lines = [
-                f"<{s}> <{p}> {_literal(o, dt, _NT_SUFFIXES) if lit else f'<{o}>'} ."
-                for s, p, lit, o, dt in rows
-            ]
+            header: list[str] = []
+
+            def lines(rows: list[_Row]) -> list[str]:
+                return [
+                    f"<{s}> <{p}> {_literal(o, dt, _NT_SUFFIXES) if lit else f'<{o}>'} ."
+                    for s, p, lit, o, dt in rows
+                ]
+
         elif format == "turtle":
-            lines = [
+            header = [
                 f"@prefix aont: <{self.base_iri}ontology/> .",
                 f"@prefix crm: <{CRM_NAMESPACE}> .",
                 '@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .',
@@ -332,15 +392,29 @@ class Graph:
             ]
             # Only schema terms get a prefixed name: a node IRI's path may
             # hold a '/', which a prefixed name's local part may not.
-            names = _term_table(self.schema, self.base_iri).turtle_names
-            lines += [
-                f"<{s}> {'a' if p == RDF_TYPE else names.get(p) or f'<{p}>'} "
-                f"{_literal(o, dt, _TURTLE_SUFFIXES) if lit else names.get(o) or f'<{o}>'} ."
-                for s, p, lit, o, dt in rows
-            ]
+            names = self._terms.turtle_names
+
+            def lines(rows: list[_Row]) -> list[str]:
+                return [
+                    f"<{s}> {'a' if p == RDF_TYPE else names.get(p) or f'<{p}>'} "
+                    f"{_literal(o, dt, _TURTLE_SUFFIXES) if lit else names.get(o) or f'<{o}>'} ."
+                    for s, p, lit, o, dt in rows
+                ]
+
         else:
             raise GraphError(f"unsupported serialization format: {format}")
-        return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+        if header:
+            sink.write(("\n".join(header) + "\n").encode("utf-8"))
+        rows = self._sorted_rows()
+        for start in range(0, len(rows), _WRITE_CHUNK):
+            chunk = lines(rows[start : start + _WRITE_CHUNK])
+            sink.write(("\n".join(chunk) + "\n").encode("utf-8"))
+
+    def serialize(self, format: str = "ntriples") -> bytes:
+        """The bytes :meth:`write` writes, as one object."""
+        buffer = io.BytesIO()
+        self.write(buffer, format)
+        return buffer.getvalue()
 
     # -- deserialization -----------------------------------------------------------
 
@@ -363,13 +437,22 @@ class Graph:
 
         Unknown predicate or class IRIs are preserved verbatim so validation
         can report them; untyped nodes get an empty asserted class.  Each IRI
-        has one :class:`NodeRef`, shared by every triple that names it, and
-        one class: a second type line with another class is a parse error.
+        has one :class:`NodeRef` and one string, shared by every row that
+        names it, and one class: a second type line with another class is a
+        parse error.
         """
         graph = cls(schema, base_iri)
-        terms = _term_table(graph.schema, graph.base_iri)
-        nodes = graph._nodes
-        statements: list[tuple[str, str, str | None, str | None, str | None]] = []
+        terms = graph._terms
+        nodes, rows = graph._nodes, graph._triples
+        predicates: dict[str, str] = {}
+
+        # A node named before its type line is untyped until that line.
+        def node_iri(iri: str) -> str:
+            ref = nodes.get(iri)
+            if ref is None:
+                ref = nodes[iri] = NodeRef(iri, "")
+            return ref.iri
+
         # Only space, tab and the CR of a CRLF are trimmed.
         for number, raw in utf8.lines(data, NTriplesParseError):
             line = raw.strip(" \t\r")
@@ -379,34 +462,27 @@ class Graph:
             if match is None:
                 raise NTriplesParseError("not a valid N-Triples statement", number)
             s_iri, p_iri, o_iri, o_text, o_dt = match.groups()
-            if p_iri != RDF_TYPE:
-                if o_text is not None:
-                    o_text = _unescape_literal(o_text, number)
-                statements.append((s_iri, p_iri, o_iri, o_text, o_dt))
-            elif o_iri is None:
-                raise NTriplesParseError("rdf:type object must be an IRI", number)
-            else:
+            if p_iri == RDF_TYPE:
+                if o_iri is None:
+                    raise NTriplesParseError("rdf:type object must be an IRI", number)
                 class_id = terms.class_ids.get(o_iri, o_iri)
-                if nodes.setdefault(s_iri, NodeRef(s_iri, class_id)).asserted_class != class_id:
+                ref = nodes.get(s_iri)
+                if ref is None or not ref.asserted_class:
+                    nodes[s_iri] = NodeRef(s_iri if ref is None else ref.iri, class_id)
+                elif ref.asserted_class != class_id:
                     raise NTriplesParseError(
                         f"<{s_iri}> is typed again with another class; a node has one class",
                         number,
                     )
-
-        # Untyped nodes are made on first use, after every type line is read.
-        def node(iri: str) -> NodeRef:
-            ref = nodes.get(iri)
-            if ref is None:
-                ref = nodes[iri] = NodeRef(iri, "")
-            return ref
-
-        property_ids = terms.property_ids
-        for s_iri, p_iri, o_iri, o_text, o_dt in statements:
-            obj: NodeRef | Literal
+                continue
+            # One string per predicate, shared by its rows; a schema property
+            # named by its bare id reads as that property.
+            predicate = predicates.get(p_iri)
+            if predicate is None:
+                predicate = predicates[p_iri] = terms.property_iris.get(p_iri, p_iri)
             if o_iri is not None:
-                obj = node(o_iri)
+                rows.add((node_iri(s_iri), predicate, 0, node_iri(o_iri), ""))
             else:
                 datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
-                obj = Literal(o_text or "", datatype)
-            graph._triples.add(Triple(node(s_iri), property_ids.get(p_iri, p_iri), obj))
+                rows.add((node_iri(s_iri), predicate, 1, _unescape_literal(o_text, number), datatype))
         return graph

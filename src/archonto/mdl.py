@@ -291,7 +291,15 @@ def _check_variable_hygiene(rule: MdlRule, offset: int) -> None:
                 continue
             if step.binding.mode is BindMode.ASSIGN:
                 defined.add(step.binding.value)
-            elif step.binding.mode in (BindMode.DEREF, BindMode.EMIT):
+            elif step.binding.mode is BindMode.EMIT:
+                # The engine emits capture text only, never a node.
+                if step.binding.value not in rule.selector.captures:
+                    raise MdlSyntaxError(
+                        f"rule {rule.rule_no}: emission {step.binding.value} "
+                        "is not a capture of the selector",
+                        offset,
+                    )
+            elif step.binding.mode is BindMode.DEREF:
                 if step.binding.value not in defined:
                     raise MdlSyntaxError(
                         f"rule {rule.rule_no}: unbound variable {step.binding.value}",

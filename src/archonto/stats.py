@@ -46,9 +46,8 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     for node in graph.node_index.values():
         key = node.asserted_class or "(untyped)"
         class_tally[key] = class_tally.get(key, 0) + 1
-    property_tally: dict[str, int] = {}
-    for triple in graph.triples:
-        property_tally[triple.predicate] = property_tally.get(triple.predicate, 0) + 1
+    _, index = graph._rows_by_predicate()
+    property_tally = {identifier: len(rows) for identifier, rows in index.items()}
 
     def ranked(tally: dict[str, int], ontology_of) -> tuple[tuple[str, str, int], ...]:
         rows = [

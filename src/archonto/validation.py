@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
-from .graph import Graph, Literal, NodeRef, Triple
+from .graph import Graph, NodeRef, _Row
 from .ontology import LITERAL_RANGES, OntologySchema, XSD_DATETIME
 from .vocabulary import LevelNestingGraph, VocabularyRegistry
 
@@ -121,69 +121,75 @@ class _Collector:
         )
 
 
-# Triples by predicate, holding the graph's own Triple objects.
-_Index = dict[str, list[Triple]]
+# The graph's own rows by predicate id: (subject IRI, predicate IRI,
+# is_literal, object IRI or literal text, datatype tag or "").
+_Index = dict[str, list[_Row]]
 
 
 def _known_class(schema: OntologySchema, class_id: str) -> bool:
     return bool(class_id) and schema.has_class(class_id)
 
 
-def _check_triples(index: _Index, schema: OntologySchema, out: _Collector) -> None:
-    for predicate, triples in index.items():
-        prop = schema.property_def(predicate) if schema.has_property(predicate) else None
-        for triple in triples:
-            subject, obj = triple.subject, triple.object
-            if prop is None:
+def _check_triples(
+    index: _Index, nodes: Mapping[str, NodeRef], schema: OntologySchema, out: _Collector
+) -> None:
+    for predicate, rows in index.items():
+        if not schema.has_property(predicate):
+            for subject, *_ in rows:
                 out.add(
                     UNKNOWN_PROPERTY,
-                    subject.iri,
+                    subject,
                     predicate,
                     f"property {predicate} is not declared in the schema",
                 )
-                continue
-            if _known_class(schema, subject.asserted_class) and not schema.is_subclass(
-                subject.asserted_class, prop.domain
+            continue
+        prop = schema.property_def(predicate)
+        for subject, _, literal, obj, _ in rows:
+            subject_class = nodes[subject].asserted_class
+            if _known_class(schema, subject_class) and not schema.is_subclass(
+                subject_class, prop.domain
             ):
                 out.add(
                     DOMAIN_VIOLATION,
-                    subject.iri,
+                    subject,
                     predicate,
-                    f"subject class {subject.asserted_class} is outside the "
+                    f"subject class {subject_class} is outside the "
                     f"domain {prop.domain} of {predicate}",
                 )
             if prop.range in LITERAL_RANGES:
-                if isinstance(obj, NodeRef):
+                if not literal:
                     out.add(
                         RANGE_VIOLATION,
-                        subject.iri,
+                        subject,
                         predicate,
-                        f"{predicate} expects a {prop.range} literal, found node {obj.iri}",
+                        f"{predicate} expects a {prop.range} literal, found node {obj}",
                     )
-                elif prop.range == XSD_DATETIME and not validate_datetime(obj.text):
+                elif prop.range == XSD_DATETIME and not validate_datetime(obj):
                     out.add(
                         DATETIME_LEXICAL,
-                        subject.iri,
+                        subject,
                         predicate,
-                        f"literal {obj.text!r} does not match YYYY-MM-DDThh:mm:ss",
+                        f"literal {obj!r} does not match YYYY-MM-DDThh:mm:ss",
                     )
-            elif isinstance(obj, Literal):
+            elif literal:
                 out.add(
                     RANGE_VIOLATION,
-                    subject.iri,
+                    subject,
                     predicate,
-                    f"{predicate} expects a {prop.range} node, found literal {obj.text!r}",
+                    f"{predicate} expects a {prop.range} node, found literal {obj!r}",
                 )
-            elif _known_class(schema, obj.asserted_class) and not schema.is_subclass(
-                obj.asserted_class, prop.range
-            ):
-                out.add(
-                    RANGE_VIOLATION,
-                    subject.iri,
-                    predicate,
-                    f"object class {obj.asserted_class} is outside the "
-                    f"range {prop.range} of {predicate}",
-                )
+            else:
+                object_class = nodes[obj].asserted_class
+                if _known_class(schema, object_class) and not schema.is_subclass(
+                    object_class, prop.range
+                ):
+                    out.add(
+                        RANGE_VIOLATION,
+                        subject,
+                        predicate,
+                        f"object class {object_class} is outside the "
+                        f"range {prop.range} of {predicate}",
+                    )
 
 
 def _check_nodes(
@@ -214,18 +220,20 @@ def _check_nodes(
                 )
 
 
-def _document_levels(graph: Graph, arp12: list[Triple]) -> dict[str, str]:
+def _document_levels(
+    graph: Graph, arp12: list[_Row], nodes: Mapping[str, NodeRef]
+) -> dict[str, str]:
     # A document with several ARP12 edges already gets a cardinality finding;
     # take the smallest term so the nesting check stays deterministic.
     levels: dict[str, str] = {}
-    for triple in arp12:
-        if not isinstance(triple.object, NodeRef):
+    for subject, _, literal, obj, _ in arp12:
+        if literal:
             continue
-        shared = graph.shared_term(triple.object)
+        shared = graph.shared_term(nodes[obj])
         if shared is not None and shared[0] == "ARE1":
-            current = levels.get(triple.subject.iri)
+            current = levels.get(subject)
             if current is None or shared[1] < current:
-                levels[triple.subject.iri] = shared[1]
+                levels[subject] = shared[1]
     return levels
 
 
@@ -238,7 +246,7 @@ def _check_documents(
     out: _Collector,
 ) -> None:
     arp12 = index.get("ARP12", [])
-    arp12_counts = Counter(triple.subject.iri for triple in arp12)
+    arp12_counts = Counter(row[0] for row in arp12)
     for iri, node in nodes.items():
         if not _known_class(schema, node.asserted_class):
             continue
@@ -256,12 +264,12 @@ def _check_documents(
                 "ARP12",
                 f"document has {count} levels of description",
             )
-    levels = _document_levels(graph, arp12)
-    for triple in index.get("P165", ()):
-        if not isinstance(triple.object, NodeRef):
+    levels = _document_levels(graph, arp12, nodes)
+    for subject, _, literal, obj, _ in index.get("P165", ()):
+        if literal:
             continue
-        child_level = levels.get(triple.subject.iri)
-        parent_level = levels.get(triple.object.iri)
+        child_level = levels.get(subject)
+        parent_level = levels.get(obj)
         if child_level is None or parent_level is None:
             continue
         if child_level not in nesting.terms or parent_level not in nesting.terms:
@@ -269,7 +277,7 @@ def _check_documents(
         if not nesting.allows(parent_level, child_level):
             out.add(
                 NESTING_VIOLATION,
-                triple.subject.iri,
+                subject,
                 "P165",
                 f"level {child_level!r} may not nest under {parent_level!r}",
             )
@@ -277,20 +285,17 @@ def _check_documents(
 
 def _check_regex_strings(index: _Index, nodes: Mapping[str, NodeRef], out: _Collector) -> None:
     values: dict[str, list[str]] = {}
-    for triple in index.get("DOP7", ()):
-        if isinstance(triple.object, Literal):
-            values.setdefault(triple.subject.iri, []).append(triple.object.text)
-    for triple in index.get("DOP4", ()):
-        iri, pattern = triple.subject.iri, triple.object
+    for subject, _, literal, text, _ in index.get("DOP7", ()):
+        if literal:
+            values.setdefault(subject, []).append(text)
+    for iri, _, literal, pattern, _ in index.get("DOP4", ()):
         node = nodes.get(iri)
-        if not isinstance(pattern, Literal) or node is None or node.asserted_class != "DOE16":
+        if not literal or node is None or node.asserted_class != "DOE16":
             continue
         try:
-            compiled = re.compile(pattern.text)
+            compiled = re.compile(pattern)
         except re.error as exc:
-            out.add(
-                REGEX_MISMATCH, iri, "DOP4", f"invalid pattern {pattern.text!r}: {exc}"
-            )
+            out.add(REGEX_MISMATCH, iri, "DOP4", f"invalid pattern {pattern!r}: {exc}")
             continue
         for value in values.get(iri, ()):
             if compiled.fullmatch(value) is None:
@@ -298,16 +303,16 @@ def _check_regex_strings(index: _Index, nodes: Mapping[str, NodeRef], out: _Coll
                     REGEX_MISMATCH,
                     iri,
                     "DOP4",
-                    f"value {value!r} does not match pattern {pattern.text!r}",
+                    f"value {value!r} does not match pattern {pattern!r}",
                 )
 
 
 def _check_inverses(index: _Index, schema: OntologySchema, out: _Collector) -> None:
     edges = {
         predicate: {
-            (t.subject.iri, t.object.iri)
-            for t in index.get(predicate, ())
-            if isinstance(t.object, NodeRef)
+            (subject, obj)
+            for subject, _, literal, obj, _ in index.get(predicate, ())
+            if not literal
         }
         for pair in schema.inverse_pairs
         for predicate in pair
@@ -326,12 +331,9 @@ def validate_graph(
     nesting: LevelNestingGraph,
 ) -> ValidationReport:
     """Run every check over a graph and return the ordered findings."""
-    nodes = graph.node_index
-    index: _Index = {}
-    for triple in graph.triples:
-        index.setdefault(triple.predicate, []).append(triple)
+    nodes, index = graph._rows_by_predicate()
     out = _Collector()
-    _check_triples(index, schema, out)
+    _check_triples(index, nodes, schema, out)
     _check_nodes(graph, nodes, schema, registry, out)
     _check_documents(graph, index, nodes, schema, nesting, out)
     _check_regex_strings(index, nodes, out)

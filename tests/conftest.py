@@ -252,9 +252,9 @@ def random_ruleset_text(rng: random.Random, schema, rule_count: int) -> str:
                 roll = rng.random()
                 if roll < 0.2:
                     segments.append(f"${rng.choice(sorted(defined))}")
-                elif roll < 0.35:
-                    segments.append(rng.choice(sorted(defined)))
-                    break  # an emission ends the path
+                elif roll < 0.35 and captures:
+                    segments.append(rng.choice(captures))
+                    break  # an emission (of a capture) ends the path
                 else:
                     segments.append(node_segment())
             paths.append(" -> ".join(segments))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tempfile
 import time
 
 from hypothesis import given, settings
@@ -311,15 +312,31 @@ def test_determinism_under_rerun_and_shuffle(schema, registry, rules):
     _passed("determinism")
 
 
+# Defects for the properties below: a single production date (unusable, or
+# beside an interval) and an out-of-vocabulary support, by record index.
+_DATE_DEFECTS = st.dictionaries(
+    st.integers(min_value=0, max_value=39), st.sampled_from(("circa 1650", "1720")), max_size=8
+)
+_SUPPORT_DEFECTS = st.sets(st.integers(min_value=0, max_value=39), max_size=8)
+
+
+def _with_defects(entries: list[dict], dates: dict[int, str], bogus: set[int]) -> list[dict]:
+    for index, text in dates.items():
+        if index < len(entries):
+            entries[index]["production_date_single"] = text
+    for index in bogus:
+        if index < len(entries):
+            entries[index]["supports"] = entries[index].get("supports", []) + [f"Bogus {index}"]
+    return entries
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     size=st.integers(min_value=1, max_value=40),
     order=st.randoms(use_true_random=False),
-    dates=st.dictionaries(
-        st.integers(min_value=0, max_value=39), st.sampled_from(("circa 1650", "1720")), max_size=8
-    ),
-    bogus=st.sets(st.integers(min_value=0, max_value=39), max_size=8),
+    dates=_DATE_DEFECTS,
+    bogus=_SUPPORT_DEFECTS,
     strict=st.booleans(),
 )
 def test_shuffled_corpus_gives_identical_graph_and_report(
@@ -328,13 +345,7 @@ def test_shuffled_corpus_gives_identical_graph_and_report(
     """Any record order gives the same N-Triples and problem report.  Single
     dates, unusable or beside an interval, give the report some lines, and
     out-of-vocabulary supports make strict mode refuse some records."""
-    entries = synthetic_corpus(random.Random(seed), size)
-    for index, text in dates.items():
-        if index < size:
-            entries[index]["production_date_single"] = text
-    for index in bogus:
-        if index < size:
-            entries[index]["supports"] = entries[index].get("supports", []) + [f"Bogus {index}"]
+    entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
 
     def run(corpus: str) -> tuple[bytes, list[str]]:
         tree = resolve_inheritance(parse_corpus(corpus))
@@ -345,6 +356,45 @@ def test_shuffled_corpus_gives_identical_graph_and_report(
     expected = run("\n".join(lines) + "\n")
     order.shuffle(lines)
     assert run("\n".join(lines) + "\n") == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=40),
+    dates=_DATE_DEFECTS,
+    bogus=_SUPPORT_DEFECTS,
+    strict=st.booleans(),
+)
+def test_row_store_writes_reads_and_rebuilds_the_same_graph(
+    schema, registry, rules, seed, size, dates, bogus, strict
+):
+    """The streamed writer, the reader and the Triple snapshot agree with
+    the stored rows, clean and with defects."""
+    entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
+    graph = migrate_tree(tree, rules, schema, registry, strict=strict).graph
+    outputs = {}
+    for format in ("ntriples", "turtle"):
+        with tempfile.TemporaryFile() as sink:
+            graph.write(sink, format)
+            sink.seek(0)
+            written = sink.read()
+        outputs[format] = graph.serialize(format)
+        assert written == outputs[format]
+
+    read = Graph.from_ntriples(outputs["ntriples"], schema)
+    assert read.serialize() == outputs["ntriples"]
+    snapshot = graph.triples
+    assert read.triples == snapshot
+
+    rebuilt = Graph(schema)
+    for node in graph.node_index.values():
+        rebuilt.register_node(node)
+    for triple in snapshot:
+        rebuilt.add_triple(triple.subject, triple.predicate, triple.object)
+    for format, data in outputs.items():
+        assert rebuilt.serialize(format) == data
 
 
 # -- criterion 4: inheritance oracle --------------------------------------------------

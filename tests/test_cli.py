@@ -180,6 +180,19 @@ def test_rules_check(tmp_path, capsys):
     assert main(["rules", "--check", str(bad)]) == 2
 
 
+def test_rules_check_rejects_emission_of_a_non_capture(tmp_path, capsys):
+    # Such a rule used to pass the check and then refuse every record.
+    rules = tmp_path / "rules.mdl"
+    rules.write_text(
+        "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
+        "RULE 3: $D1 -> Reference Code{T} =>\n"
+        "  $D1 -> P102 has title -> E35 Title{=X} -> DOP7 stringValue -> X\n",
+        encoding="utf-8",
+    )
+    assert main(["rules", "--check", str(rules)]) == 2
+    assert "rule 3: emission X is not a capture of the selector" in capsys.readouterr().err
+
+
 def test_schema_dump(tmp_path):
     out = tmp_path / "schema.tsv"
     assert main(["schema", "--dump", "--out", str(out)]) == 0

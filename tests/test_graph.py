@@ -1,5 +1,7 @@
 """Node minting, triple semantics and deterministic serialization."""
 
+import io
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -427,6 +429,35 @@ def test_first_fault_in_line_order_wins_over_a_later_bad_byte():
     with pytest.raises(NTriplesParseError) as exc:
         Graph.from_ntriples(data, builtin_schema())
     assert str(exc.value) == "line 2: not a valid N-Triples statement"
+
+
+def test_foreign_terms_survive_read_remove_contains_and_write():
+    base = "https://example.org/archonto/"
+    note = f'{_DOC} <{base}ontology/ISAD18_has_notes> "n" .'
+    foreign_literal = f'{_DOC} <https://other.example/p> "7"^^<https://other.example/dt> .'
+    untyped_edge = f"{_DOC} <https://other.example/q> <https://other.example/thing> ."
+    data = "\n".join((_TYPE_LINE, note, foreign_literal, untyped_edge)) + "\n"
+    graph = Graph.from_ntriples(data, builtin_schema())
+    assert graph.serialize() == data.encode()
+
+    doc = graph.node_index[base + "PT/e31/1"]
+    thing = graph.node_index["https://other.example/thing"]
+    assert (doc.asserted_class, thing.asserted_class) == ("E31", "")
+    literal = Triple(doc, "https://other.example/p", Literal("7", "https://other.example/dt"))
+    edge = Triple(doc, "https://other.example/q", thing)
+    assert graph.triples == {literal, edge, Triple(doc, "ISAD18", Literal("n"))}
+    assert literal in graph and edge in graph
+    # The same IRIs with another class for the untyped node are another triple.
+    retyped = Triple(doc, edge.predicate, NodeRef(thing.iri, "E1"))
+    assert retyped not in graph
+    graph.remove_triple(retyped)
+    assert len(graph) == 3
+
+    graph.remove_triple(literal)
+    assert literal not in graph and edge in graph and len(graph) == 2
+    sink = io.BytesIO()
+    graph.write(sink)
+    assert sink.getvalue() == "\n".join((_TYPE_LINE, note, untyped_edge)).encode() + b"\n"
 
 
 def test_value_classes_have_slots():

@@ -101,6 +101,22 @@ def test_emission_must_end_path(schema):
         )
 
 
+@pytest.mark.parametrize(
+    "paths,variable",
+    [
+        # Bound by {=X} in the same path: a node, not a capture's text.
+        ("$D1 -> P102 has title -> E35 Title{=X} -> DOP7 stringValue -> X", "X"),
+        # A cross-rule anchor is a node too.
+        ("$HMO1 -> P3 has note -> D1", "D1"),
+    ],
+    ids=["assigned", "anchor"],
+)
+def test_emission_must_name_a_capture(schema, paths, variable):
+    text = f"RULE 3: $D1 -> Reference Code{{T}} =>\n  {paths}\n"
+    with pytest.raises(MdlSyntaxError, match=f"rule 3: emission {variable} is not a capture"):
+        parse_mdl(text, schema)
+
+
 def test_path_may_not_end_on_edge(schema):
     with pytest.raises(MdlSyntaxError):
         parse_mdl("RULE 4: Title{T} =>\n  $D1 -> P102 has title\n", schema)
@@ -191,8 +207,10 @@ def test_variable_hygiene_of_builtins():
                     continue
                 if step.binding.mode is BindMode.ASSIGN:
                     defined.add(step.binding.value)
-                elif step.binding.mode in (BindMode.DEREF, BindMode.EMIT):
+                elif step.binding.mode is BindMode.DEREF:
                     assert step.binding.value in defined, (rule.rule_no, step)
+                elif step.binding.mode is BindMode.EMIT:
+                    assert step.binding.value in rule.selector.captures, (rule.rule_no, step)
 
 
 def test_offset_reported(schema):
