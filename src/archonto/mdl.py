@@ -43,6 +43,8 @@ _PROPERTY_ID_RE = re.compile(r"^(?:P\d+(?:\.\d+)?|ARP\d+|DOP\d+|ISAD\d+|L2DO)$")
 _VAR_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BINDING_RE = re.compile(r"\{\s*=\s*(?:'(?P<lit>[^']*)'|(?P<var>[A-Za-z][A-Za-z0-9_]*))\s*\}\s*$")
 _RULE_HEADER_RE = re.compile(r"(?m)^[ \t]*RULE[ \t]+(\d+)[ \t]*:")
+# A comment line: blanked to spaces, not removed, so offsets stay meaningful.
+_COMMENT_LINE_RE = re.compile(r"(?m)^[^\S\n]*#.*")
 
 
 class MdlSyntaxError(ValueError):
@@ -122,35 +124,15 @@ class RuleSet:
         return RuleSet(tuple(rule for rule in self.rules if rule.rule_no in rule_nos))
 
 
-def _strip_comments(text: str) -> str:
-    # Comment lines are blanked (not removed) so offsets stay meaningful.
-    lines = []
-    for line in text.split("\n"):
-        if line.lstrip().startswith("#"):
-            lines.append(" " * len(line))
-        else:
-            lines.append(line)
-    return "\n".join(lines)
-
-
 def _split_quoted(text: str, offset: int, sep: str) -> list[tuple[str, int]]:
-    """Split on ``sep`` outside single quotes, keeping chunk offsets."""
+    """Split on ``sep`` outside single quotes, keeping chunk offsets; a quote
+    left open runs to the end of the text."""
     chunks: list[tuple[str, int]] = []
     start = 0
-    in_quote = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "'":
-            in_quote = not in_quote
-            i += 1
-            continue
-        if not in_quote and text.startswith(sep, i):
-            chunks.append((text[start:i], offset + start))
-            i += len(sep)
-            start = i
-            continue
-        i += 1
+    for match in re.finditer(f"'[^']*'?|{re.escape(sep)}", text):
+        if match[0] == sep:
+            chunks.append((text[start : match.start()], offset + start))
+            start = match.end()
     chunks.append((text[start:], offset + start))
     return chunks
 
@@ -322,7 +304,7 @@ def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSe
             line = prefix.count("\n") + 1
             message = f"line {line}: invalid UTF-8 byte 0x{text[exc.start]:02X}"
             raise MdlSyntaxError(message, len(prefix)) from None
-    clean = _strip_comments(text)
+    clean = _COMMENT_LINE_RE.sub(lambda line: " " * len(line[0]), text)
     headers = list(_RULE_HEADER_RE.finditer(clean))
     if not headers and clean.strip():
         raise MdlSyntaxError("no RULE header found", 0)

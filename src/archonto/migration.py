@@ -3,17 +3,8 @@
 Rule choice that the mapping language cannot express lives here: title rules
 are picked by title type, date rules by date shape (interval vs single
 instant), dimension rules by entry kind, and the description-date rule runs
-once per date type.  Node identity is deterministic:
-
-* document / carrier / conceptual anchors and event nodes are one-per-record
-  (``<ref>/e31/1``, ``<ref>/e12/1``, ...);
-* type-like individuals (any class under E55 Type) are shared corpus-wide
-  and keyed by their term;
-* other value-bearing nodes (identifiers, persons) are keyed by their value;
-  the first rule to mint a value owns its node, and another rule minting the
-  same value gets the role ``<class>.<rule>`` and a node of its own;
-* remaining structural nodes are keyed by the rule application they belong
-  to, so repeated elements mint distinct nodes.
+once per date type.  Node identity is deterministic, and :func:`_node` is its
+one owner (the README's "IRI scheme" lists the rules).
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -193,8 +184,24 @@ def _role(class_id: str) -> str:
     return class_id.lower()
 
 
-def _valued_node(ctx: MigrationContext, class_id: str, text: str, rule_no: int) -> NodeRef:
-    term = text.strip()
+def _node(
+    ctx: MigrationContext, class_id: str, term: str | None, key: str, rule_no: int
+) -> NodeRef:
+    """The node of ``class_id`` that application ``key`` of rule ``rule_no``
+    names by ``term``: the engine's one identity policy.
+
+    * no term: a structural node, once per record for a singleton class
+      (``<ref>/e31/1``) and once per application otherwise;
+    * a term of a class under E55 Type: a type-like node shared corpus-wide,
+      checked against the class's vocabulary in strict mode;
+    * any other term: a value node keyed by the term, owned by the first rule
+      that mints it; another rule minting the same value gets the role
+      ``<class>.<rule>`` and a node of its own.
+    """
+    if term is None:
+        disc = "1" if class_id in SINGLETON_CLASSES else key
+        return ctx.graph.mint_node(ctx.record.reference_code, _role(class_id), disc, class_id)
+    term = term.strip()
     if ctx.schema.is_subclass(class_id, TYPE_ROOT):
         if ctx.strict and ctx.registry.contains(class_id, term) is False:
             raise StrictVocabularyError(class_id, term)
@@ -203,46 +210,6 @@ def _valued_node(ctx: MigrationContext, class_id: str, text: str, rule_no: int) 
     if ctx.value_owners.setdefault((class_id, term), rule_no) != rule_no:
         role += f".{rule_no}"
     return ctx.graph.mint_node(ctx.record.reference_code, role, term, class_id)
-
-
-def _structural_node(
-    ctx: MigrationContext, class_id: str, app: Application, rule_no: int
-) -> NodeRef:
-    term = app.class_terms.get(class_id)
-    if term is not None:
-        return _valued_node(ctx, class_id, term, rule_no)
-    disc = "1" if class_id in SINGLETON_CLASSES else app.key
-    return ctx.graph.mint_node(
-        ctx.record.reference_code, _role(class_id), disc, class_id
-    )
-
-
-def _connect(
-    ctx: MigrationContext,
-    app: Application,
-    subject: NodeRef,
-    property_id: str,
-    obj: NodeRef | Literal,
-) -> list[Triple]:
-    prop = ctx.schema.property_def(property_id)
-    if ctx.strict and prop.has_literal_range is not isinstance(obj, Literal):
-        got = f"literal {obj.text!r}" if isinstance(obj, Literal) else f"node {obj.iri}"
-        kind = "literal" if prop.has_literal_range else "node"
-        raise StrictRangeError(f"{property_id} expects a {prop.range} {kind}, got {got}")
-    emitted: list[Triple] = []
-    if (
-        isinstance(obj, Literal)
-        and prop.has_literal_range
-        and not ctx.schema.is_subclass(subject.asserted_class, prop.domain)
-        and ctx.schema.class_def(prop.domain).source is SourceOntology.DATAOBJECT
-    ):
-        carrier = ctx.graph.mint_node(
-            ctx.record.reference_code, _role(prop.domain), app.key, prop.domain
-        )
-        emitted.append(ctx.graph.add_triple(subject, LINK_PROPERTY, carrier))
-        subject = carrier
-    emitted.append(ctx.graph.add_triple(subject, property_id, obj))
-    return emitted
 
 
 def _reads_blank(path: Path, app: Application) -> bool:
@@ -265,17 +232,17 @@ def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[T
     A variable is looked up in the nodes this firing assigned, then in the
     captures, then in the document rule's anchors.
     """
-    captures, anchors = app.captures, ctx.anchors
+    captures, anchors, terms = app.captures, ctx.anchors, app.class_terms
+    mint = partial(_node, ctx, key=app.key, rule_no=rule.rule_no)
     assigned: dict[str, NodeRef] = {}
 
     def resolve(step: PathStep, edge: str | None) -> NodeRef | Literal:
         binding = step.binding
         if binding is None:
-            return _structural_node(ctx, step.ident, app, rule.rule_no)
+            return mint(step.ident, terms.get(step.ident))
         mode, var = binding.mode, binding.value
         if mode is BindMode.ASSIGN_LITERAL:
-            text = app.class_terms.get(step.ident, var)
-            return _valued_node(ctx, step.ident, text, rule.rule_no)
+            return mint(step.ident, terms.get(step.ident, var))
         if mode is BindMode.EMIT:
             if var not in captures:
                 raise UnboundVariableError(var)
@@ -290,24 +257,39 @@ def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[T
                 return ctx.graph.mint_node(
                     captures[var], _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
                 )
-            node = assigned[var] = _valued_node(ctx, step.ident, captures[var], rule.rule_no)
+            node = assigned[var] = mint(step.ident, captures[var])
             return node
         if var in anchors:
             return anchors[var]
         if mode is BindMode.DEREF:
             raise UnboundVariableError(var)
-        node = assigned[var] = _structural_node(ctx, step.ident, app, rule.rule_no)
+        node = assigned[var] = mint(step.ident, terms.get(step.ident))
         return node
 
     paths = rule.paths
-    if "" in captures.values() or "" in app.class_terms.values():
+    if "" in captures.values() or "" in terms.values():
         paths = tuple(path for path in paths if not _reads_blank(path, app))
     emitted: list[Triple] = []
     for path in paths:
         subject = resolve(path[0], None)
         for edge, step in zip(path[1::2], path[2::2]):
             target = resolve(step, edge.ident)
-            emitted.extend(_connect(ctx, app, subject, edge.ident, target))
+            prop = ctx.schema.property_def(edge.ident)
+            is_literal = isinstance(target, Literal)
+            if ctx.strict and prop.has_literal_range is not is_literal:
+                got = f"literal {target.text!r}" if is_literal else f"node {target.iri}"
+                kind = "literal" if prop.has_literal_range else "node"
+                raise StrictRangeError(f"{edge.ident} expects a {prop.range} {kind}, got {got}")
+            if (
+                is_literal
+                and prop.has_literal_range
+                and not ctx.schema.is_subclass(subject.asserted_class, prop.domain)
+                and ctx.schema.class_def(prop.domain).source is SourceOntology.DATAOBJECT
+            ):
+                carrier = mint(prop.domain, None)
+                emitted.append(ctx.graph.add_triple(subject, LINK_PROPERTY, carrier))
+                subject = carrier
+            emitted.append(ctx.graph.add_triple(subject, edge.ident, target))
             subject = target
     if rule.selector.name == "ISAD":
         anchors.update(assigned)

@@ -9,6 +9,8 @@ field; reference-code prefixes are never interpreted.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 
 from . import utf8
@@ -140,6 +142,36 @@ class RecordTree:
         return len(self.records)
 
 
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+
+def _finite(text: str) -> float:
+    """The corpus's JSON number hook: RFC 8259 has no NaN or infinity, but
+    ``json`` reads ``NaN`` and ``Infinity`` as such and overflows 1e400 to one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def _has_surrogate(value: object) -> bool:
+    """Whether a key or text at any depth of a JSON value holds a lone surrogate,
+    which no RDF literal or IRI can hold (a ``\\ud800`` escape decodes to one).
+    The walk keeps its own stack: nesting that ``json`` accepts cannot overflow it."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if _SURROGATE_RE.search(item):
+                return True
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return False
+
+
 def _check_entry(obj: dict, line: int) -> None:
     for key in obj:
         if key not in ALLOWED_FIELDS:
@@ -201,11 +233,20 @@ def parse_corpus(data: bytes | str) -> RecordTree:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"invalid JSON ({exc.msg})", number) from None
+        except ValueError as exc:  # _finite's refusal, or an int too long to convert
+            raise CorpusError(str(exc), number) from None
+        except RecursionError:
+            raise CorpusError("JSON nested too deeply", number) from None
         if not isinstance(obj, dict):
             raise CorpusError("record must be a JSON object", number)
+        # Only a \u escape, or a raw surrogate in str input, puts one in a value.
+        if "\\u" in line or _SURROGATE_RE.search(line):
+            for key, value in obj.items():
+                if _has_surrogate(key) or _has_surrogate(value):
+                    raise CorpusError(f"element {key!r} holds a lone surrogate", number)
         _check_entry(obj, number)
         reference = (obj.get("1.1") or "").strip()
         if not reference:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tempfile
 import time
 
@@ -358,6 +359,36 @@ def test_shuffled_corpus_gives_identical_graph_and_report(
     assert run("\n".join(lines) + "\n") == expected
 
 
+_TURTLE_STATEMENT = re.compile(r'(<[^>]*>) (\S+) (?:("(?:[^"\\]|\\.)*")(?:\^\^(\S+))?|(\S+)) \.')
+
+
+def _expand_turtle(data: bytes) -> bytes:
+    """The writer's Turtle as N-Triples: the ``@prefix`` header dropped, ``a``
+    written as ``rdf:type``, and each prefixed predicate, object or datatype
+    written as its full IRI.  Literal text is left as it is."""
+    header, _, body = data.decode("utf-8").partition("\n\n")
+    prefixes = dict(re.findall(r"@prefix (\w+): <([^>]*)> \.", header))
+
+    def iri(term: str) -> str:
+        if term.startswith("<"):
+            return term
+        prefix, _, local = term.partition(":")
+        return f"<{prefixes[prefix]}{local}>"
+
+    lines = body.split("\n")
+    assert lines[-1] == ""
+    expanded = []
+    for line in lines[:-1]:
+        subject, predicate, text, datatype, obj = _TURTLE_STATEMENT.fullmatch(line).groups()
+        predicate = iri("rdf:type" if predicate == "a" else predicate)
+        if text is None:
+            obj = iri(obj)
+        else:
+            obj = text + (f"^^{iri(datatype)}" if datatype else "")
+        expanded.append(f"{subject} {predicate} {obj} .\n")
+    return "".join(expanded).encode("utf-8")
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -370,7 +401,8 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
     schema, registry, rules, seed, size, dates, bogus, strict
 ):
     """The streamed writer, the reader and the Triple snapshot agree with
-    the stored rows, clean and with defects."""
+    the stored rows, clean and with defects, and the Turtle expands to the
+    N-Triples line for line."""
     entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
     tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
     graph = migrate_tree(tree, rules, schema, registry, strict=strict).graph
@@ -382,6 +414,7 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
             written = sink.read()
         outputs[format] = graph.serialize(format)
         assert written == outputs[format]
+    assert _expand_turtle(outputs["turtle"]) == outputs["ntriples"]
 
     read = Graph.from_ntriples(outputs["ntriples"], schema)
     assert read.serialize() == outputs["ntriples"]

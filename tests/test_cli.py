@@ -444,6 +444,69 @@ def test_code_point_above_unicode_in_a_graph_exits_2(tmp_path, corpus_file, caps
     assert err.startswith("error: line ") and "not a Unicode scalar value" in err
 
 
+# JSON text whose escape decodes to a lone surrogate (U+D800-U+DFFF), which no
+# RDF text can hold, and the top-level element the error names.
+_SURROGATE_RECORDS = {
+    "reference code": ('{"1.1": "A\\ud800", "1.4": "Fonds"}', "1.1"),
+    "title": ('{"1.1": "A", "1.2": "bad \\ud800 title", "1.4": "Fonds"}', "1.2"),
+    "creator name": ('{"1.1": "A", "1.4": "Fonds", "creators": [{"name": "X\\udc00"}]}',
+                     "creators"),
+    "dimension unit": ('{"1.1": "A", "1.4": "Fonds", '
+                       '"dimensions": [{"value": 3, "unit": "cm\\uDFFF"}]}', "dimensions"),
+    "support": ('{"1.1": "A", "1.4": "Fonds", "supports": ["Paper\\ud83d"]}', "supports"),
+    "nested key": ('{"1.1": "A", "1.4": "Fonds", '
+                   '"dimensions": [{"value": 3, "unit": "cm", "\\ud800": 1}]}', "dimensions"),
+}
+_CORPUS_COMMANDS = {
+    "migrate nt": ["migrate", "--in"],
+    "migrate ttl": ["migrate", "--format", "turtle", "--in"],
+    "validate": ["validate", "--corpus"],
+    "stats": ["stats", "--corpus"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CORPUS_COMMANDS))
+@pytest.mark.parametrize("record", sorted(_SURROGATE_RECORDS))
+def test_lone_surrogate_in_corpus_exits_2_and_writes_nothing(
+    tmp_path, capsysbinary, record, command
+):
+    line, element = _SURROGATE_RECORDS[record]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"1.1": "Z", "1.4": "Fonds"}\n' + line + "\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert main([*_CORPUS_COMMANDS[command], str(corpus), "--out", str(out)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == f"error: line 2: element {element!r} holds a lone surrogate\n".encode()
+    assert captured.out == b""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("NaN", "number NaN is not finite"),
+        ("Infinity", "number Infinity is not finite"),
+        ("-Infinity", "number -Infinity is not finite"),
+        ("1e400", "number 1e400 is not finite"),
+        ("[" * 100_000, "JSON nested too deeply"),
+    ],
+    ids=["NaN", "Infinity", "-Infinity", "1e400", "deep nesting"],
+)
+def test_json_the_rdf_cannot_hold_exits_2_naming_the_line(tmp_path, capsysbinary, value, message):
+    # RFC 8259 has no NaN or infinity; Python's json reads them, and 1e400 as inf.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"1.1": "Z", "1.4": "Fonds"}\n'
+        f'{{"1.1": "A", "1.4": "Fonds", "dimensions": [{{"value": {value}, "unit": "Gram"}}]}}\n',
+        encoding="ascii",
+    )
+    out = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus), "--out", str(out)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == f"error: line 2: {message}\n".encode()
+    assert captured.out == b"" and not out.exists()
+
+
 def _cli_outputs(workdir: Path, hash_seed: str, corpora: dict[str, Path]) -> dict[str, bytes]:
     """Every output, stream and exit status of a fixed command list, each
     command in its own interpreter under the given PYTHONHASHSEED."""
