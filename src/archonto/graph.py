@@ -45,8 +45,9 @@ _TURTLE_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: "^^xsd:dateTime"}
 # output as lines or as one string.
 _WRITE_CHUNK = 8192
 
-# Characters an N-Triples IRIREF may not hold unescaped (RDF 1.1 N-Triples).
-_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+# Characters an N-Triples IRIREF may not hold unescaped (RDF 1.1 N-Triples),
+# and the lone surrogates no UTF-8 output can hold.
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\\ud800-\udfff'
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
 # An absolute IRI starts with a scheme (RFC 3987); N-Triples allows no other.
 _IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
@@ -374,40 +375,28 @@ class Graph:
         """Write deterministic N-Triples or Turtle, one type assertion per
         node, to a binary file object, ``_WRITE_CHUNK`` rows per write."""
         if format == "ntriples":
-            header: list[str] = []
-
-            def lines(rows: list[_Row]) -> list[str]:
-                return [
-                    f"<{s}> <{p}> {_literal(o, dt, _NT_SUFFIXES) if lit else f'<{o}>'} ."
-                    for s, p, lit, o, dt in rows
-                ]
-
+            header, predicates, objects, suffixes = "", {}, {}, _NT_SUFFIXES
         elif format == "turtle":
-            header = [
-                f"@prefix aont: <{self.base_iri}ontology/> .",
-                f"@prefix crm: <{CRM_NAMESPACE}> .",
-                '@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .',
-                f"@prefix xsd: <{XSD_NAMESPACE}> .",
-                "",
-            ]
+            header = (
+                f"@prefix aont: <{self.base_iri}ontology/> .\n"
+                f"@prefix crm: <{CRM_NAMESPACE}> .\n"
+                "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+                f"@prefix xsd: <{XSD_NAMESPACE}> .\n\n"
+            )
             # Only schema terms get a prefixed name: a node IRI's path may
             # hold a '/', which a prefixed name's local part may not.
-            names = self._terms.turtle_names
-
-            def lines(rows: list[_Row]) -> list[str]:
-                return [
-                    f"<{s}> {'a' if p == RDF_TYPE else names.get(p) or f'<{p}>'} "
-                    f"{_literal(o, dt, _TURTLE_SUFFIXES) if lit else names.get(o) or f'<{o}>'} ."
-                    for s, p, lit, o, dt in rows
-                ]
-
+            objects, suffixes = self._terms.turtle_names, _TURTLE_SUFFIXES
+            predicates = {**objects, RDF_TYPE: "a"}  # 'a' is a predicate form only
         else:
             raise GraphError(f"unsupported serialization format: {format}")
-        if header:
-            sink.write(("\n".join(header) + "\n").encode("utf-8"))
+        sink.write(header.encode("utf-8"))
         rows = self._sorted_rows()
         for start in range(0, len(rows), _WRITE_CHUNK):
-            chunk = lines(rows[start : start + _WRITE_CHUNK])
+            chunk = [
+                f"<{s}> {predicates.get(p) or f'<{p}>'} "
+                f"{_literal(o, dt, suffixes) if lit else objects.get(o) or f'<{o}>'} ."
+                for s, p, lit, o, dt in rows[start : start + _WRITE_CHUNK]
+            ]
             sink.write(("\n".join(chunk) + "\n").encode("utf-8"))
 
     def serialize(self, format: str = "ntriples") -> bytes:

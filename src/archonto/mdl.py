@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import codecs
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -38,8 +39,6 @@ from .ontology import OntologySchema, builtin_schema
 # without a local assignment.
 CROSS_RULE_ANCHORS = ("D1", "HMO1", "LO1")
 
-_CLASS_ID_RE = re.compile(r"^(?:E|ARE|DOE|PC)\d+$")
-_PROPERTY_ID_RE = re.compile(r"^(?:P\d+(?:\.\d+)?|ARP\d+|DOP\d+|ISAD\d+|L2DO)$")
 _VAR_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BINDING_RE = re.compile(r"\{\s*=\s*(?:'(?P<lit>[^']*)'|(?P<var>[A-Za-z][A-Za-z0-9_]*))\s*\}\s*$")
 _RULE_HEADER_RE = re.compile(r"(?m)^[ \t]*RULE[ \t]+(\d+)[ \t]*:")
@@ -56,6 +55,20 @@ class MdlSyntaxError(ValueError):
 class StepKind(Enum):
     NODE = "class-node"
     EDGE = "property-edge"
+
+
+# How a step kind is written: its identifier pattern, its schema lookup,
+# and the words its messages use.
+_StepSyntax = namedtuple("_StepSyntax", "pattern lookup term name")
+_STEP_SYNTAX = {
+    StepKind.NODE: _StepSyntax(
+        re.compile(r"^(?:E|ARE|DOE|PC)\d+$"), OntologySchema.class_def, "class", "class node"
+    ),
+    StepKind.EDGE: _StepSyntax(
+        re.compile(r"^(?:P\d+(?:\.\d+)?|ARP\d+|DOP\d+|ISAD\d+|L2DO)$"),
+        OntologySchema.property_def, "property", "property edge",
+    ),
+}
 
 
 class BindMode(Enum):
@@ -142,32 +155,6 @@ def _lstrip_chunk(chunk: str, offset: int) -> tuple[str, int]:
     return stripped.rstrip(), offset + (len(chunk) - len(stripped))
 
 
-def _parse_head(head: str, offset: int, schema: OntologySchema) -> tuple[str, str]:
-    """Split 'ID optional label words' and return (kind, ident)."""
-    tokens = head.split()
-    if not tokens:
-        raise MdlSyntaxError("empty path segment", offset)
-    ident = tokens[0]
-    label = " ".join(tokens[1:])
-    if _CLASS_ID_RE.match(ident):
-        if not schema.has_class(ident):
-            raise MdlSyntaxError(f"unknown class id {ident}", offset)
-        if label and label != schema.class_def(ident).label:
-            raise MdlSyntaxError(
-                f"label {label!r} does not match schema label for {ident}", offset
-            )
-        return "class", ident
-    if _PROPERTY_ID_RE.match(ident):
-        if not schema.has_property(ident):
-            raise MdlSyntaxError(f"unknown property id {ident}", offset)
-        if label and label != schema.property_def(ident).label:
-            raise MdlSyntaxError(
-                f"label {label!r} does not match schema label for {ident}", offset
-            )
-        return "property", ident
-    return "other", ident
-
-
 def _parse_segment(
     segment: str,
     offset: int,
@@ -197,25 +184,30 @@ def _parse_segment(
             raise MdlSyntaxError("binding without a class node", offset)
     elif "{" in text or "}" in text:
         raise MdlSyntaxError(f"malformed binding in {segment.strip()!r}", offset)
-    kind, ident = _parse_head(text, offset, schema)
-    if kind == "class":
-        if not expect_node:
-            raise MdlSyntaxError(
-                f"class node {ident} where a property edge was expected", offset
-            )
-        return PathStep(StepKind.NODE, ident, binding)
-    if kind == "property":
-        if expect_node:
-            raise MdlSyntaxError(
-                f"property edge {ident} where a class node was expected", offset
-            )
-        if binding is not None:
-            raise MdlSyntaxError(f"property edge {ident} cannot carry a binding", offset)
-        return PathStep(StepKind.EDGE, ident, binding)
-    # Bare token: a variable emission, valid only after an edge.
-    if binding is None and not at_start and expect_node and _VAR_RE.match(ident) and " " not in text:
-        return PathStep(StepKind.NODE, None, Binding(BindMode.EMIT, ident))
-    raise MdlSyntaxError(f"unrecognised path segment {segment.strip()!r}", offset)
+    ident, *words = text.split()
+    for kind, syntax in _STEP_SYNTAX.items():
+        if syntax.pattern.match(ident):
+            break
+    else:
+        # A bare variable: an emission, one word and only after an edge.
+        if binding is None and not at_start and expect_node and not words and _VAR_RE.match(ident):
+            return PathStep(StepKind.NODE, None, Binding(BindMode.EMIT, ident))
+        raise MdlSyntaxError(f"unrecognised path segment {segment.strip()!r}", offset)
+    try:
+        term = syntax.lookup(schema, ident)
+    except KeyError:
+        raise MdlSyntaxError(f"unknown {syntax.term} id {ident}", offset) from None
+    label = " ".join(words)
+    if label and label != term.label:
+        raise MdlSyntaxError(f"label {label!r} does not match schema label for {ident}", offset)
+    expected = StepKind.NODE if expect_node else StepKind.EDGE
+    if kind is not expected:
+        raise MdlSyntaxError(
+            f"{syntax.name} {ident} where a {_STEP_SYNTAX[expected].name} was expected", offset
+        )
+    if binding is not None and kind is StepKind.EDGE:
+        raise MdlSyntaxError(f"{syntax.name} {ident} cannot carry a binding", offset)
+    return PathStep(kind, ident, binding)
 
 
 def _parse_path(chunk: str, offset: int, schema: OntologySchema) -> Path:
@@ -334,24 +326,16 @@ def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSe
     return RuleSet(tuple(rules))
 
 
-def _render_head(kind: StepKind, ident: str, schema: OntologySchema) -> str:
-    if kind is StepKind.NODE:
-        return f"{ident} {schema.class_def(ident).label}"
-    return f"{ident} {schema.property_def(ident).label}"
-
-
 def _render_step(step: PathStep, schema: OntologySchema) -> str:
-    if step.binding is not None and step.binding.mode is BindMode.DEREF:
-        return f"${step.binding.value}"
-    if step.binding is not None and step.binding.mode is BindMode.EMIT:
-        return step.binding.value
-    text = _render_head(step.kind, step.ident, schema)
-    if step.binding is not None:
-        if step.binding.mode is BindMode.ASSIGN:
-            text += f"{{={step.binding.value}}}"
-        else:
-            text += f"{{='{step.binding.value}'}}"
-    return text
+    binding = step.binding
+    if step.ident is None:  # a dereference or an emission: the binding alone
+        return f"${binding.value}" if binding.mode is BindMode.DEREF else binding.value
+    text = f"{step.ident} {_STEP_SYNTAX[step.kind].lookup(schema, step.ident).label}"
+    if binding is None:
+        return text
+    if binding.mode is BindMode.ASSIGN:
+        return f"{text}{{={binding.value}}}"
+    return f"{text}{{='{binding.value}'}}"
 
 
 def render_mdl(ruleset: RuleSet, schema: OntologySchema | None = None) -> str:

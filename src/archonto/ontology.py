@@ -294,6 +294,20 @@ _ISAD_PROPERTY_LABELS = (
 INVERSE_PROPERTY_PAIRS = (("ARP8", "ARP9"),)
 
 
+def _lineages(terms: dict, relation: str) -> dict[str, tuple[str, ...]]:
+    """Each class or property followed by its ancestors, parent first; a cycle raises."""
+    lineages = {}
+    for identifier, term in terms.items():
+        lineage = [identifier]
+        while term.parent is not None:
+            if term.parent in lineage:
+                raise ValueError(f"{relation} cycle through {identifier}")
+            lineage.append(term.parent)
+            term = terms[term.parent]
+        lineages[identifier] = tuple(lineage)
+    return lineages
+
+
 class OntologySchema:
     """Immutable catalog of classes and properties with hierarchy queries."""
 
@@ -306,9 +320,8 @@ class OntologySchema:
         self._classes = dict(classes)
         self._properties = dict(properties)
         self.inverse_pairs = inverse_pairs
-        self._check_consistency()
-        # Each class with all its ancestors, so subclass tests are set lookups.
-        self._lineage = {c: frozenset((c,) + self.ancestors(c)) for c in self._classes}
+        # Each class followed by its ancestors, parent first.
+        self._lineage = self._check_consistency()
 
     # -- lookups ---------------------------------------------------------
 
@@ -354,12 +367,10 @@ class OntologySchema:
 
     def ancestors(self, identifier: str) -> tuple[str, ...]:
         """Ancestor class identifiers from parent upward (exclusive)."""
-        chain = []
-        current = self.class_def(identifier).parent
-        while current is not None:
-            chain.append(current)
-            current = self.class_def(current).parent
-        return tuple(chain)
+        try:
+            return self._lineage[identifier][1:]
+        except KeyError:
+            raise UnknownClassError(identifier) from None
 
     def is_subclass(self, child: str, ancestor: str) -> bool:
         """Reflexive-transitive subclass test over the class hierarchy."""
@@ -390,7 +401,8 @@ class OntologySchema:
 
     # -- construction checks ----------------------------------------------
 
-    def _check_consistency(self) -> None:
+    def _check_consistency(self) -> dict[str, tuple[str, ...]]:
+        """Check the catalog; return each class followed by its ancestors."""
         for cls in self._classes.values():
             for prefix, source in _CLASS_PREFIX_SOURCE:
                 if cls.identifier.startswith(prefix):
@@ -404,15 +416,7 @@ class OntologySchema:
                 raise ValueError(f"class {cls.identifier}: unrecognised prefix")
             if cls.parent is not None and cls.parent not in self._classes:
                 raise ValueError(f"class {cls.identifier}: missing parent {cls.parent}")
-        # Acyclicity of the parent chains.
-        for cls in self._classes:
-            seen = {cls}
-            current = self._classes[cls].parent
-            while current is not None:
-                if current in seen:
-                    raise ValueError(f"subclass cycle through {cls}")
-                seen.add(current)
-                current = self._classes[current].parent
+        class_chains = _lineages(self._classes, "subclass")
         for prop in self._properties.values():
             if prop.domain not in self._classes:
                 raise ValueError(
@@ -432,14 +436,8 @@ class OntologySchema:
                 raise ValueError(
                     f"property {prop.identifier}: ISAD properties are E31 -> xsd:string"
                 )
-        for prop in self._properties:
-            seen = {prop}
-            current = self._properties[prop].parent
-            while current is not None:
-                if current in seen:
-                    raise ValueError(f"subproperty cycle through {prop}")
-                seen.add(current)
-                current = self._properties[current].parent
+        _lineages(self._properties, "subproperty")
+        return class_chains
 
 
 def _build_builtin() -> OntologySchema:

@@ -45,25 +45,23 @@ ELEMENT_NAMES = {
     "7.3": "Date of description",
 }
 
-# Atomised sub-fields carrying rule-ready values.
-SCALAR_SUBFIELDS = frozenset(
-    {
-        "title_type",
-        "production_date_start",
-        "production_date_end",
-        "production_date_single",
-        "physical_location",
-        "original_numbering",
-        "previous_location",
-        "description_creation_date",
-        "description_last_modification",
-    }
+# Atomised sub-fields carrying rule-ready values, in the order they are checked.
+SCALAR_SUBFIELDS = (
+    "title_type",
+    "production_date_start",
+    "production_date_end",
+    "production_date_single",
+    "physical_location",
+    "original_numbering",
+    "previous_location",
+    "description_creation_date",
+    "description_last_modification",
 )
 LIST_SUBFIELDS = frozenset({"dimensions", "supports", "languages", "creators"})
 PARENT_FIELD = "parent"
 
 ALLOWED_FIELDS = (
-    frozenset(ELEMENT_NAMES) | SCALAR_SUBFIELDS | LIST_SUBFIELDS | {PARENT_FIELD}
+    frozenset(ELEMENT_NAMES) | frozenset(SCALAR_SUBFIELDS) | LIST_SUBFIELDS | {PARENT_FIELD}
 )
 
 TITLE_TYPES = frozenset({"formal", "supplied", "absent"})
@@ -204,7 +202,7 @@ def _check_entry(obj: dict, line: int) -> None:
             if not isinstance(entry, dict):
                 raise CorpusError("dimension entries must be objects", line)
             kind = entry.get("kind", "dimension")
-            if kind not in DIMENSION_KINDS:
+            if not isinstance(kind, str) or kind not in DIMENSION_KINDS:
                 raise CorpusError(f"dimension kind must be dimension|extension, got {kind!r}", line)
             value = entry.get("value")
             if value is not None and not isinstance(value, (str, int, float)):

@@ -190,7 +190,7 @@ class LevelNestingGraph:
     def __init__(
         self, upper_edges: frozenset[tuple[str, str]], terms: frozenset[str]
     ) -> None:
-        for lower, upper in upper_edges:
+        for lower, upper in sorted(upper_edges):
             if lower not in terms or upper not in terms:
                 missing = lower if lower not in terms else upper
                 raise VocabularyError(
@@ -253,11 +253,15 @@ def builtin_nesting() -> LevelNestingGraph:
     return LevelNestingGraph(edges, terms)
 
 
-def _data_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
+def _field_pairs(data: bytes | str, shape: str) -> Iterator[tuple[int, str, str]]:
+    """The two trimmed tab-separated fields of each line not blank or a comment."""
     for number, raw in utf8.lines(data, VocabularyError):
         line = raw.strip()
         if line and not line.startswith("#"):
-            yield number, line
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise VocabularyError(f"expected {shape}", line=number)
+            yield number, parts[0].strip(), parts[1].strip()
 
 
 def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
@@ -266,11 +270,7 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
     An empty file yields an empty registry, making membership checks vacuous.
     """
     terms_by_class: dict[str, list[str]] = {}
-    for number, line in _data_lines(data):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise VocabularyError("expected CLASS_ID<TAB>TERM", line=number)
-        class_id, term = parts[0].strip(), parts[1].strip()
+    for number, class_id, term in _field_pairs(data, "CLASS_ID<TAB>TERM"):
         if not class_id or not term:
             raise VocabularyError("empty class id or term", line=number)
         bucket = terms_by_class.setdefault(class_id, [])
@@ -293,11 +293,7 @@ def load_nesting(data: bytes | str, registry: VocabularyRegistry) -> LevelNestin
     if vocab is None:
         raise VocabularyError("registry has no level-of-description vocabulary")
     edges = set()
-    for number, line in _data_lines(data):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise VocabularyError("expected UPPER_LEVEL<TAB>LOWER_LEVEL", line=number)
-        upper, lower = parts[0].strip(), parts[1].strip()
+    for number, upper, lower in _field_pairs(data, "UPPER_LEVEL<TAB>LOWER_LEVEL"):
         for term in (upper, lower):
             if term not in vocab:
                 raise VocabularyError(

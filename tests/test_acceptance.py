@@ -1,15 +1,19 @@
 """Acceptance criteria, one test per criterion with an explicit pass line."""
 
+import contextlib
+import io
 import json
 import random
 import re
 import tempfile
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archonto.graph import Graph, Literal, NodeRef, Triple
+from archonto.cli import main
+from archonto.graph import DEFAULT_BASE_IRI, Graph, Literal, NodeRef, Triple
 from archonto.mdl import BindMode, StepKind, parse_mdl, render_mdl
 from archonto.migration import migrate_record, migrate_tree
 from archonto.ontology import XSD_DATETIME
@@ -348,13 +352,16 @@ def test_shuffled_corpus_gives_identical_graph_and_report(
     out-of-vocabulary supports make strict mode refuse some records."""
     entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
 
-    def run(corpus: str) -> tuple[bytes, list[str]]:
+    def run(corpus: str) -> tuple[bytes, bytes, list[str]]:
         tree = resolve_inheritance(parse_corpus(corpus))
         result = migrate_tree(tree, rules, schema, registry, strict=strict)
-        return result.graph.serialize("ntriples"), result.report_lines()
+        graph = result.graph
+        return graph.serialize("ntriples"), graph.serialize("turtle"), result.report_lines()
 
     lines = corpus_text(entries).splitlines()
     expected = run("\n".join(lines) + "\n")
+    ntriples, turtle, _ = expected
+    assert _expand_turtle(turtle) == ntriples
     order.shuffle(lines)
     assert run("\n".join(lines) + "\n") == expected
 
@@ -428,6 +435,134 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
         rebuilt.add_triple(triple.subject, triple.predicate, triple.object)
     for format, data in outputs.items():
         assert rebuilt.serialize(format) == data
+
+
+# Fragments of corpus text: controls, IRI delimiters, non-BMP characters,
+# blanks, and terms and dates the rules and vocabularies know.
+_TEXT = st.lists(
+    st.sampled_from([
+        "A", "z", "0", "/", "%", "#", "%2F", " ", "\t", "\n", "\r", "\x00", "\x1f", "\x7f",
+        "\u2028", "\u00a0", "\ufeff", "\U0001F600", "\U0010FFFF", '"', "\\", "<", ">", "{",
+        "é", "Fonds", "Serie", "Item", "Paper", "Latin", "Gram", "Producer", "1813-07-12", "1650",
+    ]),
+    max_size=4,
+).map("".join)
+_NOT_FINITE = "not finite"  # written to the corpus as the number 1e400
+# What a field should not hold: a lone surrogate (json writes it as an
+# escape), a number, a list for an object, an object for text, 1e400.
+_WRONG = st.one_of(
+    _TEXT.map(lambda text: text + "\ud800"),
+    st.sampled_from(["\udfff", "A\udc80"]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.just(_NOT_FINITE),
+    st.lists(_TEXT, max_size=2),
+    st.dictionaries(_TEXT, _TEXT, max_size=2),
+)
+_TEXT_FIELDS = (
+    "1.2", "1.3", "2.1", "3.1", "4.3", "title_type", "production_date_single",
+    "production_date_start", "production_date_end", "physical_location", "original_numbering",
+)
+_ENTRY_FIELDS = {"dimensions": ("kind", "value", "unit"), "creators": ("name", "role")}
+_ALL_FIELDS = (
+    "1.1", "1.4", "parent", "supports", "languages", "9.9", *_TEXT_FIELDS, *_ENTRY_FIELDS
+)
+
+
+@st.composite
+def _hostile_corpora(draw) -> str:
+    """1-6 records of JSON Lines: a forest with odd text, plus up to two
+    wrong values, at the top level or inside a dimension or creator entry."""
+    records: list[dict] = []
+    for index in range(draw(st.integers(1, 6))):
+        level = draw(st.sampled_from(["Fonds", "Serie", "Item", "Bogus"]))
+        record = {"1.1": draw(_TEXT) + str(index), "1.4": level}
+        if index and draw(st.booleans()):
+            record["parent"] = draw(st.sampled_from(records))["1.1"]
+        record.update(draw(st.dictionaries(st.sampled_from(_TEXT_FIELDS), _TEXT, max_size=4)))
+        for field in ("supports", "languages"):
+            record[field] = draw(st.lists(_TEXT, max_size=2))
+        for field, keys in _ENTRY_FIELDS.items():
+            entry = st.fixed_dictionaries({}, optional=dict.fromkeys(keys, _TEXT))
+            record[field] = draw(st.lists(entry, max_size=2))
+        records.append(record)
+    for _ in range(draw(st.integers(0, 2))):
+        record, field = draw(st.sampled_from(records)), draw(st.sampled_from(_ALL_FIELDS))
+        if field in _ENTRY_FIELDS and draw(st.booleans()):
+            record[field] = [{draw(st.sampled_from(_ENTRY_FIELDS[field])): draw(_WRONG)}]
+        else:
+            record[field] = draw(_WRONG)
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    return text.replace(json.dumps(_NOT_FINITE), "1e400")
+
+
+_BASE_IRIS = st.sampled_from([
+    None, "https://example.org/archonto/", "urn:x:", "http://a.org/%/#/", "https://x.org/é/",
+    "https://x.org/\U0001F600/", "https://x.org/\udcff/", "https://x.org/a b/", "x",
+])
+_CLI_COMMANDS = {
+    "ntriples": ["migrate", "--in"],
+    "turtle": ["migrate", "--format", "turtle", "--in"],
+    "validate": ["validate", "--corpus"],
+    "stats": ["stats", "--corpus"],
+}
+
+
+def _run_cli(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """main's exit status, stdout and stderr, run in this process."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    out.flush()
+    err.flush()
+    return status, out.buffer.getvalue(), err.buffer.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_hostile_corpora(), base_iri=_BASE_IRIS)
+def test_hostile_corpus_through_the_cli_exits_cleanly(schema, text, base_iri):
+    """Each command exits 0 or 1 with output that our own readers take back,
+    or exits 2 with one error line and no output file; nothing else."""
+    base = [] if base_iri is None else ["--base-iri", base_iri]
+    outputs = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        corpus = Path(workdir, "corpus.jsonl")
+        corpus.write_text(text, encoding="ascii")
+        for name, command in _CLI_COMMANDS.items():
+            out = Path(workdir, name)
+            status, stdout, stderr = _run_cli([*command, str(corpus), *base, "--out", str(out)])
+            assert stdout == b""
+            if status == 2:
+                assert re.fullmatch(rb"error: [^\n]*\n", stderr), stderr
+                assert not out.exists()
+            else:
+                assert status in (0, 1)
+                outputs[name] = out.read_bytes()
+                outputs[name].decode("utf-8")
+    if "ntriples" in outputs:
+        ntriples = outputs["ntriples"]
+        read = Graph.from_ntriples(ntriples, schema, base_iri or DEFAULT_BASE_IRI)
+        assert read.serialize() == ntriples
+        assert _expand_turtle(outputs["turtle"]) == ntriples
+
+
+def test_turtle_of_a_foreign_graph_expands_to_its_ntriples(schema):
+    """'a' abbreviates rdf:type in predicate position only: as an object the
+    rdf:type IRI stays whole, while a class IRI as an object takes its prefix."""
+    rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    document = "<http://www.cidoc-crm.org/cidoc-crm/E31_Document>"
+    ntriples = (
+        f"<https://x.org/a> {rdf_type} {document} .\n"
+        f"<https://x.org/a> <https://x.org/p> {rdf_type} .\n"
+        f"<https://x.org/a> <https://x.org/q> {document} .\n"
+    ).encode()
+    graph = Graph.from_ntriples(ntriples, schema)
+    assert graph.serialize() == ntriples
+    turtle = graph.serialize("turtle")
+    assert b"<https://x.org/p> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ." in turtle
+    assert b"<https://x.org/q> crm:E31_Document ." in turtle
+    assert _expand_turtle(turtle) == ntriples
 
 
 # -- criterion 4: inheritance oracle --------------------------------------------------

@@ -193,6 +193,20 @@ def test_rules_check_rejects_emission_of_a_non_capture(tmp_path, capsys):
     assert "rule 3: emission X is not a capture of the selector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", ["\t", " ", "\u2003"], ids=["tab", "space", "em space"])
+def test_rules_check_refuses_a_word_after_an_emission(tmp_path, capsys, space):
+    # An emission is one word, whatever whitespace follows it.
+    rules = tmp_path / "rules.mdl"
+    rules.write_text(
+        "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
+        "RULE 4: $D1 -> Title{T} =>\n"
+        f"  $D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> T{space}X\n",
+        encoding="utf-8",
+    )
+    assert main(["rules", "--check", str(rules)]) == 2
+    assert f"unrecognised path segment {'T' + space + 'X'!r}" in capsys.readouterr().err
+
+
 def test_schema_dump(tmp_path):
     out = tmp_path / "schema.tsv"
     assert main(["schema", "--dump", "--out", str(out)]) == 0
@@ -481,6 +495,27 @@ def test_lone_surrogate_in_corpus_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [*sorted(_CORPUS_COMMANDS), "validate --in"])
+def test_base_iri_with_a_lone_surrogate_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # The command line decodes a byte that is not UTF-8 to a lone surrogate
+    # (surrogateescape), which no UTF-8 output can hold.
+    corpus = tmp_path / "corpus.jsonl"
+    # The support outside the E57 vocabulary gives validate a finding.
+    corpus.write_text('{"1.1": "A", "1.4": "Fonds", "supports": ["Papiro"]}\n', encoding="utf-8")
+    graph = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus), "--out", str(graph)]) == 0
+    capsys.readouterr()
+    commands = {name: [*argv, str(corpus)] for name, argv in _CORPUS_COMMANDS.items()}
+    commands["validate --in"] = ["validate", "--in", str(graph)]
+    out = tmp_path / "out"
+    assert main([*commands[command], "--base-iri", "https://x.org/\udcff/", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: base IRI 'https://x.org/\\udcff/' holds '\\udcff', which an IRI may not contain\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "value, message",
     [
@@ -507,12 +542,17 @@ def test_json_the_rdf_cannot_hold_exits_2_naming_the_line(tmp_path, capsysbinary
     assert captured.out == b"" and not out.exists()
 
 
-def _cli_outputs(workdir: Path, hash_seed: str, corpora: dict[str, Path]) -> dict[str, bytes]:
-    """Every output, stream and exit status of a fixed command list, each
-    command in its own interpreter under the given PYTHONHASHSEED."""
+def _python(args: list[str], hash_seed: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this package, under the given PYTHONHASHSEED."""
     source = str(Path(archonto.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
+def _cli_outputs(workdir: Path, hash_seed: str, corpora: dict[str, Path]) -> dict[str, bytes]:
+    """Every output, stream and exit status of a fixed command list, each
+    command in its own interpreter under the given PYTHONHASHSEED."""
     workdir.mkdir()
     outputs = {}
     for name, corpus in corpora.items():
@@ -526,9 +566,10 @@ def _cli_outputs(workdir: Path, hash_seed: str, corpora: dict[str, Path]) -> dic
             "stats": ["stats", "--in", str(graph)],
         }
         for label, argv in commands.items():
-            run = subprocess.run([sys.executable, "-m", "archonto.cli", *argv],
-                                 capture_output=True, env=env, check=False)
-            outputs[f"{name} {label}"] = b"%d\n%s\n%s" % (run.returncode, run.stdout, run.stderr)
+            run = _python(["-m", "archonto.cli", *argv], hash_seed)
+            # A command on a graph that migrate refused names the graph's path.
+            stderr = run.stderr.replace(bytes(workdir), b"WORKDIR")
+            outputs[f"{name} {label}"] = b"%d\n%s\n%s" % (run.returncode, run.stdout, stderr)
     for path in sorted(workdir.iterdir()):
         outputs[path.name] = path.read_bytes()
     return outputs
@@ -540,9 +581,31 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     entries[7]["supports"] = ["Papiro"]  # outside the E57 vocabulary
     synthetic = tmp_path / "synthetic.jsonl"
     synthetic.write_text(corpus_text(entries), encoding="utf-8")
-    corpora = {"sample": SAMPLE, "synthetic": synthetic}
+    # Four shape errors in one record: the first one checked is reported.
+    shape = tmp_path / "shape.jsonl"
+    shape.write_text(
+        '{"1.1": "A", "1.4": "Fonds", "title_type": 1, "physical_location": 2, '
+        '"original_numbering": 3, "previous_location": 4}\n',
+        encoding="utf-8",
+    )
+    corpora = {"sample": SAMPLE, "synthetic": synthetic, "shape": shape}
     first = _cli_outputs(tmp_path / "seed0", "0", corpora)
     second = _cli_outputs(tmp_path / "seed1", "1", corpora)
     assert first == second
     assert b"vocabulary-violation" in first["synthetic validate"]
     assert b"circa 1650" in first["synthetic.nt.tsv"]
+    assert first["shape nt"] == b"2\n\nerror: line 1: field title_type must be a string\n"
+
+
+def test_nesting_edge_errors_do_not_depend_on_the_hash_seed():
+    # load_nesting checks its lines first; a library caller gets the edge check.
+    nesting = (
+        "from archonto.vocabulary import LevelNestingGraph, VocabularyError\n"
+        "try:\n"
+        "    LevelNestingGraph(frozenset({('c', 'z'), ('a', 'x'), ('b', 'y')}), frozenset())\n"
+        "except VocabularyError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert {_python(["-c", nesting], str(seed)).stdout for seed in range(6)} == {
+        b"nesting edge ('a', 'x') uses term 'a' outside the level-of-description vocabulary\n"
+    }

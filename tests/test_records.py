@@ -97,6 +97,11 @@ def test_bad_title_type_rejected():
 def test_bad_dimension_kind_rejected():
     with pytest.raises(CorpusError):
         parse_corpus(_line(**{"1.1": "A", "dimensions": [{"value": "1", "kind": "girth"}]}))
+    # A kind that is not text gets the same refusal, not a TypeError.
+    for kind in ([], {}):
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(_line(**{"1.1": "A", "dimensions": [{"value": "1", "kind": kind}]}))
+        assert "dimension kind must be dimension|extension" in str(exc.value)
 
 
 def test_numeric_dimension_value_accepted():
