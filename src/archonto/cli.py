@@ -8,9 +8,13 @@ refused records present, 2 input or parse failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import secrets
 import sys
+from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError
 from .mdl import MdlSyntaxError, builtin_rules, parse_mdl, render_mdl
@@ -100,20 +104,48 @@ def _migrate_corpus(corpus_path: Path, args: argparse.Namespace, env):
     )
 
 
+@contextlib.contextmanager
+def _output_file(path: Path) -> Iterator[BinaryIO]:
+    """A binary sink that becomes ``path`` only if the block ends without an
+    exception: a temporary file beside the target, renamed over it then and
+    removed otherwise.  A target that exists and is no regular file (a
+    device, a pipe or a directory) is opened, or refused, in place."""
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(target, "wb") as sink:
+            yield sink
+        return
+    temp = target.parent / f".{target.name}.{secrets.token_hex(8)}.tmp"
+    try:
+        sink = os.fdopen(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    except OSError as exc:  # named by the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with sink:
+            yield sink
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    env = _load_environment(args)
-    result = _migrate_corpus(args.in_path, args, env)
-    report = "\n".join(result.report_lines())
-    if args.report is not None:
-        args.report.write_text(report + ("\n" if report else ""), encoding="utf-8")
-    elif report:
-        _diag(report)
-    # Written in chunks: the whole output never exists as one bytes object.
-    if args.out is None:
-        result.graph.write(sys.stdout.buffer, args.format)
-    else:
-        with open(args.out, "wb") as sink:
-            result.graph.write(sink, args.format)
+    # Both files are opened before any input is read, so that a path that
+    # cannot be written fails at once, and each appears only on success.
+    with contextlib.ExitStack() as stack:
+        out, report_file = (
+            None if path is None else stack.enter_context(_output_file(path))
+            for path in (args.out, args.report)
+        )
+        env = _load_environment(args)
+        result = _migrate_corpus(args.in_path, args, env)
+        report = "\n".join(result.report_lines())
+        if report_file is not None:
+            report_file.write((report + "\n" if report else "").encode("utf-8"))
+        elif report:
+            _diag(report)
+        # Written in chunks: the whole output never exists as one bytes object.
+        result.graph.write(sys.stdout.buffer if out is None else out, args.format)
     return EXIT_FINDINGS if result.has_errors else EXIT_OK
 
 

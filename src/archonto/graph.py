@@ -284,15 +284,17 @@ class Graph:
         return self.mint_node(SHARED_SEGMENT, class_id, term, class_id)
 
     def register_node(self, node: NodeRef) -> NodeRef:
-        existing = self._nodes.get(node.iri)
-        if existing is not None:
-            if existing.asserted_class != node.asserted_class:
-                raise NodeClassConflict(
-                    node.iri, existing.asserted_class, node.asserted_class
-                )
-            return existing
-        self._nodes[node.iri] = node
-        return node
+        return self._claim_node(node.iri, node.asserted_class, node)
+
+    def _claim_node(self, iri: str, class_id: str, node: NodeRef | None = None) -> NodeRef:
+        """The node at ``iri``, stored as ``node`` (or a new one) when absent;
+        a node already there with another class is a conflict."""
+        existing = self._nodes.get(iri)
+        if existing is None:
+            existing = self._nodes[iri] = node or NodeRef(iri, class_id)
+        elif existing.asserted_class != class_id:
+            raise NodeClassConflict(iri, existing.asserted_class, class_id)
+        return existing
 
     def shared_term(self, node: NodeRef) -> tuple[str, str] | None:
         """Decode (class_id, term) for shared vocabulary individuals."""

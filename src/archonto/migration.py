@@ -3,8 +3,11 @@
 Rule choice that the mapping language cannot express lives here: title rules
 are picked by title type, date rules by date shape (interval vs single
 instant), dimension rules by entry kind, and the description-date rule runs
-once per date type.  Node identity is deterministic, and :func:`_node` is its
-one owner (the README's "IRI scheme" lists the rules).
+once per date type.  Each rule is compiled once per run into a plan of plain
+tuples holding all it needs from the schema; a per-record emitter walks the
+plans and writes rows straight into the record's graph.  Node identity is
+deterministic, and :func:`_node` is its one owner (the README's "IRI scheme"
+lists the rules).
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -18,15 +21,12 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
-from .graph import DEFAULT_BASE_IRI, Graph, GraphError, Literal, NodeRef, Triple
-from .mdl import BindMode, MdlRule, Path, PathStep, RuleSet
-from .ontology import (
-    LITERAL_RANGES,
-    OntologySchema,
-    SourceOntology,
-    XSD_STRING,
-)
+from .graph import DEFAULT_BASE_IRI, SHARED_SEGMENT, Graph, GraphError, NodeRef
+from .graph import _encode, _term_table
+from .mdl import BindMode, MdlRule, PathStep, RuleSet, StepKind
+from .ontology import LITERAL_RANGES, XSD_STRING, OntologySchema, SourceOntology
 from .records import PARENT_FIELD, IsadRecord, RecordTree
 from .validation import validate_datetime
 from .vocabulary import VocabularyRegistry
@@ -41,31 +41,13 @@ LINK_PROPERTY = "L2DO"
 
 # Non-blank textual elements copied verbatim onto the document node.
 ISAD_FALLBACK_MAP: tuple[tuple[str, str], ...] = (
-    ("1.1", "ISAD3"),
-    ("1.2", "ISAD1"),
-    ("1.3", "ISAD5"),
-    ("1.4", "ISAD2"),
-    ("1.5", "ISAD6"),
-    ("2.2", "ISAD7"),
-    ("2.3", "ISAD8"),
-    ("2.4", "ISAD26"),
-    ("3.1", "ISAD9"),
-    ("3.3", "ISAD27"),
-    ("3.4", "ISAD19"),
-    ("4.1", "ISAD10"),
-    ("4.2", "ISAD24"),
-    ("4.3", "ISAD14"),
-    ("4.4", "ISAD20"),
-    ("5.2", "ISAD16"),
-    ("5.3", "ISAD15"),
-    ("5.4", "ISAD17"),
-    ("6.1", "ISAD18"),
-    ("7.3", "ISAD21"),
-    ("title_type", "ISAD4"),
-    ("physical_location", "ISAD11"),
-    ("previous_location", "ISAD12"),
-    ("original_numbering", "ISAD13"),
-    ("description_creation_date", "ISAD21"),
+    ("1.1", "ISAD3"), ("1.2", "ISAD1"), ("1.3", "ISAD5"), ("1.4", "ISAD2"), ("1.5", "ISAD6"),
+    ("2.2", "ISAD7"), ("2.3", "ISAD8"), ("2.4", "ISAD26"),
+    ("3.1", "ISAD9"), ("3.3", "ISAD27"), ("3.4", "ISAD19"),
+    ("4.1", "ISAD10"), ("4.2", "ISAD24"), ("4.3", "ISAD14"), ("4.4", "ISAD20"),
+    ("5.2", "ISAD16"), ("5.3", "ISAD15"), ("5.4", "ISAD17"), ("6.1", "ISAD18"), ("7.3", "ISAD21"),
+    ("title_type", "ISAD4"), ("physical_location", "ISAD11"), ("previous_location", "ISAD12"),
+    ("original_numbering", "ISAD13"), ("description_creation_date", "ISAD21"),
     ("description_last_modification", "ISAD22"),
 )
 
@@ -76,17 +58,12 @@ class MigrationError(ValueError):
 
 class UnboundVariableError(MigrationError):
     def __init__(self, variable: str) -> None:
-        super().__init__(
-            f"variable {variable} is unbound (was the document rule applied first?)"
-        )
-        self.variable = variable
+        super().__init__(f"variable {variable} is unbound (was the document rule applied first?)")
 
 
 class StrictVocabularyError(MigrationError):
     def __init__(self, class_id: str, term: str) -> None:
         super().__init__(f"term {term!r} is not in the vocabulary bound to {class_id}")
-        self.class_id = class_id
-        self.term = term
 
 
 class StrictRangeError(MigrationError):
@@ -96,7 +73,6 @@ class StrictRangeError(MigrationError):
 class DateTextError(MigrationError):
     def __init__(self, text: str) -> None:
         super().__init__(f"cannot interpret date text {text!r}")
-        self.text = text
 
 
 # -- date widening -----------------------------------------------------------
@@ -128,7 +104,7 @@ def widen_date_text(text: str, position: str) -> str:
     return value
 
 
-# -- rule application ----------------------------------------------------------
+# -- rule plans ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -142,12 +118,81 @@ class Application:
     class_terms: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     rule_no: int
     application: str | None
-    triples: tuple[Triple, ...]
+    triples: int  # rows the firing wrote
     note: str | None = None
+
+
+# Node step kinds besides a class node with no binding (None).
+_LITERAL, _DEREF, _EMIT = BindMode.ASSIGN_LITERAL, BindMode.DEREF, BindMode.EMIT
+_DATAOBJECT = SourceOntology.DATAOBJECT
+
+
+# What the emitter needs to find or mint the node of one node step.
+class _Step(NamedTuple):
+    kind: BindMode | None
+    var: str | None  # the bound variable, or the literal term
+    class_id: str  # for a dereference, E31: the document a capture names
+    role: str  # encoded role segment
+    alt_role: str  # encoded role of a value node that another rule owns
+    shared: str | None  # IRI prefix of the individuals of a class under E55
+    singleton: bool
+    rule_no: int
+
+
+# A rule's plan is (rule, paths, whether it is an ISAD rule, whose assignments
+# become the record's anchors).  A path is (start step, hops, the captures and
+# the classes whose blank value or term skips it).  A hop is (predicate IRI,
+# step, datatype of an emitted literal, strict mode's refusal less what it
+# got, and (L2DO IRI, DataObject step) for the carrier of a literal).
+_RulePlan = tuple[MdlRule, tuple, bool]
+
+
+def _compile_rule(rule: MdlRule, schema: OntologySchema, base_iri: str) -> _RulePlan:
+    """Look up once what every firing of ``rule`` needs from the schema."""
+    property_iris = _term_table(schema, base_iri).property_iris
+    shared = base_iri + _encode(SHARED_SEGMENT) + "/"
+
+    def step(path_step: PathStep) -> _Step:
+        binding = path_step.binding
+        kind, var = (binding.mode, binding.value) if binding else (None, None)
+        class_id = DOCUMENT_CLASS if kind is _DEREF else path_step.ident or ""
+        role = _role(class_id) if class_id else ""
+        type_like = class_id and schema.is_subclass(class_id, TYPE_ROOT)
+        shared_prefix = f"{shared}{_encode(class_id)}/" if type_like else None
+        return _Step(kind, var, class_id, _encode(role), _encode(f"{role}.{rule.rule_no}"),
+                     shared_prefix, class_id in SINGLETON_CLASSES, rule.rule_no)
+
+    def hop(edge: PathStep, node: PathStep) -> tuple:
+        prop, target = schema.property_def(edge.ident), step(node)
+        literal_range, emits = prop.has_literal_range, target.kind is _EMIT
+        carrier = mismatch = None
+        if emits and literal_range and schema.class_def(prop.domain).source is _DATAOBJECT:
+            carrier = property_iris[LINK_PROPERTY], step(PathStep(StepKind.NODE, prop.domain))
+        if literal_range is not emits:
+            kind = "literal" if literal_range else "node"
+            mismatch = f"{edge.ident} expects a {prop.range} {kind}, got "
+        datatype = prop.range if prop.range in LITERAL_RANGES else XSD_STRING
+        return property_iris[edge.ident], target, datatype, mismatch, carrier
+
+    paths = []
+    for path in rule.paths:
+        nodes = path[0::2]
+        reads = tuple(s.binding.value for s in nodes if s.binding and s.binding.mode is not _LITERAL)
+        classes = tuple(s.ident for s in nodes if s.ident is not None)
+        hops = tuple(hop(edge, node) for edge, node in zip(path[1::2], path[2::2]))
+        paths.append((step(path[0]), hops, reads, classes))
+    return rule, tuple(paths), rule.selector.name == "ISAD"
+
+
+def _compile(rules: RuleSet, schema: OntologySchema, base_iri: str) -> tuple[_RulePlan, ...]:
+    """The plans of a rule set, in application order, for one run."""
+    return tuple(_compile_rule(rule, schema, base_iri) for rule in rules.application_order)
+
+
+# -- rule application ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -166,7 +211,6 @@ class MigrationContext:
 
     record: IsadRecord
     graph: Graph
-    schema: OntologySchema
     registry: VocabularyRegistry
     strict: bool = False
     anchors: dict[str, NodeRef] = field(default_factory=dict)
@@ -174,149 +218,115 @@ class MigrationContext:
     trace: list[TraceEntry] = field(default_factory=list)
     problems: list[RecordProblem] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.prefix = self.graph.base_iri + _encode(self.record.reference_code) + "/"
+
     def warn(self, message: str) -> None:
-        self.problems.append(
-            RecordProblem(self.record.reference_code, "warning", message)
-        )
+        self.problems.append(RecordProblem(self.record.reference_code, "warning", message))
 
 
 def _role(class_id: str) -> str:
     return class_id.lower()
 
 
-def _node(
-    ctx: MigrationContext, class_id: str, term: str | None, key: str, rule_no: int
-) -> NodeRef:
-    """The node of ``class_id`` that application ``key`` of rule ``rule_no``
-    names by ``term``: the engine's one identity policy.
-
-    * no term: a structural node, once per record for a singleton class
-      (``<ref>/e31/1``) and once per application otherwise;
-    * a term of a class under E55 Type: a type-like node shared corpus-wide,
-      checked against the class's vocabulary in strict mode;
-    * any other term: a value node keyed by the term, owned by the first rule
-      that mints it; another rule minting the same value gets the role
-      ``<class>.<rule>`` and a node of its own.
-    """
+def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> NodeRef:
+    """The node of ``step`` that application ``key`` names by ``term``.  No
+    term: a structural node, once per record for a singleton class and once
+    per application otherwise.  A term of a class under E55 Type: a node
+    shared corpus-wide, checked against the vocabulary in strict mode.  Any
+    other term: a value node, owned by the first rule that mints the term;
+    another rule gets the role ``<class>.<rule>`` and a node of its own."""
     if term is None:
-        disc = "1" if class_id in SINGLETON_CLASSES else key
-        return ctx.graph.mint_node(ctx.record.reference_code, _role(class_id), disc, class_id)
-    term = term.strip()
-    if ctx.schema.is_subclass(class_id, TYPE_ROOT):
-        if ctx.strict and ctx.registry.contains(class_id, term) is False:
-            raise StrictVocabularyError(class_id, term)
-        return ctx.graph.mint_shared(class_id, term)
-    role = _role(class_id)
-    if ctx.value_owners.setdefault((class_id, term), rule_no) != rule_no:
-        role += f".{rule_no}"
-    return ctx.graph.mint_node(ctx.record.reference_code, role, term, class_id)
+        iri = ctx.prefix + step.role + ("/1" if step.singleton else "/" + _encode(key))
+    else:
+        term = term.strip()
+        if step.shared is not None:
+            if ctx.strict and ctx.registry.contains(step.class_id, term) is False:
+                raise StrictVocabularyError(step.class_id, term)
+            iri = step.shared + _encode(term)
+        else:
+            owner = ctx.value_owners.setdefault((step.class_id, term), step.rule_no)
+            role = step.role if owner == step.rule_no else step.alt_role
+            iri = ctx.prefix + role + "/" + _encode(term)
+    return ctx.graph._claim_node(iri, step.class_id)
 
 
-def _reads_blank(path: Path, app: Application) -> bool:
-    """Whether a node step reads a blank capture or names a class with a blank term."""
-    for step in path[0::2]:
-        binding = step.binding
-        if binding is not None and binding.mode is not BindMode.ASSIGN_LITERAL:
-            if app.captures.get(binding.value) == "":
-                return True
-        if app.class_terms.get(step.ident) == "":
-            return True
-    return False
-
-
-def apply_rule(ctx: MigrationContext, rule: MdlRule, app: Application) -> list[Triple]:
-    """Apply one rule firing; returns the triples it emitted.
-
-    A path is its start node, then ``(edge, node)`` hops: the parser makes
-    steps alternate, puts a node at both ends and an emission only last.
-    A variable is looked up in the nodes this firing assigned, then in the
-    captures, then in the document rule's anchors.
-    """
-    captures, anchors, terms = app.captures, ctx.anchors, app.class_terms
-    mint = partial(_node, ctx, key=app.key, rule_no=rule.rule_no)
-    assigned: dict[str, NodeRef] = {}
-
-    def resolve(step: PathStep, edge: str | None) -> NodeRef | Literal:
-        binding = step.binding
-        if binding is None:
-            return mint(step.ident, terms.get(step.ident))
-        mode, var = binding.mode, binding.value
-        if mode is BindMode.ASSIGN_LITERAL:
-            return mint(step.ident, terms.get(step.ident, var))
-        if mode is BindMode.EMIT:
-            if var not in captures:
-                raise UnboundVariableError(var)
-            datatype = ctx.schema.property_def(edge).range
-            return Literal(captures[var], datatype if datatype in LITERAL_RANGES else XSD_STRING)
-        if var in assigned:
-            return assigned[var]
-        if var in captures:
-            if mode is BindMode.DEREF:
-                # A textual binding dereferences to the document node of the
-                # record that text names (e.g. a parent reference).
-                return ctx.graph.mint_node(
-                    captures[var], _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
-                )
-            node = assigned[var] = mint(step.ident, captures[var])
-            return node
-        if var in anchors:
-            return anchors[var]
-        if mode is BindMode.DEREF:
-            raise UnboundVariableError(var)
-        node = assigned[var] = mint(step.ident, terms.get(step.ident))
+def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dict) -> NodeRef:
+    """The node of a step that is not an emission.  A variable is looked up
+    in the nodes this firing assigned, then in the captures, then in the
+    document rule's anchors."""
+    kind, var = step.kind, step.var
+    if kind is None or kind is _LITERAL:
+        return _node(ctx, step, app.class_terms.get(step.class_id, var), app.key)
+    node = assigned.get(var)
+    if node is not None:
         return node
+    captures = app.captures
+    if var in captures:
+        if kind is _DEREF:
+            # Text dereferences to the document of the record it names (a parent).
+            iri = ctx.graph.base_iri + _encode(captures[var]) + "/" + step.role + "/1"
+            return ctx.graph._claim_node(iri, DOCUMENT_CLASS)
+        node = assigned[var] = _node(ctx, step, captures[var], app.key)
+        return node
+    node = ctx.anchors.get(var)
+    if node is not None:
+        return node
+    if kind is _DEREF:
+        raise UnboundVariableError(var)
+    node = assigned[var] = _node(ctx, step, app.class_terms.get(step.class_id), app.key)
+    return node
 
-    paths = rule.paths
+
+def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application) -> int:
+    """Write one firing into the record's graph; returns the rows written.  A
+    path is its start node, then ``(edge, node)`` hops: the parser makes steps
+    alternate, puts a node at both ends and an emission only last."""
+    if not ctx.record.reference_code:
+        raise GraphError("record_ref must be non-empty")
+    captures, terms, rows, strict = app.captures, app.class_terms, ctx.graph._triples, ctx.strict
+    is_subclass = ctx.graph.schema.is_subclass
     if "" in captures.values() or "" in terms.values():
-        paths = tuple(path for path in paths if not _reads_blank(path, app))
-    emitted: list[Triple] = []
-    for path in paths:
-        subject = resolve(path[0], None)
-        for edge, step in zip(path[1::2], path[2::2]):
-            target = resolve(step, edge.ident)
-            prop = ctx.schema.property_def(edge.ident)
-            is_literal = isinstance(target, Literal)
-            if ctx.strict and prop.has_literal_range is not is_literal:
-                got = f"literal {target.text!r}" if is_literal else f"node {target.iri}"
-                kind = "literal" if prop.has_literal_range else "node"
-                raise StrictRangeError(f"{edge.ident} expects a {prop.range} {kind}, got {got}")
-            if (
-                is_literal
-                and prop.has_literal_range
-                and not ctx.schema.is_subclass(subject.asserted_class, prop.domain)
-                and ctx.schema.class_def(prop.domain).source is SourceOntology.DATAOBJECT
-            ):
-                carrier = mint(prop.domain, None)
-                emitted.append(ctx.graph.add_triple(subject, LINK_PROPERTY, carrier))
-                subject = carrier
-            emitted.append(ctx.graph.add_triple(subject, edge.ident, target))
-            subject = target
-    if rule.selector.name == "ISAD":
-        anchors.update(assigned)
-    return emitted
+        paths = [path for path in paths
+                 if "" not in map(captures.get, path[2]) and "" not in map(terms.get, path[3])]
+    assigned: dict[str, NodeRef] = {}
+    count = 0
+    for start, hops, _, _ in paths:
+        subject = _resolve(ctx, start, app, assigned)
+        for predicate, step, datatype, mismatch, carrier in hops:
+            count += 1
+            if step.kind is not _EMIT:
+                target = _resolve(ctx, step, app, assigned)
+                if strict and mismatch is not None:
+                    raise StrictRangeError(f"{mismatch}node {target.iri}")
+                rows.add((subject.iri, predicate, 0, target.iri, ""))
+                subject = target
+                continue
+            if step.var not in captures:
+                raise UnboundVariableError(step.var)
+            text = captures[step.var]
+            if strict and mismatch is not None:
+                raise StrictRangeError(f"{mismatch}literal {text!r}")
+            if carrier is not None and not is_subclass(subject.asserted_class, carrier[1].class_id):
+                node = _node(ctx, carrier[1], None, app.key)
+                rows.add((subject.iri, carrier[0], 0, node.iri, ""))
+                subject, count = node, count + 1
+            rows.add((subject.iri, predicate, 1, text, datatype))
+    if document:
+        ctx.anchors.update(assigned)
+    return count
 
 
 # -- selector adapters ---------------------------------------------------------
 
 
-def _widens(text: str, position: str) -> bool:
-    try:
-        widen_date_text(text, position)
-    except DateTextError:
-        return False
-    return True
-
-
-def _widen_or_warn(
-    ctx: MigrationContext, text: str, position: str, element: str
-) -> str | None:
+def _widen(ctx: MigrationContext, text: str, position: str, element: str | None) -> str | None:
+    """The widened date text, or None; the warning names ``element``, if given."""
     try:
         return widen_date_text(text, position)
     except DateTextError:
-        ctx.warn(
-            f"{element}: date text {text!r} is not usable; "
-            "kept as legacy text only"
-        )
+        if element is not None:
+            ctx.warn(f"{element}: date text {text!r} is not usable; kept as legacy text only")
         return None
 
 
@@ -329,15 +339,13 @@ def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application
     texts = [ctx.record.text(element) for element, _ in fields]
     if not all(texts):
         return []
-    widened = [
-        _widen_or_warn(ctx, text, position, "production date")
-        for text, (_, position) in zip(texts, fields)
-    ]
+    positions = [position for _, position in fields]
+    widened = [_widen(ctx, text, p, "production date") for text, p in zip(texts, positions)]
     if None in widened:
         return []
     # One Production has one time-span, and an interval that is written (both
     # ends widen) wins over an instant.
-    if key == "instant" and all(_widens(ctx.record.text(e), p) for e, p in interval):
+    if key == "instant" and all(_widen(ctx, ctx.record.text(e), p, None) for e, p in interval):
         ctx.warn(f"production date: single date {texts[0]!r} ignored for the interval")
         return []
     return [Application(key, dict(zip(rule.selector.captures, widened)))]
@@ -352,23 +360,20 @@ _DESCRIPTION_DATES = (
 )
 
 
-def _description_date_applications(
-    ctx: MigrationContext, rule: MdlRule
-) -> list[Application]:
+def _description_date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
     apps = []
     for key, element, label, class_terms in _DESCRIPTION_DATES:
         text = ctx.record.text(element)
-        widened = _widen_or_warn(ctx, text, "single", label) if text else None
+        widened = _widen(ctx, text, "single", label) if text else None
         if widened is not None:
             apps.append(Application(key, {rule.selector.captures[0]: widened}, class_terms))
     return apps
 
 
-def _measure_applications(
-    ctx: MigrationContext, rule: MdlRule, *, kind: str
-) -> list[Application]:
+def _measure_applications(ctx: MigrationContext, rule: MdlRule, *, kind: str) -> list[Application]:
     capture = rule.selector.captures[0]
-    entries = [e for e in ctx.record.value("dimensions") or [] if e.get("kind", "dimension") == kind]
+    entries = ctx.record.value("dimensions") or []
+    entries = [e for e in entries if e.get("kind", "dimension") == kind]
     apps = []
     for index, entry in enumerate(entries, start=1):
         raw_value = entry.get("value")
@@ -379,16 +384,10 @@ def _measure_applications(
     return apps
 
 
-def _term_list_applications(
-    ctx: MigrationContext, rule: MdlRule, *, element: str
-) -> list[Application]:
+def _term_list_applications(ctx: MigrationContext, rule: MdlRule, *, element: str) -> list:
     capture = rule.selector.captures[0]
-    terms = ctx.record.value(element) or []
-    return [
-        Application(str(index), {capture: term.strip()})
-        for index, term in enumerate(terms, start=1)
-        if term.strip()
-    ]
+    terms = [term.strip() for term in ctx.record.value(element) or []]
+    return [Application(str(i), {capture: term}) for i, term in enumerate(terms, start=1) if term]
 
 
 def _element_applications(
@@ -465,42 +464,42 @@ def migrate_record(
     *,
     base_iri: str = DEFAULT_BASE_IRI,
     strict: bool = False,
+    plans: tuple[_RulePlan, ...] | None = None,
 ) -> RecordMigration:
     """Apply the rule set to one (already resolved) record; a rule's migration
-    or graph error is raised as ``MigrationError("rule N (key): reason")``."""
+    or graph error is raised as ``MigrationError("rule N (key): reason")``.
+    Without ``plans`` (see :func:`_compile`), the rules are compiled for this call."""
     graph = Graph(schema, base_iri)
-    ctx = MigrationContext(record, graph, schema, registry, strict)
-    for rule in rules.application_order:
+    ctx = MigrationContext(record, graph, registry, strict)
+    if plans is None:
+        plans = _compile(rules, schema, graph.base_iri)
+    for rule, paths, document in plans:
         apps = _applications_for(ctx, rule)
         if apps is None:
             ctx.warn(f"rule {rule.rule_no}: no engine adapter for selector "
                      f"{rule.selector.name!r}; rule skipped")
-            ctx.trace.append(TraceEntry(rule.rule_no, None, (), "unknown selector"))
-            continue
         if not apps:
-            ctx.trace.append(TraceEntry(rule.rule_no, None, (), "element blank; skipped"))
+            note = "unknown selector" if apps is None else "element blank; skipped"
+            ctx.trace.append(TraceEntry(rule.rule_no, None, 0, note))
             continue
         for app in apps:
             try:
-                triples = apply_rule(ctx, rule, app)
+                count = _emit(ctx, paths, document, app)
             except (MigrationError, GraphError) as exc:
                 raise MigrationError(f"rule {rule.rule_no} ({app.key}): {exc}") from exc
-            ctx.trace.append(TraceEntry(rule.rule_no, app.key, tuple(triples)))
+            ctx.trace.append(TraceEntry(rule.rule_no, app.key, count))
     return RecordMigration(graph, tuple(ctx.trace), tuple(ctx.problems))
 
 
 def attach_isad_fallback(record: IsadRecord, graph: Graph) -> Graph:
     """Copy every mapped non-blank textual element verbatim onto the document."""
-    document = graph.mint_node(
-        record.reference_code, _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS
-    )
+    document = graph.mint_node(record.reference_code, _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS)
+    property_iris, rows = _term_table(graph.schema, graph.base_iri).property_iris, graph._triples
     for element, property_id in ISAD_FALLBACK_MAP:
         value = record.value(element)
-        if not isinstance(value, str) or not value.strip():
-            continue
-        if element == "title_type" and value.strip() == "absent":
-            continue
-        graph.add_triple(document, property_id, Literal(value))
+        text = value.strip() if isinstance(value, str) else ""
+        if text and not (element == "title_type" and text == "absent"):
+            rows.add((document.iri, property_iris[property_id], 1, value, XSD_STRING))
     return graph
 
 
@@ -532,12 +531,13 @@ def migrate_tree(
     A record that raises adds no triple, only one ``error`` problem; with
     ``fail_fast`` it stops the run."""
     graph = Graph(schema, base_iri)
+    plans = _compile(rules, schema, graph.base_iri)
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
         record = tree.records[reference]
         try:
             outcome = migrate_record(
-                record, rules, schema, registry, base_iri=base_iri, strict=strict
+                record, rules, schema, registry, base_iri=base_iri, strict=strict, plans=plans
             )
             attach_isad_fallback(record, outcome.graph)
             graph.absorb(outcome.graph)

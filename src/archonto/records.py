@@ -205,7 +205,8 @@ def _check_entry(obj: dict, line: int) -> None:
             if not isinstance(kind, str) or kind not in DIMENSION_KINDS:
                 raise CorpusError(f"dimension kind must be dimension|extension, got {kind!r}", line)
             value = entry.get("value")
-            if value is not None and not isinstance(value, (str, int, float)):
+            # A JSON boolean reads as a bool, which Python counts as an int.
+            if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
                 raise CorpusError("dimension value must be text or a number", line)
             unit = entry.get("unit")
             if unit is not None and not isinstance(unit, str):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import archonto
+from archonto import cli
 from archonto.cli import main
 from archonto.graph import Graph
 from archonto.mdl import builtin_rules, parse_mdl
@@ -314,6 +315,32 @@ def test_migrate_rejects_relative_base_iri(tmp_path, corpus_file, capsys):
     assert "has no scheme" in capsys.readouterr().err
 
 
+def test_unwritable_output_fails_before_any_record_is_migrated(tmp_path, corpus_file, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "migrate_tree", lambda *args, **kwargs: calls.append(args))
+    missing = tmp_path / "missing"
+    out, report = tmp_path / "graph.nt", tmp_path / "problems.tsv"
+    for argv in (["--out", str(missing / "graph.nt"), "--report", str(report)],
+                 ["--out", str(out), "--report", str(missing / "problems.tsv")]):
+        assert main(["migrate", "--in", str(corpus_file), *argv]) == 2
+        assert f"No such file or directory: '{missing}" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [corpus_file]  # not the other file, nor a temporary one
+
+
+def test_failed_migrate_leaves_no_file_and_a_good_one_only_its_outputs(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"1.1": "A", "1.4": "Bogus"}\n{"1.1": "B", "1.4": "Fonds"}\n', encoding="utf-8")
+    out, report = tmp_path / "graph.nt", tmp_path / "problems.tsv"
+    argv = ["migrate", "--in", str(corpus), "--out", str(out), "--report", str(report), "--strict"]
+    assert main([*argv, "--fail-fast"]) == 1
+    assert sorted(tmp_path.iterdir()) == [corpus]
+    assert main(argv) == 1
+    assert sorted(tmp_path.iterdir()) == [corpus, out, report]
+    assert report.read_text(encoding="utf-8").startswith("A\terror\trule 2 (1): ")
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("ensure_ascii", [True, False])
 def test_line_separator_in_element_survives_migrate_and_validate(tmp_path, ensure_ascii):
     entry = {"1.1": "PT/F", "1.2": "Fundo", "title_type": "supplied", "1.4": "Fonds",
@@ -524,8 +551,10 @@ def test_base_iri_with_a_lone_surrogate_exits_2_and_writes_nothing(tmp_path, cap
         ("-Infinity", "number -Infinity is not finite"),
         ("1e400", "number 1e400 is not finite"),
         ("[" * 100_000, "JSON nested too deeply"),
+        ("true", "dimension value must be text or a number"),
+        ("false", "dimension value must be text or a number"),
     ],
-    ids=["NaN", "Infinity", "-Infinity", "1e400", "deep nesting"],
+    ids=["NaN", "Infinity", "-Infinity", "1e400", "deep nesting", "true", "false"],
 )
 def test_json_the_rdf_cannot_hold_exits_2_naming_the_line(tmp_path, capsysbinary, value, message):
     # RFC 8259 has no NaN or infinity; Python's json reads them, and 1e400 as inf.

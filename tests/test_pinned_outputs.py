@@ -75,3 +75,26 @@ def test_migrate_output_bytes_are_pinned(tmp_path, name):
     main(["migrate", "--in", str(corpus), "--out", str(nt), "--report", str(report)])
     main(["migrate", "--in", str(corpus), "--out", str(ttl), "--format", "turtle"])
     assert (_sha256(nt), _sha256(ttl), _sha256(report)) == (nt_pin, ttl_pin, report_pin)
+
+
+# `migrate --strict` of the corpus with problems: (N-Triples, problem report)
+# SHA-256.  Strict mode refuses each record with a language outside the
+# vocabulary, so the run exits 1.
+STRICT_PINS = {
+    "synthetic-7-300-problems": (
+        _synthetic_with_problems,
+        "c0da5c308fc8f671beb5766ed190f38594ad43bbc3ef45f22b6b74b16f7437fe",
+        "ac3f88c300c095ff361f1bc87d9d3e4ed2221936b1c3a09cc8b70158f94d844d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_PINS))
+def test_strict_migrate_output_bytes_are_pinned(tmp_path, name):
+    build, nt_pin, report_pin = STRICT_PINS[name]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(build(), encoding="utf-8")
+    nt, report = tmp_path / "g.nt", tmp_path / "problems.tsv"
+    code = main(["migrate", "--strict", "--in", str(corpus), "--out", str(nt), "--report", str(report)])
+    assert code == 1
+    assert (_sha256(nt), _sha256(report)) == (nt_pin, report_pin)
