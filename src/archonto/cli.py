@@ -18,7 +18,7 @@ from typing import BinaryIO
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError
 from .mdl import MdlSyntaxError, builtin_rules, parse_mdl, render_mdl
-from .migration import MigrationError, migrate_tree
+from .migration import MigrationError, migrate_tree, range_mismatches
 from .ontology import builtin_schema
 from .records import CorpusError, DEFAULT_INHERITABLE, parse_corpus, resolve_inheritance
 from .stats import render_usage, usage_report
@@ -183,6 +183,9 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     schema = builtin_schema()
     if args.check is not None:
         ruleset = parse_mdl(args.check.read_bytes(), schema)
+        # Non-strict migration accepts these rules, so they only warn.
+        for mismatch in range_mismatches(ruleset, schema):
+            _diag(f"warning: {mismatch}")
         _diag(f"{args.check}: {len(ruleset.rules)} rule(s) OK")
         return EXIT_OK
     _write_output(render_mdl(builtin_rules(), schema).encode("utf-8"), args.out)

@@ -202,7 +202,8 @@ class Graph:
         self.schema = schema
         self.base_iri = base_iri.rstrip("/") + "/"
         self._nodes: dict[str, NodeRef] = {}
-        self._triples: set[_Row] = set()
+        # A dict for its insertion order, which `_sorted_rows` relies on.
+        self._triples: dict[_Row, None] = {}
 
     @cached_property
     def _terms(self) -> _TermTable:
@@ -322,16 +323,16 @@ class Graph:
         if nodes.get(subject.iri) is not subject:
             self.register_node(subject)
         if isinstance(obj, Literal):
-            self._triples.add((subject.iri, predicate_iri, 1, obj.text, obj.datatype))
+            self._triples[subject.iri, predicate_iri, 1, obj.text, obj.datatype] = None
         else:
             if nodes.get(obj.iri) is not obj:
                 self.register_node(obj)
-            self._triples.add((subject.iri, predicate_iri, 0, obj.iri, ""))
+            self._triples[subject.iri, predicate_iri, 0, obj.iri, ""] = None
         return Triple(subject, predicate, obj)
 
     def remove_triple(self, triple: Triple) -> None:
         if triple in self:
-            self._triples.discard(self._row(triple))
+            self._triples.pop(self._row(triple), None)
 
     def absorb(self, other: Graph) -> None:
         """Merge another graph built against the same schema and base IRI."""
@@ -347,7 +348,7 @@ class Graph:
     def copy(self) -> Graph:
         clone = Graph(self.schema, self.base_iri)
         clone._nodes = dict(self._nodes)
-        clone._triples = set(self._triples)
+        clone._triples = dict(self._triples)
         return clone
 
     def property_iri(self, property_id: str) -> str:
@@ -370,6 +371,9 @@ class Graph:
             if node.asserted_class
         ]
         rows.extend(self._triples)
+        # Arrival order depends on how the graph was built, so this sort
+        # alone makes the output order.  A migrated graph's rows arrive one
+        # record's block at a time, in record order: runs the sort finds.
         rows.sort()
         return rows
 
@@ -472,8 +476,8 @@ class Graph:
             if predicate is None:
                 predicate = predicates[p_iri] = terms.property_iris.get(p_iri, p_iri)
             if o_iri is not None:
-                rows.add((node_iri(s_iri), predicate, 0, node_iri(o_iri), ""))
+                rows[node_iri(s_iri), predicate, 0, node_iri(o_iri), ""] = None
             else:
                 datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
-                rows.add((node_iri(s_iri), predicate, 1, _unescape_literal(o_text, number), datatype))
+                rows[node_iri(s_iri), predicate, 1, _unescape_literal(o_text, number), datatype] = None
         return graph

@@ -192,6 +192,22 @@ def _compile(rules: RuleSet, schema: OntologySchema, base_iri: str) -> tuple[_Ru
     return tuple(_compile_rule(rule, schema, base_iri) for rule in rules.application_order)
 
 
+def range_mismatches(rules: RuleSet, schema: OntologySchema) -> list[str]:
+    """``rule N: ...`` for each hop that emits a literal on a node range or
+    a node on a literal range, by rule number.  Strict migration refuses a
+    record that fires such a hop; otherwise its rows are written and
+    validation reports them."""
+    found = [
+        (rule.rule_no,
+         f"rule {rule.rule_no}: {mismatch}a {'literal' if step.kind is _EMIT else 'node'}")
+        for rule, paths, _ in _compile(rules, schema, DEFAULT_BASE_IRI)
+        for _, hops, _, _ in paths
+        for _, step, _, mismatch, _ in hops
+        if mismatch is not None
+    ]
+    return [line for _, line in sorted(found, key=lambda pair: pair[0])]
+
+
 # -- rule application ----------------------------------------------------------
 
 
@@ -299,7 +315,7 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
                 target = _resolve(ctx, step, app, assigned)
                 if strict and mismatch is not None:
                     raise StrictRangeError(f"{mismatch}node {target.iri}")
-                rows.add((subject.iri, predicate, 0, target.iri, ""))
+                rows[subject.iri, predicate, 0, target.iri, ""] = None
                 subject = target
                 continue
             if step.var not in captures:
@@ -309,9 +325,9 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
                 raise StrictRangeError(f"{mismatch}literal {text!r}")
             if carrier is not None and not is_subclass(subject.asserted_class, carrier[1].class_id):
                 node = _node(ctx, carrier[1], None, app.key)
-                rows.add((subject.iri, carrier[0], 0, node.iri, ""))
+                rows[subject.iri, carrier[0], 0, node.iri, ""] = None
                 subject, count = node, count + 1
-            rows.add((subject.iri, predicate, 1, text, datatype))
+            rows[subject.iri, predicate, 1, text, datatype] = None
     if document:
         ctx.anchors.update(assigned)
     return count
@@ -499,7 +515,7 @@ def attach_isad_fallback(record: IsadRecord, graph: Graph) -> Graph:
         value = record.value(element)
         text = value.strip() if isinstance(value, str) else ""
         if text and not (element == "title_type" and text == "absent"):
-            rows.add((document.iri, property_iris[property_id], 1, value, XSD_STRING))
+            rows[document.iri, property_iris[property_id], 1, value, XSD_STRING] = None
     return graph
 
 

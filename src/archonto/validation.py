@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -130,8 +130,32 @@ def _known_class(schema: OntologySchema, class_id: str) -> bool:
     return bool(class_id) and schema.has_class(class_id)
 
 
+# Whether a class lies within an ancestor; None for an empty or unknown class.
+_Within = Callable[[str, str], bool | None]
+
+
+def _within(schema: OntologySchema) -> _Within:
+    """The subclass test for one validation run: a graph names few classes
+    and the schema few domains and ranges, so each (class, ancestor) pair is
+    asked of the schema once, however many rows and nodes repeat it."""
+    verdicts: dict[tuple[str, str], bool | None] = {}
+
+    def within(class_id: str, ancestor: str) -> bool | None:
+        key = (class_id, ancestor)
+        if key not in verdicts:
+            known = _known_class(schema, class_id)
+            verdicts[key] = schema.is_subclass(class_id, ancestor) if known else None
+        return verdicts[key]
+
+    return within
+
+
 def _check_triples(
-    index: _Index, nodes: Mapping[str, NodeRef], schema: OntologySchema, out: _Collector
+    index: _Index,
+    nodes: Mapping[str, NodeRef],
+    schema: OntologySchema,
+    within: _Within,
+    out: _Collector,
 ) -> None:
     for predicate, rows in index.items():
         if not schema.has_property(predicate):
@@ -146,9 +170,7 @@ def _check_triples(
         prop = schema.property_def(predicate)
         for subject, _, literal, obj, _ in rows:
             subject_class = nodes[subject].asserted_class
-            if _known_class(schema, subject_class) and not schema.is_subclass(
-                subject_class, prop.domain
-            ):
+            if within(subject_class, prop.domain) is False:
                 out.add(
                     DOMAIN_VIOLATION,
                     subject,
@@ -180,9 +202,7 @@ def _check_triples(
                 )
             else:
                 object_class = nodes[obj].asserted_class
-                if _known_class(schema, object_class) and not schema.is_subclass(
-                    object_class, prop.range
-                ):
+                if within(object_class, prop.range) is False:
                     out.add(
                         RANGE_VIOLATION,
                         subject,
@@ -241,16 +261,14 @@ def _check_documents(
     graph: Graph,
     index: _Index,
     nodes: Mapping[str, NodeRef],
-    schema: OntologySchema,
+    within: _Within,
     nesting: LevelNestingGraph,
     out: _Collector,
 ) -> None:
     arp12 = index.get("ARP12", [])
     arp12_counts = Counter(row[0] for row in arp12)
     for iri, node in nodes.items():
-        if not _known_class(schema, node.asserted_class):
-            continue
-        if not schema.is_subclass(node.asserted_class, "E31"):
+        if not within(node.asserted_class, "E31"):
             continue
         count = arp12_counts[iri]
         if count == 0:
@@ -333,9 +351,10 @@ def validate_graph(
     """Run every check over a graph and return the ordered findings."""
     nodes, index = graph._rows_by_predicate()
     out = _Collector()
-    _check_triples(index, nodes, schema, out)
+    within = _within(schema)
+    _check_triples(index, nodes, schema, within, out)
     _check_nodes(graph, nodes, schema, registry, out)
-    _check_documents(graph, index, nodes, schema, nesting, out)
+    _check_documents(graph, index, nodes, within, nesting, out)
     _check_regex_strings(index, nodes, out)
     _check_inverses(index, schema, out)
     # Findings with equal sort keys are equal, so this sort alone fixes the order.

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archonto.cli import main
-from archonto.graph import DEFAULT_BASE_IRI, Graph, Literal, NodeRef, Triple
+from archonto.graph import DEFAULT_BASE_IRI, Graph, Literal, NodeRef, Triple, _encode
 from archonto.mdl import BindMode, StepKind, parse_mdl, render_mdl
 from archonto.migration import migrate_record, migrate_tree
 from archonto.ontology import XSD_DATETIME
@@ -435,6 +435,58 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
         rebuilt.add_triple(triple.subject, triple.predicate, triple.object)
     for format, data in outputs.items():
         assert rebuilt.serialize(format) == data
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=40),
+    order=st.randoms(use_true_random=False),
+    dates=_DATE_DEFECTS,
+    bogus=_SUPPORT_DEFECTS,
+)
+def test_write_order_does_not_depend_on_arrival_order(
+    schema, registry, rules, seed, size, order, dates, bogus
+):
+    """The row store keeps rows in arrival order; the writer's sort alone
+    makes the output order.  A graph read from the shuffled N-Triples, its
+    copy, and the copy with rows removed and added back (so they arrive
+    last) all write the migrated graph's bytes, in both formats."""
+    entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
+    graph = migrate_tree(tree, rules, schema, registry).graph
+    expected = {format: graph.serialize(format) for format in ("ntriples", "turtle")}
+    lines = expected["ntriples"].decode("utf-8").splitlines(keepends=True)
+    order.shuffle(lines)
+    shuffled = Graph.from_ntriples("".join(lines), schema)
+    clone = shuffled.copy()
+    moved = sorted(clone.triples, key=repr)
+    order.shuffle(moved)
+    moved = moved[: len(moved) // 2]
+    for triple in moved:
+        clone.remove_triple(triple)
+    for triple in moved:
+        clone.add_triple(triple.subject, triple.predicate, triple.object)
+    for format, data in expected.items():
+        assert shuffled.serialize(format) == data
+        assert clone.serialize(format) == data
+
+
+def test_migrated_rows_arrive_one_record_at_a_time_in_record_order(schema, registry, rules):
+    """What makes the writer's sort cheap: ``migrate_tree`` stores each
+    record's rows as one block, the records in ``sorted(tree.records)``
+    order, whatever the order of the corpus lines."""
+    lines = corpus_text(synthetic_corpus(random.Random(11), 200)).splitlines()
+    random.Random(11).shuffle(lines)
+    tree = resolve_inheritance(parse_corpus("\n".join(lines) + "\n"))
+    graph = migrate_tree(tree, rules, schema, registry).graph
+    blocks = []
+    for subject, *_ in graph._triples:
+        assert subject.startswith(graph.base_iri)
+        record = subject[len(graph.base_iri) :].split("/", 1)[0]
+        if not blocks or blocks[-1] != record:
+            blocks.append(record)
+    assert blocks == [_encode(reference) for reference in sorted(tree.records)]
 
 
 # Fragments of corpus text: controls, IRI delimiters, non-BMP characters,

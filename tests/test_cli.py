@@ -15,7 +15,7 @@ import archonto
 from archonto import cli
 from archonto.cli import main
 from archonto.graph import Graph
-from archonto.mdl import builtin_rules, parse_mdl
+from archonto.mdl import builtin_rules, parse_mdl, render_mdl
 from archonto.ontology import builtin_schema
 from archonto.records import parse_corpus
 from archonto.vocabulary import builtin_vocabularies, load_nesting, load_vocabularies
@@ -179,6 +179,37 @@ def test_rules_check(tmp_path, capsys):
     bad = tmp_path / "bad.mdl"
     bad.write_text("RULE 1: X =>\n  E999 Unknown\n", encoding="utf-8")
     assert main(["rules", "--check", str(bad)]) == 2
+
+
+_TITLE_PATH = "$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> T"
+
+
+@pytest.mark.parametrize(
+    "path,warning",
+    [
+        ("$D1 -> P128 is carried by -> T",
+         "warning: rule 4: P128 expects a E22 node, got a literal"),
+        ("$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> E22 Human-Made Object",
+         "warning: rule 4: DOP7 expects a xsd:string literal, got a node"),
+    ],
+    ids=["literal-on-P128", "node-on-DOP7"],
+)
+def test_rules_check_warns_of_each_range_kind_mismatch(tmp_path, capsys, path, warning):
+    text = render_mdl(builtin_rules(), builtin_schema())
+    assert _TITLE_PATH in text
+    rules = tmp_path / "rules.mdl"
+    rules.write_text(text.replace(_TITLE_PATH, path), encoding="utf-8")
+    # Non-strict migration accepts such a rule, so the check still passes.
+    assert main(["rules", "--check", str(rules)]) == 0
+    count = len(builtin_rules().rules)
+    assert capsys.readouterr().err.splitlines() == [warning, f"{rules}: {count} rule(s) OK"]
+
+
+def test_rules_check_of_the_builtin_rules_warns_of_nothing(tmp_path, capsys):
+    rules = tmp_path / "rules.mdl"
+    assert main(["rules", "--dump", "--out", str(rules)]) == 0
+    assert main(["rules", "--check", str(rules)]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"{rules}: 18 rule(s) OK"]
 
 
 def test_rules_check_rejects_emission_of_a_non_capture(tmp_path, capsys):

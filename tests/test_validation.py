@@ -322,6 +322,29 @@ def test_validation_reads_graph_views_a_fixed_number_of_times(
     assert reads["triples"] <= 2
 
 
+@pytest.mark.parametrize("size", [10, 200])
+def test_validation_asks_each_subclass_question_once_per_run(
+    schema, registry, nesting, rules, monkeypatch, size
+):
+    corpus = corpus_text(synthetic_corpus(random.Random(5), size))
+    tree = resolve_inheritance(parse_corpus(corpus))
+    graph = migrate_tree(tree, rules, schema, registry).graph
+    asked = []
+    is_subclass = OntologySchema.is_subclass
+
+    def counted(self, child, ancestor):
+        asked.append((child, ancestor))
+        return is_subclass(self, child, ancestor)
+
+    monkeypatch.setattr(OntologySchema, "is_subclass", counted)
+    first = validate_graph(graph, schema, registry, nesting)
+    assert asked and len(asked) == len(set(asked))
+    # The answers live as long as one run: a second run asks them all again.
+    questions, asked[:] = sorted(asked), []
+    assert validate_graph(graph, schema, registry, nesting) == first
+    assert sorted(asked) == questions
+
+
 def test_class_unknown_to_the_validating_schema_is_a_finding(schema, registry, nesting):
     extra = ClassDef("E999", "Extra Thing", SourceOntology.CIDOC, "E1")
     wider = OntologySchema(
