@@ -82,13 +82,6 @@ def _parse_inheritable(spec: str | None) -> frozenset[str]:
     return frozenset(part.strip() for part in spec.split(",") if part.strip())
 
 
-def _write_output(data: bytes, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.buffer.write(data)
-    else:
-        out.write_bytes(data)
-
-
 def _migrate_corpus(corpus_path: Path, args: argparse.Namespace, env):
     schema, registry, _nesting, rules = env
     tree = parse_corpus(Path(corpus_path).read_bytes())
@@ -129,14 +122,19 @@ def _output_file(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
+def _sink(path: Path | None) -> contextlib.AbstractContextManager[BinaryIO]:
+    """Standard output, or ``path`` through :func:`_output_file`.  Every
+    command opens its outputs before it reads any input, so that a path that
+    cannot be written fails at once, and each appears only on success."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout.buffer)
+    return _output_file(path)
+
+
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    # Both files are opened before any input is read, so that a path that
-    # cannot be written fails at once, and each appears only on success.
     with contextlib.ExitStack() as stack:
-        out, report_file = (
-            None if path is None else stack.enter_context(_output_file(path))
-            for path in (args.out, args.report)
-        )
+        out = stack.enter_context(_sink(args.out))
+        report_file = None if args.report is None else stack.enter_context(_output_file(args.report))
         env = _load_environment(args)
         result = _migrate_corpus(args.in_path, args, env)
         report = "\n".join(result.report_lines())
@@ -145,7 +143,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         elif report:
             _diag(report)
         # Written in chunks: the whole output never exists as one bytes object.
-        result.graph.write(sys.stdout.buffer if out is None else out, args.format)
+        result.graph.write(out, args.format)
     return EXIT_FINDINGS if result.has_errors else EXIT_OK
 
 
@@ -162,20 +160,21 @@ def _graph_for_inspection(args: argparse.Namespace, env) -> Graph:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    env = _load_environment(args)
-    schema, registry, nesting, _rules = env
-    graph = _graph_for_inspection(args, env)
-    report = validate_graph(graph, schema, registry, nesting)
-    text = "\n".join(report.lines()) if args.format == "tsv" else report.text().rstrip("\n")
-    _write_output((text + "\n").encode("utf-8") if text else b"", args.out)
+    with _sink(args.out) as out:
+        env = _load_environment(args)
+        schema, registry, nesting, _rules = env
+        graph = _graph_for_inspection(args, env)
+        report = validate_graph(graph, schema, registry, nesting)
+        text = "\n".join(report.lines()) if args.format == "tsv" else report.text().rstrip("\n")
+        out.write((text + "\n").encode("utf-8") if text else b"")
     return EXIT_FINDINGS if report.error_count else EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    env = _load_environment(args)
-    graph = _graph_for_inspection(args, env)
-    report = usage_report(graph, env[0])
-    _write_output(render_usage(report, args.format).encode("utf-8"), args.out)
+    with _sink(args.out) as out:
+        env = _load_environment(args)
+        graph = _graph_for_inspection(args, env)
+        out.write(render_usage(usage_report(graph, env[0]), args.format).encode("utf-8"))
     return EXIT_OK
 
 
@@ -188,12 +187,14 @@ def _cmd_rules(args: argparse.Namespace) -> int:
             _diag(f"warning: {mismatch}")
         _diag(f"{args.check}: {len(ruleset.rules)} rule(s) OK")
         return EXIT_OK
-    _write_output(render_mdl(builtin_rules(), schema).encode("utf-8"), args.out)
+    with _sink(args.out) as out:
+        out.write(render_mdl(builtin_rules(), schema).encode("utf-8"))
     return EXIT_OK
 
 
 def _cmd_schema(args: argparse.Namespace) -> int:
-    _write_output(builtin_schema().dump().encode("utf-8"), args.out)
+    with _sink(args.out) as out:
+        out.write(builtin_schema().dump().encode("utf-8"))
     return EXIT_OK
 
 

@@ -231,9 +231,9 @@ class Graph:
         return MappingProxyType(self._nodes)
 
     def _rows_by_predicate(self) -> tuple[Mapping[str, NodeRef], dict[str, list[_Row]]]:
-        """For the package's readers, which must change neither: the node
-        dict itself, and the stored rows (not copies) grouped by predicate
-        id, a foreign predicate keeping its IRI."""
+        """For validation, which must change neither: the node dict itself,
+        and the stored rows (not copies) grouped by predicate id, a foreign
+        predicate keeping its IRI."""
         by_iri: dict[str, list[_Row]] = {}
         for row in self._triples:
             rows = by_iri.get(row[1])
@@ -413,12 +413,18 @@ class Graph:
 
     # -- deserialization -----------------------------------------------------------
 
-    # N-Triples whitespace is space and tab only; other Unicode spaces are
-    # not separators.  A literal holds no raw CR (nor LF, which ends a line).
+    # One line of a block, as exactly one of three forms: a statement, a blank
+    # or comment line, or anything else (the last group: not a statement).
+    # N-Triples whitespace is space and tab only; other Unicode spaces are not
+    # separators.  Space, tab and CR (as of a CRLF) may pad either end of a
+    # line.  A literal holds no raw CR (nor LF, which ends a line).
     _NT_LINE = re.compile(
-        rf"^<([^{_IRI_EXCLUDED}]+)>[ \t]+<([^{_IRI_EXCLUDED}]+)>[ \t]+"
-        rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"((?:[^\"\\\r]|\\.)*)\"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)"
-        r"[ \t]*\.$"
+        rf"^[ \t\r]*<([^{_IRI_EXCLUDED}]+)>[ \t]+<([^{_IRI_EXCLUDED}]+)>[ \t]+"
+        rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"([^\"\\\r\n]*(?:\\.[^\"\\\r\n]*)*)\""
+        rf"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)[ \t]*\.[ \t\r]*$"
+        r"|^[ \t\r]*(?:#.*)?$"
+        r"|^(.*)$",
+        re.MULTILINE,
     )
 
     @classmethod
@@ -434,7 +440,8 @@ class Graph:
         can report them; untyped nodes get an empty asserted class.  Each IRI
         has one :class:`NodeRef` and one string, shared by every row that
         names it, and one class: a second type line with another class is a
-        parse error.
+        parse error.  The input is read a block of lines at a time, with one
+        scan per block, and the first fault in line order is the one raised.
         """
         graph = cls(schema, base_iri)
         terms = graph._terms
@@ -448,36 +455,40 @@ class Graph:
                 ref = nodes[iri] = NodeRef(iri, "")
             return ref.iri
 
-        # Only space, tab and the CR of a CRLF are trimmed.
-        for number, raw in utf8.lines(data, NTriplesParseError):
-            line = raw.strip(" \t\r")
-            if not line or line.startswith("#"):
-                continue
-            match = cls._NT_LINE.match(line)
-            if match is None:
-                raise NTriplesParseError("not a valid N-Triples statement", number)
-            s_iri, p_iri, o_iri, o_text, o_dt = match.groups()
-            if p_iri == RDF_TYPE:
-                if o_iri is None:
-                    raise NTriplesParseError("rdf:type object must be an IRI", number)
-                class_id = terms.class_ids.get(o_iri, o_iri)
-                ref = nodes.get(s_iri)
-                if ref is None or not ref.asserted_class:
-                    nodes[s_iri] = NodeRef(s_iri if ref is None else ref.iri, class_id)
-                elif ref.asserted_class != class_id:
-                    raise NTriplesParseError(
-                        f"<{s_iri}> is typed again with another class; a node has one class",
-                        number,
-                    )
-                continue
-            # One string per predicate, shared by its rows; a schema property
-            # named by its bare id reads as that property.
-            predicate = predicates.get(p_iri)
-            if predicate is None:
-                predicate = predicates[p_iri] = terms.property_iris.get(p_iri, p_iri)
-            if o_iri is not None:
-                rows[node_iri(s_iri), predicate, 0, node_iri(o_iri), ""] = None
-            else:
-                datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
-                rows[node_iri(s_iri), predicate, 1, _unescape_literal(o_text, number), datatype] = None
+        # Written output is sorted by subject, so a run of lines shares one.
+        last_subject = subject = ""
+        for first, block in utf8.blocks(data, NTriplesParseError):
+            # One tuple per line, so a match's place in the list is its line.
+            for number, (s_iri, p_iri, o_iri, o_text, o_dt, bad) in enumerate(
+                cls._NT_LINE.findall(block), first
+            ):
+                if not s_iri:
+                    if bad:
+                        raise NTriplesParseError("not a valid N-Triples statement", number)
+                    continue
+                if p_iri == RDF_TYPE:
+                    if not o_iri:
+                        raise NTriplesParseError("rdf:type object must be an IRI", number)
+                    class_id = terms.class_ids.get(o_iri, o_iri)
+                    ref = nodes.get(s_iri)
+                    if ref is None or not ref.asserted_class:
+                        nodes[s_iri] = NodeRef(s_iri if ref is None else ref.iri, class_id)
+                    elif ref.asserted_class != class_id:
+                        raise NTriplesParseError(
+                            f"<{s_iri}> is typed again with another class; a node has one class",
+                            number,
+                        )
+                    continue
+                if s_iri != last_subject:
+                    last_subject, subject = s_iri, node_iri(s_iri)
+                # One string per predicate, shared by its rows; a schema
+                # property named by its bare id reads as that property.
+                predicate = predicates.get(p_iri)
+                if predicate is None:
+                    predicate = predicates[p_iri] = terms.property_iris.get(p_iri, p_iri)
+                if o_iri:
+                    rows[subject, predicate, 0, node_iri(o_iri), ""] = None
+                else:
+                    datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
+                    rows[subject, predicate, 1, _unescape_literal(o_text, number), datatype] = None
         return graph

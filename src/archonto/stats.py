@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import Graph
 from .ontology import OntologySchema
@@ -46,8 +48,11 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     for node in graph.node_index.values():
         key = node.asserted_class or "(untyped)"
         class_tally[key] = class_tally.get(key, 0) + 1
-    _, index = graph._rows_by_predicate()
-    property_tally = {identifier: len(rows) for identifier, rows in index.items()}
+    # Rows by predicate IRI, then by id: a foreign predicate keeps its IRI.
+    property_ids = graph._terms.property_ids
+    property_tally: Counter[str] = Counter()
+    for iri, count in Counter(map(itemgetter(1), graph._triples)).items():
+        property_tally[property_ids.get(iri, iri)] += count
 
     def ranked(tally: dict[str, int], ontology_of) -> tuple[tuple[str, str, int], ...]:
         rows = [

@@ -168,9 +168,25 @@ def _check_triples(
                 )
             continue
         prop = schema.property_def(predicate)
+        literal_range = prop.range in LITERAL_RANGES
+        # A predicate's rows hold few distinct (subject class, object class)
+        # pairs, None standing for a literal object.  Each class is asked of
+        # the schema once, and the rows are walked only to report a pair at
+        # fault or to check the lexical form of dateTime literals.
+        pairs = {
+            (nodes[subject].asserted_class, None if literal else nodes[obj].asserted_class)
+            for subject, _, literal, obj, _ in rows
+        }
+        outside_domain = {s for s, _ in pairs if within(s, prop.domain) is False}
+        outside_range = set() if literal_range else {
+            o for _, o in pairs if o is not None and within(o, prop.range) is False
+        }
+        misplaced = any((o is None) is not literal_range for _, o in pairs)
+        if not (outside_domain or outside_range or misplaced or prop.range == XSD_DATETIME):
+            continue
         for subject, _, literal, obj, _ in rows:
             subject_class = nodes[subject].asserted_class
-            if within(subject_class, prop.domain) is False:
+            if subject_class in outside_domain:
                 out.add(
                     DOMAIN_VIOLATION,
                     subject,
@@ -178,7 +194,7 @@ def _check_triples(
                     f"subject class {subject_class} is outside the "
                     f"domain {prop.domain} of {predicate}",
                 )
-            if prop.range in LITERAL_RANGES:
+            if literal_range:
                 if not literal:
                     out.add(
                         RANGE_VIOLATION,
@@ -202,7 +218,7 @@ def _check_triples(
                 )
             else:
                 object_class = nodes[obj].asserted_class
-                if within(object_class, prop.range) is False:
+                if object_class in outside_range:
                     out.add(
                         RANGE_VIOLATION,
                         subject,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import random
 
@@ -260,3 +261,22 @@ def random_ruleset_text(rng: random.Random, schema, rule_count: int) -> str:
             paths.append(" -> ".join(segments))
         blocks.append(f"RULE {rule_no}: {selector} =>\n  " + ";\n  ".join(paths))
     return "\n\n".join(blocks) + "\n"
+
+
+def lines_one_at_a_time(data: bytes | str, error):
+    """``(line number, text)`` of each line decoded on its own, the reference
+    for the block decoder: a str splits as ``str.split("\\n")`` does, bytes
+    lose a leading BOM and the empty piece after a final LF, and a bad byte
+    raises ``error(message, line)`` when its line is reached."""
+    if isinstance(data, str):
+        yield from enumerate(data.split("\n"), start=1)
+        return
+    pieces = data.removeprefix(codecs.BOM_UTF8).split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    for number, raw in enumerate(pieces, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"invalid UTF-8 byte 0x{raw[exc.start]:02X}", number) from None
+        yield number, text

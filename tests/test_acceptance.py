@@ -522,16 +522,30 @@ _ALL_FIELDS = (
 )
 
 
+# Any JSON value, nested, with the corpus's field names among the keys.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT | st.just(_NOT_FINITE),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_ALL_FIELDS) | _TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
 @st.composite
 def _hostile_corpora(draw) -> str:
     """1-6 records of JSON Lines: a forest with odd text, plus up to two
-    wrong values, at the top level or inside a dimension or creator entry."""
+    wrong values, at the top level or inside a dimension or creator entry.
+    A record may instead be drawn whole as a JSON object of any nesting."""
     records: list[dict] = []
     for index in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            records.append(draw(st.dictionaries(st.sampled_from(_ALL_FIELDS) | _TEXT, _JSON, max_size=6)))
+            continue
         level = draw(st.sampled_from(["Fonds", "Serie", "Item", "Bogus"]))
         record = {"1.1": draw(_TEXT) + str(index), "1.4": level}
         if index and draw(st.booleans()):
-            record["parent"] = draw(st.sampled_from(records))["1.1"]
+            record["parent"] = draw(st.sampled_from(records)).get("1.1")
         record.update(draw(st.dictionaries(st.sampled_from(_TEXT_FIELDS), _TEXT, max_size=4)))
         for field in ("supports", "languages"):
             record[field] = draw(st.lists(_TEXT, max_size=2))

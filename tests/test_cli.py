@@ -359,6 +359,24 @@ def test_unwritable_output_fails_before_any_record_is_migrated(tmp_path, corpus_
     assert list(tmp_path.iterdir()) == [corpus_file]  # not the other file, nor a temporary one
 
 
+@pytest.mark.parametrize(
+    "command", [["validate", "--in"], ["stats", "--in"], ["rules", "--dump"], ["schema", "--dump"]]
+)
+def test_unwritable_out_fails_before_any_input_is_read(tmp_path, monkeypatch, capsys, command):
+    calls = []
+    monkeypatch.setattr(Graph, "from_ntriples", classmethod(lambda *args: calls.append("read")))
+    monkeypatch.setattr(cli, "validate_graph", lambda *args: calls.append("validate"))
+    monkeypatch.setattr(cli, "usage_report", lambda *args: calls.append("stats"))
+    graph = tmp_path / "graph.nt"
+    graph.write_bytes(b"")
+    missing = tmp_path / "missing"
+    argv = [*command, *([str(graph)] if command[1] == "--in" else []), "--out", str(missing / "x")]
+    assert main(argv) == 2
+    assert f"No such file or directory: '{missing}" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [graph]
+
+
 def test_failed_migrate_leaves_no_file_and_a_good_one_only_its_outputs(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"1.1": "A", "1.4": "Bogus"}\n{"1.1": "B", "1.4": "Fonds"}\n', encoding="utf-8")

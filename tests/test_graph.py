@@ -1,12 +1,19 @@
 """Node minting, triple semantics and deterministic serialization."""
 
+import codecs
 import io
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from archonto import utf8
 from archonto.graph import (
+    CRM_NAMESPACE,
+    RDF_TYPE,
+    XSD_NAMESPACE,
     Graph,
     GraphError,
     Literal,
@@ -14,8 +21,12 @@ from archonto.graph import (
     NodeRef,
     NTriplesParseError,
     Triple,
+    _IRI_EXCLUDED,
+    _unescape_literal,
 )
-from archonto.ontology import XSD_DATETIME, builtin_schema
+from archonto.ontology import XSD_DATETIME, XSD_STRING, builtin_schema
+
+from conftest import lines_one_at_a_time
 
 
 @pytest.fixture()
@@ -464,3 +475,161 @@ def test_value_classes_have_slots():
     node = NodeRef("https://example.org/a", "E31")
     for value in (Literal("x"), node, Triple(node, "P3", Literal("x"))):
         assert not hasattr(value, "__dict__")
+
+
+# -- the block reader against the per-line reader it replaced ----------------------
+
+# The statement pattern of the reader that matched one trimmed line at a time.
+_LINE_AT_A_TIME = re.compile(
+    rf"^<([^{_IRI_EXCLUDED}]+)>[ \t]+<([^{_IRI_EXCLUDED}]+)>[ \t]+"
+    rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"((?:[^\"\\\r]|\\.)*)\"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)"
+    r"[ \t]*\.$"
+)
+_DATATYPES = {XSD_NAMESPACE + "string": XSD_STRING, XSD_NAMESPACE + "dateTime": XSD_DATETIME}
+
+
+def _read_line_at_a_time(data: bytes | str, schema) -> tuple[list, list]:
+    """The rows and the (IRI, class) nodes, in order, that decoding, trimming
+    and matching one line at a time gives, or the NTriplesParseError."""
+    terms = Graph(schema)._terms
+    nodes: dict[str, str] = {}
+    rows: dict[tuple, None] = {}
+    for number, raw in lines_one_at_a_time(data, NTriplesParseError):
+        line = raw.strip(" \t\r")
+        if not line or line.startswith("#"):
+            continue
+        match = _LINE_AT_A_TIME.match(line)
+        if match is None:
+            raise NTriplesParseError("not a valid N-Triples statement", number)
+        s_iri, p_iri, o_iri, o_text, o_dt = match.groups()
+        if p_iri == RDF_TYPE:
+            if o_iri is None:
+                raise NTriplesParseError("rdf:type object must be an IRI", number)
+            class_id = terms.class_ids.get(o_iri, o_iri)
+            if nodes.get(s_iri, "") not in ("", class_id):
+                raise NTriplesParseError(
+                    f"<{s_iri}> is typed again with another class; a node has one class", number
+                )
+            nodes[s_iri] = class_id
+            continue
+        nodes.setdefault(s_iri, "")
+        predicate = terms.property_iris.get(p_iri, p_iri)
+        if o_iri is not None:
+            nodes.setdefault(o_iri, "")
+            rows[s_iri, predicate, 0, o_iri, ""] = None
+        else:
+            datatype = _DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
+            rows[s_iri, predicate, 1, _unescape_literal(o_text, number), datatype] = None
+    return list(rows), list(nodes.items())
+
+
+def _outcome(read):
+    try:
+        return read()
+    except NTriplesParseError as exc:
+        return exc.line, str(exc)
+
+
+_BASE = "https://example.org/archonto/"
+_NODE_IRIS = st.sampled_from([
+    _BASE + "PT/e31/1", _BASE + "PT/e22/1", _BASE + "PT%2FA/e31/1", "https://other.example/é",
+    "urn:x:\U0001F600",
+])
+_PREDICATE_IRIS = st.sampled_from([
+    _BASE + "ontology/ISAD18_has_notes", CRM_NAMESPACE + "P128_carries", "P3", "https://other.example/p",
+])
+_CLASS_IRIS = st.sampled_from([
+    CRM_NAMESPACE + "E31_Document", CRM_NAMESPACE + "E22_Human-Made_Object", "https://other.example/C",
+])
+# Literal text: plain and multi-byte characters and the escapes N-Triples
+# has; then, in a faulty document, escapes it does not have and a raw quote
+# or CR, which end the statement badly.
+_PIECES = ["a", " ", "é", "\U0001F600", "\u2028", "\\n", '\\"', "\\\\", "\\u00E9", "\\U0001F600", "\t"]
+_BAD_PIECES = ["\\x41", "\\uD800", "\\", '"', "\r"]
+_PADS = ["", " ", "\t", "\r", " \t\r"]
+_SEPS = [" ", "\t", " \t "]
+# A Unicode space that is not N-Triples whitespace, in faulty documents.
+_BAD_SPACES = ["\u2003"]
+
+
+@st.composite
+def _ntriples_lines(draw, faulty: bool) -> str:
+    kinds = ["node", "literal", "literal", "type", "type", "comment", "blank"] + ["bad"] * faulty
+    kind = draw(st.sampled_from(kinds))
+    literals = st.lists(st.sampled_from(_PIECES + _BAD_PIECES * faulty), max_size=6).map("".join)
+    pad = st.sampled_from(_PADS + _BAD_SPACES * faulty)
+    sep = draw(st.sampled_from(_SEPS + _BAD_SPACES * faulty))
+    if kind == "comment":
+        body = "# " + draw(literals)
+    elif kind == "blank":
+        body = ""
+    elif kind == "bad":
+        body = draw(st.sampled_from(["not a statement", "<a> <b> .", "<a> <b> <c>", "<a b> <c> <d> ."]))
+    else:
+        subject = f"<{draw(_NODE_IRIS)}>"
+        if kind == "type":
+            obj = '"E31"' if faulty and draw(st.booleans()) else f"<{draw(_CLASS_IRIS)}>"
+            body = f"{subject}{sep}<{RDF_TYPE}>{sep}{obj}{sep}."
+        else:
+            if kind == "node":
+                obj = f"<{draw(_NODE_IRIS)}>"
+            else:
+                datatype = draw(st.sampled_from(["", XSD_NAMESPACE + "dateTime", XSD_NAMESPACE + "string",
+                                                 "https://other.example/dt"]))
+                obj = f'"{draw(literals)}"' + (f"^^<{datatype}>" if datatype else "")
+            body = f"{subject}{sep}<{draw(_PREDICATE_IRIS)}>{sep}{obj}{draw(st.sampled_from(['', ' ']))}."
+    return draw(pad) + body + draw(pad)
+
+
+@st.composite
+def _ntriples_documents(draw) -> bytes | str:
+    """Statements, comments and blank lines, CRLF or LF, with or without a
+    last LF; a faulty document may also hold bad lines, escapes and bytes."""
+    faulty = draw(st.booleans())
+    lines = draw(st.lists(_ntriples_lines(faulty), max_size=12))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.removesuffix("\n")
+    if draw(st.booleans()):
+        return text
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if faulty and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[cut:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_ntriples_documents(), size=st.integers(1, 64))
+@example(data=f"{_TYPE_LINE}\r\n\n# c\n{_TYPE_LINE}\n".encode(), size=1)
+@example(data=b"# a\n\n\xff\n", size=64)
+def test_block_reader_matches_the_line_at_a_time_reader(data, size):
+    schema = builtin_schema()
+    expected = _outcome(lambda: _read_line_at_a_time(data, schema))
+    with mock.patch.object(utf8, "_BLOCK", size):
+        graph = _outcome(lambda: Graph.from_ntriples(data, schema))
+    if not isinstance(graph, Graph):
+        assert graph == expected
+        return
+    nodes = graph._nodes
+    assert (list(graph._triples), [(iri, n.asserted_class) for iri, n in nodes.items()]) == expected
+    # One string per IRI, held by its node and by every row that names it,
+    # and one string per predicate.
+    for subject, predicate, literal, obj, _ in graph._triples:
+        assert subject is nodes[subject].iri
+        assert literal or obj is nodes[obj].iri
+    assert len({id(row[1]) for row in graph._triples}) == len({row[1] for row in graph._triples})
+    assert all(iri is node.iri for iri, node in nodes.items())
+
+
+def test_a_graph_of_several_blocks_reads_back_to_the_same_bytes():
+    graph = Graph(builtin_schema())
+    for number in range(1200):
+        doc = graph.mint_node(f"PT/{number}", "e31", "1", "E31")
+        graph.add_triple(doc, "ISAD18", Literal(f"nota \u2028 {number} é\U0001F600 \"q\" \\"))
+        graph.add_triple(doc, "P128", graph.mint_node(f"PT/{number}", "e22", "1", "E22"))
+    data = graph.serialize()
+    assert len(data) > 200 * 1024 and len(list(utf8.blocks(data, NTriplesParseError))) > 3
+    assert Graph.from_ntriples(data, builtin_schema()).serialize() == data
