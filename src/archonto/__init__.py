@@ -1,6 +1,6 @@
 """ArchOnto: CIDOC CRM-based archival data model and ISAD(G) migration engine."""
 
-from .graph import DEFAULT_BASE_IRI, Graph, Literal, NodeRef, Triple
+from .graph import DEFAULT_BASE_IRI, Graph
 from .mdl import builtin_rules, parse_mdl, render_mdl
 from .migration import (
     attach_isad_fallback,
@@ -28,12 +28,9 @@ __all__ = [
     "Graph",
     "IsadRecord",
     "LevelNestingGraph",
-    "Literal",
-    "NodeRef",
     "OntologySchema",
     "RecordTree",
     "SourceOntology",
-    "Triple",
     "VocabularyRegistry",
     "attach_isad_fallback",
     "builtin_nesting",

@@ -70,27 +70,6 @@ class NTriplesParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A typed literal value; datatype is a tag from the schema ranges."""
-
-    text: str
-    datatype: str = XSD_STRING
-
-
-@dataclass(frozen=True, slots=True)
-class NodeRef:
-    iri: str
-    asserted_class: str
-
-
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: NodeRef
-    predicate: str
-    object: NodeRef | Literal
-
-
 # How a graph stores a statement: (subject IRI, predicate IRI, 1 for a
 # literal object else 0, object IRI or literal text, datatype tag or "").
 # CPython does not track a tuple of strings and small ints for garbage
@@ -201,7 +180,8 @@ class Graph:
             raise GraphError(f"base IRI {base_iri!r} has no scheme; it must be an absolute IRI")
         self.schema = schema
         self.base_iri = base_iri.rstrip("/") + "/"
-        self._nodes: dict[str, NodeRef] = {}
+        # Each node's class id by IRI, "" for an untyped node.
+        self._nodes: dict[str, str] = {}
         # A dict for its insertion order, which `_sorted_rows` relies on.
         self._triples: dict[_Row, None] = {}
 
@@ -212,28 +192,20 @@ class Graph:
     # -- content views -----------------------------------------------------
 
     @property
-    def triples(self) -> frozenset[Triple]:
-        """Snapshot of the statements as Triple objects, made on each call;
-        later additions and removals do not show."""
-        nodes, property_ids = self._nodes, self._terms.property_ids
-        return frozenset(
-            Triple(
-                nodes[s],
-                property_ids.get(p, p),
-                Literal(o, dt) if literal else nodes[o],
-            )
-            for s, p, literal, o, dt in self._triples
-        )
+    def triples(self) -> frozenset[_Row]:
+        """Snapshot of the stored rows, made on each call; later additions
+        and removals do not show."""
+        return frozenset(self._triples)
 
     @property
-    def node_index(self) -> Mapping[str, NodeRef]:
-        """Live read-only view of the nodes by IRI; later mints show at once."""
+    def node_index(self) -> Mapping[str, str]:
+        """Live read-only view of each node's class id ("" when untyped) by
+        IRI; later mints show at once."""
         return MappingProxyType(self._nodes)
 
-    def _rows_by_predicate(self) -> tuple[Mapping[str, NodeRef], dict[str, list[_Row]]]:
-        """For validation, which must change neither: the node dict itself,
-        and the stored rows (not copies) grouped by predicate id, a foreign
-        predicate keeping its IRI."""
+    def _rows_by_predicate(self) -> dict[str, list[_Row]]:
+        """For validation, which changes none of them: the stored rows (not
+        copies) grouped by predicate id, a foreign predicate keeping its IRI."""
         by_iri: dict[str, list[_Row]] = {}
         for row in self._triples:
             rows = by_iri.get(row[1])
@@ -241,31 +213,16 @@ class Graph:
                 rows = by_iri[row[1]] = []
             rows.append(row)
         property_ids = self._terms.property_ids
-        return self._nodes, {property_ids.get(p, p): rows for p, rows in by_iri.items()}
+        return {property_ids.get(p, p): rows for p, rows in by_iri.items()}
 
     def __len__(self) -> int:
         return len(self._triples)
 
-    def __contains__(self, triple: Triple) -> bool:
-        subject, obj = triple.subject, triple.object
-        return (
-            self._row(triple) in self._triples
-            and self._nodes[subject.iri] == subject
-            and (isinstance(obj, Literal) or self._nodes[obj.iri] == obj)
-        )
-
-    def _row(self, triple: Triple) -> _Row:
-        obj, predicate = triple.object, triple.predicate
-        predicate = self._terms.property_iris.get(predicate, predicate)
-        if isinstance(obj, Literal):
-            return (triple.subject.iri, predicate, 1, obj.text, obj.datatype)
-        return (triple.subject.iri, predicate, 0, obj.iri, "")
-
-    # -- node minting -------------------------------------------------------
+    # -- nodes ----------------------------------------------------------------
 
     def mint_node(
         self, record_ref: str, role: str, discriminator: str, class_id: str
-    ) -> NodeRef:
+    ) -> str:
         """Deterministic node IRI: base/record_ref/role/discriminator (encoded)."""
         if not record_ref:
             raise GraphError("record_ref must be non-empty")
@@ -278,31 +235,26 @@ class Graph:
             + "/"
             + _encode(discriminator)
         )
-        return self.register_node(NodeRef(iri, class_id))
+        return self.register_node(iri, class_id)
 
-    def mint_shared(self, class_id: str, term: str) -> NodeRef:
+    def mint_shared(self, class_id: str, term: str) -> str:
         """Corpus-wide individual of a type-like class, keyed by its term."""
         return self.mint_node(SHARED_SEGMENT, class_id, term, class_id)
 
-    def register_node(self, node: NodeRef) -> NodeRef:
-        return self._claim_node(node.iri, node.asserted_class, node)
+    def register_node(self, iri: str, class_id: str) -> str:
+        """Claim the node at ``iri`` as a ``class_id`` and return ``iri``; a
+        node already there with another class is a conflict."""
+        existing = self._nodes.setdefault(iri, class_id)
+        if existing != class_id:
+            raise NodeClassConflict(iri, existing, class_id)
+        return iri
 
-    def _claim_node(self, iri: str, class_id: str, node: NodeRef | None = None) -> NodeRef:
-        """The node at ``iri``, stored as ``node`` (or a new one) when absent;
-        a node already there with another class is a conflict."""
-        existing = self._nodes.get(iri)
-        if existing is None:
-            existing = self._nodes[iri] = node or NodeRef(iri, class_id)
-        elif existing.asserted_class != class_id:
-            raise NodeClassConflict(iri, existing.asserted_class, class_id)
-        return existing
-
-    def shared_term(self, node: NodeRef) -> tuple[str, str] | None:
+    def shared_term(self, iri: str) -> tuple[str, str] | None:
         """Decode (class_id, term) for shared vocabulary individuals."""
         prefix = self.base_iri + SHARED_SEGMENT + "/"
-        if not node.iri.startswith(prefix):
+        if not iri.startswith(prefix):
             return None
-        rest = node.iri[len(prefix) :].split("/")
+        rest = iri[len(prefix) :].split("/")
         if len(rest) != 2:
             return None
         class_id, term = unquote(rest[0]), unquote(rest[1])
@@ -310,39 +262,37 @@ class Graph:
             return None
         return class_id, term
 
-    # -- triple assembly -----------------------------------------------------
+    # -- rows -------------------------------------------------------------------
 
-    def add_triple(self, subject: NodeRef, predicate: str, obj: NodeRef | Literal) -> Triple:
-        """Insert with set semantics and return the triple; range kinds are
-        checked by validation (or, in strict mode, by the engine)."""
-        predicate_iri = self._terms.property_iris.get(predicate)
-        if predicate_iri is None:
-            self.schema.property_def(predicate)
-        nodes = self._nodes
-        # A node minted by this graph is already in the index as this object.
-        if nodes.get(subject.iri) is not subject:
-            self.register_node(subject)
-        if isinstance(obj, Literal):
-            self._triples[subject.iri, predicate_iri, 1, obj.text, obj.datatype] = None
+    def add_triple(
+        self, subject: str, predicate_id: str, obj: str, datatype: str | None = None
+    ) -> _Row:
+        """Store and return the row of one statement, with set semantics.
+        Without ``datatype``, ``obj`` is the IRI of a node; with one, it is
+        literal text of that datatype.  Range kinds are checked by
+        validation (or, in strict mode, by the engine)."""
+        predicate = self._terms.property_iris.get(predicate_id)
+        if predicate is None:
+            self.schema.property_def(predicate_id)
+        if datatype is None:
+            row, named = (subject, predicate, 0, obj, ""), (subject, obj)
         else:
-            if nodes.get(obj.iri) is not obj:
-                self.register_node(obj)
-            self._triples[subject.iri, predicate_iri, 0, obj.iri, ""] = None
-        return Triple(subject, predicate, obj)
+            row, named = (subject, predicate, 1, obj, datatype), (subject,)
+        for iri in named:
+            if iri not in self._nodes:
+                raise GraphError(f"node {iri} is not in the graph")
+        self._triples[row] = None
+        return row
 
-    def remove_triple(self, triple: Triple) -> None:
-        if triple in self:
-            self._triples.pop(self._row(triple), None)
+    def remove_triple(self, row: _Row) -> None:
+        self._triples.pop(row, None)
 
     def absorb(self, other: Graph) -> None:
         """Merge another graph built against the same schema and base IRI."""
         if other.base_iri != self.base_iri:
             raise GraphError("cannot merge graphs with different base IRIs")
-        nodes = self._nodes
-        for iri, node in other._nodes.items():
-            existing = nodes.setdefault(iri, node)
-            if existing is not node and existing.asserted_class != node.asserted_class:
-                raise NodeClassConflict(iri, existing.asserted_class, node.asserted_class)
+        for iri, class_id in other._nodes.items():
+            self.register_node(iri, class_id)
         self._triples.update(other._triples)
 
     def copy(self) -> Graph:
@@ -350,10 +300,6 @@ class Graph:
         clone._nodes = dict(self._nodes)
         clone._triples = dict(self._triples)
         return clone
-
-    def property_iri(self, property_id: str) -> str:
-        self.schema.property_def(property_id)
-        return self._terms.property_iris[property_id]
 
     # -- serialization ----------------------------------------------------------
 
@@ -366,9 +312,9 @@ class Graph:
         """
         class_iris = self._terms.class_iris
         rows: list[_Row] = [
-            (node.iri, RDF_TYPE, 0, class_iris.get(node.asserted_class, node.asserted_class), "")
-            for node in self._nodes.values()
-            if node.asserted_class
+            (iri, RDF_TYPE, 0, class_iris.get(class_id, class_id), "")
+            for iri, class_id in self._nodes.items()
+            if class_id
         ]
         rows.extend(self._triples)
         # Arrival order depends on how the graph was built, so this sort
@@ -437,23 +383,26 @@ class Graph:
         """Rebuild a graph from N-Triples produced by :meth:`serialize`.
 
         Unknown predicate or class IRIs are preserved verbatim so validation
-        can report them; untyped nodes get an empty asserted class.  Each IRI
-        has one :class:`NodeRef` and one string, shared by every row that
-        names it, and one class: a second type line with another class is a
-        parse error.  The input is read a block of lines at a time, with one
-        scan per block, and the first fault in line order is the one raised.
+        can report them; untyped nodes get the class id "".  Each IRI has one
+        string, shared by its node and by every row that names it, and one
+        class: a second type line with another class is a parse error.  The
+        input is read a block of lines at a time, with one scan per block,
+        and the first fault in line order is the one raised.
         """
         graph = cls(schema, base_iri)
         terms = graph._terms
         nodes, rows = graph._nodes, graph._triples
         predicates: dict[str, str] = {}
+        # The one string of each IRI read so far; kept for this read only.
+        iris: dict[str, str] = {}
 
         # A node named before its type line is untyped until that line.
         def node_iri(iri: str) -> str:
-            ref = nodes.get(iri)
-            if ref is None:
-                ref = nodes[iri] = NodeRef(iri, "")
-            return ref.iri
+            known = iris.get(iri)
+            if known is None:
+                known = iris[iri] = iri
+                nodes[iri] = ""
+            return known
 
         # Written output is sorted by subject, so a run of lines shares one.
         last_subject = subject = ""
@@ -470,10 +419,10 @@ class Graph:
                     if not o_iri:
                         raise NTriplesParseError("rdf:type object must be an IRI", number)
                     class_id = terms.class_ids.get(o_iri, o_iri)
-                    ref = nodes.get(s_iri)
-                    if ref is None or not ref.asserted_class:
-                        nodes[s_iri] = NodeRef(s_iri if ref is None else ref.iri, class_id)
-                    elif ref.asserted_class != class_id:
+                    typed = nodes.get(s_iri)
+                    if not typed:
+                        nodes[node_iri(s_iri)] = class_id
+                    elif typed != class_id:
                         raise NTriplesParseError(
                             f"<{s_iri}> is typed again with another class; a node has one class",
                             number,

@@ -6,8 +6,9 @@ instant), dimension rules by entry kind, and the description-date rule runs
 once per date type.  Each rule is compiled once per run into a plan of plain
 tuples holding all it needs from the schema; a per-record emitter walks the
 plans and writes rows straight into the record's graph.  Node identity is
-deterministic, and :func:`_node` is its one owner (the README's "IRI scheme"
-lists the rules).
+deterministic (the README's "IRI scheme" lists the rules), and every node
+the engine names is claimed through ``Graph.register_node``, the one check
+that an IRI keeps one class.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .graph import DEFAULT_BASE_IRI, SHARED_SEGMENT, Graph, GraphError, NodeRef
+from .graph import DEFAULT_BASE_IRI, SHARED_SEGMENT, Graph, GraphError
 from .graph import _encode, _term_table
 from .mdl import BindMode, MdlRule, PathStep, RuleSet, StepKind
 from .ontology import LITERAL_RANGES, XSD_STRING, OntologySchema, SourceOntology
@@ -229,7 +230,7 @@ class MigrationContext:
     graph: Graph
     registry: VocabularyRegistry
     strict: bool = False
-    anchors: dict[str, NodeRef] = field(default_factory=dict)
+    anchors: dict[str, str] = field(default_factory=dict)
     value_owners: dict[tuple[str, str], int] = field(default_factory=dict)
     trace: list[TraceEntry] = field(default_factory=list)
     problems: list[RecordProblem] = field(default_factory=list)
@@ -245,8 +246,8 @@ def _role(class_id: str) -> str:
     return class_id.lower()
 
 
-def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> NodeRef:
-    """The node of ``step`` that application ``key`` names by ``term``.  No
+def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str:
+    """The IRI of the node of ``step`` that application ``key`` names by ``term``.  No
     term: a structural node, once per record for a singleton class and once
     per application otherwise.  A term of a class under E55 Type: a node
     shared corpus-wide, checked against the vocabulary in strict mode.  Any
@@ -264,11 +265,11 @@ def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> Nod
             owner = ctx.value_owners.setdefault((step.class_id, term), step.rule_no)
             role = step.role if owner == step.rule_no else step.alt_role
             iri = ctx.prefix + role + "/" + _encode(term)
-    return ctx.graph._claim_node(iri, step.class_id)
+    return ctx.graph.register_node(iri, step.class_id)
 
 
-def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dict) -> NodeRef:
-    """The node of a step that is not an emission.  A variable is looked up
+def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dict) -> str:
+    """The node IRI of a step that is not an emission.  A variable is looked up
     in the nodes this firing assigned, then in the captures, then in the
     document rule's anchors."""
     kind, var = step.kind, step.var
@@ -282,7 +283,7 @@ def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dic
         if kind is _DEREF:
             # Text dereferences to the document of the record it names (a parent).
             iri = ctx.graph.base_iri + _encode(captures[var]) + "/" + step.role + "/1"
-            return ctx.graph._claim_node(iri, DOCUMENT_CLASS)
+            return ctx.graph.register_node(iri, DOCUMENT_CLASS)
         node = assigned[var] = _node(ctx, step, captures[var], app.key)
         return node
     node = ctx.anchors.get(var)
@@ -301,11 +302,11 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
     if not ctx.record.reference_code:
         raise GraphError("record_ref must be non-empty")
     captures, terms, rows, strict = app.captures, app.class_terms, ctx.graph._triples, ctx.strict
-    is_subclass = ctx.graph.schema.is_subclass
+    nodes, is_subclass = ctx.graph._nodes, ctx.graph.schema.is_subclass
     if "" in captures.values() or "" in terms.values():
         paths = [path for path in paths
                  if "" not in map(captures.get, path[2]) and "" not in map(terms.get, path[3])]
-    assigned: dict[str, NodeRef] = {}
+    assigned: dict[str, str] = {}
     count = 0
     for start, hops, _, _ in paths:
         subject = _resolve(ctx, start, app, assigned)
@@ -314,8 +315,8 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
             if step.kind is not _EMIT:
                 target = _resolve(ctx, step, app, assigned)
                 if strict and mismatch is not None:
-                    raise StrictRangeError(f"{mismatch}node {target.iri}")
-                rows[subject.iri, predicate, 0, target.iri, ""] = None
+                    raise StrictRangeError(f"{mismatch}node {target}")
+                rows[subject, predicate, 0, target, ""] = None
                 subject = target
                 continue
             if step.var not in captures:
@@ -323,11 +324,11 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
             text = captures[step.var]
             if strict and mismatch is not None:
                 raise StrictRangeError(f"{mismatch}literal {text!r}")
-            if carrier is not None and not is_subclass(subject.asserted_class, carrier[1].class_id):
+            if carrier is not None and not is_subclass(nodes[subject], carrier[1].class_id):
                 node = _node(ctx, carrier[1], None, app.key)
-                rows[subject.iri, carrier[0], 0, node.iri, ""] = None
+                rows[subject, carrier[0], 0, node, ""] = None
                 subject, count = node, count + 1
-            rows[subject.iri, predicate, 1, text, datatype] = None
+            rows[subject, predicate, 1, text, datatype] = None
     if document:
         ctx.anchors.update(assigned)
     return count
@@ -515,7 +516,7 @@ def attach_isad_fallback(record: IsadRecord, graph: Graph) -> Graph:
         value = record.value(element)
         text = value.strip() if isinstance(value, str) else ""
         if text and not (element == "title_type" and text == "absent"):
-            rows[document.iri, property_iris[property_id], 1, value, XSD_STRING] = None
+            rows[document, property_iris[property_id], 1, value, XSD_STRING] = None
     return graph
 
 

@@ -44,10 +44,7 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     counted; only modelled statements are.
     """
     schema = schema or graph.schema
-    class_tally: dict[str, int] = {}
-    for node in graph.node_index.values():
-        key = node.asserted_class or "(untyped)"
-        class_tally[key] = class_tally.get(key, 0) + 1
+    class_tally = Counter(class_id or "(untyped)" for class_id in graph._nodes.values())
     # Rows by predicate IRI, then by id: a foreign predicate keeps its IRI.
     property_ids = graph._terms.property_ids
     property_tally: Counter[str] = Counter()

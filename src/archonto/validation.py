@@ -12,7 +12,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
-from .graph import Graph, NodeRef, _Row
+from .graph import SHARED_SEGMENT, Graph, _Row
 from .ontology import LITERAL_RANGES, OntologySchema, XSD_DATETIME
 from .vocabulary import LevelNestingGraph, VocabularyRegistry
 
@@ -152,7 +152,7 @@ def _within(schema: OntologySchema) -> _Within:
 
 def _check_triples(
     index: _Index,
-    nodes: Mapping[str, NodeRef],
+    nodes: Mapping[str, str],
     schema: OntologySchema,
     within: _Within,
     out: _Collector,
@@ -174,7 +174,7 @@ def _check_triples(
         # the schema once, and the rows are walked only to report a pair at
         # fault or to check the lexical form of dateTime literals.
         pairs = {
-            (nodes[subject].asserted_class, None if literal else nodes[obj].asserted_class)
+            (nodes[subject], None if literal else nodes[obj])
             for subject, _, literal, obj, _ in rows
         }
         outside_domain = {s for s, _ in pairs if within(s, prop.domain) is False}
@@ -185,7 +185,7 @@ def _check_triples(
         if not (outside_domain or outside_range or misplaced or prop.range == XSD_DATETIME):
             continue
         for subject, _, literal, obj, _ in rows:
-            subject_class = nodes[subject].asserted_class
+            subject_class = nodes[subject]
             if subject_class in outside_domain:
                 out.add(
                     DOMAIN_VIOLATION,
@@ -217,7 +217,7 @@ def _check_triples(
                     f"{predicate} expects a {prop.range} node, found literal {obj!r}",
                 )
             else:
-                object_class = nodes[obj].asserted_class
+                object_class = nodes[obj]
                 if object_class in outside_range:
                     out.add(
                         RANGE_VIOLATION,
@@ -230,21 +230,24 @@ def _check_triples(
 
 def _check_nodes(
     graph: Graph,
-    nodes: Mapping[str, NodeRef],
+    nodes: Mapping[str, str],
     schema: OntologySchema,
     registry: VocabularyRegistry,
     out: _Collector,
 ) -> None:
-    for iri, node in nodes.items():
-        if not _known_class(schema, node.asserted_class):
+    # A graph holds few classes: each is asked of the schema once.
+    known = {class_id: _known_class(schema, class_id) for class_id in set(nodes.values())}
+    shared_prefix = graph.base_iri + SHARED_SEGMENT + "/"
+    for iri, asserted in nodes.items():
+        if not known[asserted]:
             out.add(
                 UNKNOWN_CLASS,
                 iri,
-                node.asserted_class or "(untyped)",
-                f"node class {node.asserted_class or '(untyped)'} is not declared",
+                asserted or "(untyped)",
+                f"node class {asserted or '(untyped)'} is not declared",
             )
             continue
-        shared = graph.shared_term(node)
+        shared = graph.shared_term(iri) if iri.startswith(shared_prefix) else None
         if shared is not None:
             class_id, term = shared
             if registry.contains(class_id, term) is False:
@@ -257,7 +260,7 @@ def _check_nodes(
 
 
 def _document_levels(
-    graph: Graph, arp12: list[_Row], nodes: Mapping[str, NodeRef]
+    graph: Graph, arp12: list[_Row]
 ) -> dict[str, str]:
     # A document with several ARP12 edges already gets a cardinality finding;
     # take the smallest term so the nesting check stays deterministic.
@@ -265,7 +268,7 @@ def _document_levels(
     for subject, _, literal, obj, _ in arp12:
         if literal:
             continue
-        shared = graph.shared_term(nodes[obj])
+        shared = graph.shared_term(obj)
         if shared is not None and shared[0] == "ARE1":
             current = levels.get(subject)
             if current is None or shared[1] < current:
@@ -276,15 +279,16 @@ def _document_levels(
 def _check_documents(
     graph: Graph,
     index: _Index,
-    nodes: Mapping[str, NodeRef],
+    nodes: Mapping[str, str],
     within: _Within,
     nesting: LevelNestingGraph,
     out: _Collector,
 ) -> None:
     arp12 = index.get("ARP12", [])
     arp12_counts = Counter(row[0] for row in arp12)
-    for iri, node in nodes.items():
-        if not within(node.asserted_class, "E31"):
+    documents = {class_id for class_id in set(nodes.values()) if within(class_id, "E31")}
+    for iri, class_id in nodes.items():
+        if class_id not in documents:
             continue
         count = arp12_counts[iri]
         if count == 0:
@@ -298,7 +302,7 @@ def _check_documents(
                 "ARP12",
                 f"document has {count} levels of description",
             )
-    levels = _document_levels(graph, arp12, nodes)
+    levels = _document_levels(graph, arp12)
     for subject, _, literal, obj, _ in index.get("P165", ()):
         if literal:
             continue
@@ -317,14 +321,13 @@ def _check_documents(
             )
 
 
-def _check_regex_strings(index: _Index, nodes: Mapping[str, NodeRef], out: _Collector) -> None:
+def _check_regex_strings(index: _Index, nodes: Mapping[str, str], out: _Collector) -> None:
     values: dict[str, list[str]] = {}
     for subject, _, literal, text, _ in index.get("DOP7", ()):
         if literal:
             values.setdefault(subject, []).append(text)
     for iri, _, literal, pattern, _ in index.get("DOP4", ()):
-        node = nodes.get(iri)
-        if not literal or node is None or node.asserted_class != "DOE16":
+        if not literal or nodes.get(iri) != "DOE16":
             continue
         try:
             compiled = re.compile(pattern)
@@ -365,7 +368,7 @@ def validate_graph(
     nesting: LevelNestingGraph,
 ) -> ValidationReport:
     """Run every check over a graph and return the ordered findings."""
-    nodes, index = graph._rows_by_predicate()
+    nodes, index = graph._nodes, graph._rows_by_predicate()
     out = _Collector()
     within = _within(schema)
     _check_triples(index, nodes, schema, within, out)

@@ -280,3 +280,28 @@ def lines_one_at_a_time(data: bytes | str, error):
         except UnicodeDecodeError as exc:
             raise error(f"invalid UTF-8 byte 0x{raw[exc.start]:02X}", number) from None
         yield number, text
+
+
+# -- graph rows by property id -----------------------------------------------------
+
+
+def row(graph, subject: str, predicate_id: str, obj: str, datatype: str | None = None) -> tuple:
+    """The row that ``graph.add_triple(subject, predicate_id, obj, datatype)``
+    stores: a node object without a datatype, a literal with one."""
+    predicate = graph._terms.property_iris.get(predicate_id, predicate_id)
+    if datatype is None:
+        return (subject, predicate, 0, obj, "")
+    return (subject, predicate, 1, obj, datatype)
+
+
+def rows_of(graph, predicate_id: str) -> list[tuple]:
+    """The graph's rows whose predicate is this property id (or foreign
+    predicate IRI), in the order they were stored."""
+    predicate = graph._terms.property_iris.get(predicate_id, predicate_id)
+    return [stored for stored in graph._triples if stored[1] == predicate]
+
+
+def objects(graph, predicate_id: str, subject: str | None = None) -> list[str]:
+    """The object (node IRI or literal text) of each row with this property
+    id, of ``subject`` only if given, in the order the rows were stored."""
+    return [o for s, _, _, o, _ in rows_of(graph, predicate_id) if subject in (None, s)]

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archonto.cli import main
-from archonto.graph import DEFAULT_BASE_IRI, Graph, Literal, NodeRef, Triple, _encode
+from archonto.graph import DEFAULT_BASE_IRI, Graph, _encode
 from archonto.mdl import BindMode, StepKind, parse_mdl, render_mdl
 from archonto.migration import migrate_record, migrate_tree
-from archonto.ontology import XSD_DATETIME
+from archonto.ontology import XSD_DATETIME, XSD_STRING
 from archonto.records import DEFAULT_INHERITABLE, Provenance, parse_corpus, resolve_inheritance
 from archonto.stats import usage_report
 from archonto.validation import (
@@ -32,8 +32,11 @@ from conftest import (
     corpus_text,
     make_record,
     naive_inheritance,
+    objects,
     random_forest_tree,
     random_ruleset_text,
+    row,
+    rows_of,
     synthetic_corpus,
 )
 
@@ -48,7 +51,7 @@ def _passed(name: str) -> None:
 # -- criterion 1: rule coverage ------------------------------------------------
 
 
-def _anchors(g: Graph) -> tuple[NodeRef, NodeRef, NodeRef]:
+def _anchors(g: Graph) -> tuple[str, str, str]:
     return (
         g.mint_node(REF, "e31", "1", "E31"),
         g.mint_node(REF, "e22", "1", "E22"),
@@ -57,22 +60,23 @@ def _anchors(g: Graph) -> tuple[NodeRef, NodeRef, NodeRef]:
 
 
 def _golden_case(schema, rule_no):
-    """Minimal record plus the hand-transcribed triples of the rule's path."""
+    """Minimal record plus the hand-transcribed rows of the rule's path and
+    the class of each node they name."""
     g = Graph(schema)
     doc, hmo, lo = _anchors(g)
     elements: dict = {}
     parent = None
-    expected: set[Triple] = set()
+    expected: set[tuple] = set()
     if rule_no == 1:
         pass  # anchors only
     elif rule_no == 2:
         elements = {"1.4": "Fonds"}
-        expected = {Triple(doc, "ARP12", g.mint_shared("ARE1", "Fonds"))}
+        expected = {row(g, doc, "ARP12", g.mint_shared("ARE1", "Fonds"))}
     elif rule_no == 3:
         ident = g.mint_node(REF, "e42", REF, "E42")
         expected = {
-            Triple(doc, "P1", ident),
-            Triple(ident, "P2", g.mint_shared("ARE5", "Reference Code")),
+            row(g, doc, "P1", ident),
+            row(g, ident, "P2", g.mint_shared("ARE5", "Reference Code")),
         }
     elif rule_no in (4, 5, 6):
         title = "Juízo da Índia e Mina"
@@ -84,9 +88,9 @@ def _golden_case(schema, rule_no):
         node = g.mint_node(REF, cls.lower(), "1", cls)
         carrier = g.mint_node(REF, "doe8", "1", "DOE8")
         expected = {
-            Triple(doc, "P102", node),
-            Triple(node, "L2DO", carrier),
-            Triple(carrier, "DOP7", Literal(title)),
+            row(g, doc, "P102", node),
+            row(g, node, "L2DO", carrier),
+            row(g, carrier, "DOP7", title, XSD_STRING),
         }
     elif rule_no == 7:
         elements = {"production_date_start": "1700", "production_date_end": "1833"}
@@ -95,12 +99,12 @@ def _golden_case(schema, rule_no):
         name = g.mint_node(REF, "e41", "interval", "E41")
         interval = g.mint_node(REF, "doe11", "interval", "DOE11")
         expected = {
-            Triple(hmo, "P108", production),
-            Triple(production, "P4", span),
-            Triple(span, "P1", name),
-            Triple(name, "L2DO", interval),
-            Triple(interval, "DOP6", Literal("1700-01-01T00:00:00", DT)),
-            Triple(interval, "DOP2", Literal("1833-12-31T23:59:59", DT)),
+            row(g, hmo, "P108", production),
+            row(g, production, "P4", span),
+            row(g, span, "P1", name),
+            row(g, name, "L2DO", interval),
+            row(g, interval, "DOP6", "1700-01-01T00:00:00", DT),
+            row(g, interval, "DOP2", "1833-12-31T23:59:59", DT),
         }
     elif rule_no == 8:
         elements = {"production_date_single": "1813-07-12"}
@@ -109,11 +113,11 @@ def _golden_case(schema, rule_no):
         name = g.mint_node(REF, "e41", "instant", "E41")
         instant = g.mint_node(REF, "doe10", "instant", "DOE10")
         expected = {
-            Triple(hmo, "P108", production),
-            Triple(production, "P4", span),
-            Triple(span, "P1", name),
-            Triple(name, "L2DO", instant),
-            Triple(instant, "DOP8", Literal("1813-07-12T00:00:00", DT)),
+            row(g, hmo, "P108", production),
+            row(g, production, "P4", span),
+            row(g, span, "P1", name),
+            row(g, name, "L2DO", instant),
+            row(g, instant, "DOP8", "1813-07-12T00:00:00", DT),
         }
     elif rule_no in (9, 10):
         kind = "dimension" if rule_no == 9 else "extension"
@@ -121,16 +125,16 @@ def _golden_case(schema, rule_no):
         elements = {"dimensions": [{"value": "25", "unit": "Centimeter", "kind": kind}]}
         measure = g.mint_node(REF, cls.lower(), "1", cls)
         expected = {
-            Triple(hmo, "P43", measure),
-            Triple(measure, "P91", g.mint_shared("E58", "Centimeter")),
-            Triple(measure, "P90", Literal("25")),
+            row(g, hmo, "P43", measure),
+            row(g, measure, "P91", g.mint_shared("E58", "Centimeter")),
+            row(g, measure, "P90", "25", XSD_STRING),
         }
     elif rule_no == 11:
         elements = {"supports": ["Paper"]}
-        expected = {Triple(hmo, "P45", g.mint_shared("E57", "Paper"))}
+        expected = {row(g, hmo, "P45", g.mint_shared("E57", "Paper"))}
     elif rule_no == 12:
         elements = {"languages": ["Portuguese"]}
-        expected = {Triple(lo, "P72", g.mint_shared("E56", "Portuguese"))}
+        expected = {row(g, lo, "P72", g.mint_shared("E56", "Portuguese"))}
     elif rule_no in (13, 14, 15):
         field, term, value = {
             13: ("physical_location", "Physical Location", "Armário 5"),
@@ -140,8 +144,8 @@ def _golden_case(schema, rule_no):
         elements = {field: value}
         ident = g.mint_node(REF, "e42", value, "E42")
         expected = {
-            Triple(doc, "P1", ident),
-            Triple(ident, "P2", g.mint_shared("ARE5", term)),
+            row(g, doc, "P1", ident),
+            row(g, ident, "P2", g.mint_shared("ARE5", term)),
         }
     elif rule_no == 16:
         elements = {"description_creation_date": "1989-10-25"}
@@ -150,17 +154,17 @@ def _golden_case(schema, rule_no):
         name = g.mint_node(REF, "e41", "creation", "E41")
         instant = g.mint_node(REF, "doe10", "creation", "DOE10")
         expected = {
-            Triple(lo, "P94", creation),
-            Triple(creation, "P4", span),
-            Triple(span, "P1", name),
-            Triple(name, "L2DO", instant),
-            Triple(instant, "DOP8", Literal("1989-10-25T00:00:00", DT)),
-            Triple(instant, "P2", g.mint_shared("ARE6", "Creation Date")),
+            row(g, lo, "P94", creation),
+            row(g, creation, "P4", span),
+            row(g, span, "P1", name),
+            row(g, name, "L2DO", instant),
+            row(g, instant, "DOP8", "1989-10-25T00:00:00", DT),
+            row(g, instant, "P2", g.mint_shared("ARE6", "Creation Date")),
         }
     elif rule_no == 17:
         parent = "PT/PARENT"
         expected = {
-            Triple(doc, "P165", g.mint_node(parent, "e31", "1", "E31")),
+            row(g, doc, "P165", g.mint_node(parent, "e31", "1", "E31")),
         }
     elif rule_no == 18:
         elements = {"creators": [{"name": "Lino", "role": "Producer"}]}
@@ -170,37 +174,34 @@ def _golden_case(schema, rule_no):
         name = g.mint_node(REF, "e41", "1", "E41")
         person_name = g.mint_node(REF, "doe17", "1", "DOE17")
         expected = {
-            Triple(hmo, "P108", production),
-            Triple(assoc, "P01", production),
-            Triple(assoc, "P02", person),
-            Triple(person, "P1", name),
-            Triple(name, "L2DO", person_name),
-            Triple(person_name, "DOP5", Literal("Lino")),
-            Triple(assoc, "P14.1", g.mint_shared("ARE8", "Producer")),
+            row(g, hmo, "P108", production),
+            row(g, assoc, "P01", production),
+            row(g, assoc, "P02", person),
+            row(g, person, "P1", name),
+            row(g, name, "L2DO", person_name),
+            row(g, person_name, "DOP5", "Lino", XSD_STRING),
+            row(g, assoc, "P14.1", g.mint_shared("ARE8", "Producer")),
         }
-    rule1 = {Triple(doc, "P128", hmo), Triple(doc, "P67", lo)}
-    return elements, parent, rule1 | expected
+    rule1 = {row(g, doc, "P128", hmo), row(g, doc, "P67", lo)}
+    return elements, parent, rule1 | expected, dict(g.node_index)
 
 
 def test_rule_coverage_goldens(schema, registry, rules):
     started = time.monotonic()
     for rule_no in range(1, 19):
-        elements, parent, expected = _golden_case(schema, rule_no)
+        elements, parent, expected, classes = _golden_case(schema, rule_no)
         record = make_record(REF, parent=parent, elements=elements)
         subset = rules.subset(1) if rule_no == 1 else rules.subset(1, rule_no)
         outcome = migrate_record(record, subset, schema, registry)
         assert not outcome.problems, (rule_no, outcome.problems)
         assert outcome.graph.triples == expected, f"rule {rule_no} triples differ"
+        assert dict(outcome.graph.node_index) == classes, f"rule {rule_no} nodes differ"
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"rule coverage took {elapsed:.2f}s"
     _passed("rule-coverage")
 
 
 # -- criterion 2: figure-3 reconstruction ----------------------------------------
-
-
-def _objects(graph, subject, predicate):
-    return [t.object for t in graph.triples if t.subject == subject and t.predicate == predicate]
 
 
 def test_figure3_reconstruction(schema, registry, nesting, rules):
@@ -229,59 +230,59 @@ def test_figure3_reconstruction(schema, registry, nesting, rules):
     lo = graph.mint_node(ref, "e33", "1", "E33")
 
     # physical/conceptual split
-    assert _objects(graph, doc, "P128") == [hmo]
-    assert _objects(graph, doc, "P67") == [lo]
+    assert objects(graph, "P128", doc) == [hmo]
+    assert objects(graph, "P67", doc) == [lo]
 
     # level of description
-    (level,) = _objects(graph, doc, "ARP12")
+    (level,) = objects(graph, "ARP12", doc)
     assert graph.shared_term(level) == ("ARE1", "Fonds")
 
     # supplied title through the string carrier
-    (title,) = _objects(graph, doc, "P102")
-    assert title.asserted_class == "ARE3"
-    (carrier,) = _objects(graph, title, "L2DO")
-    assert carrier.asserted_class == "DOE8"
-    assert [o.text for o in _objects(graph, carrier, "DOP7")] == ["Juízo da Índia e Mina"]
+    (title,) = objects(graph, "P102", doc)
+    assert graph.node_index[title] == "ARE3"
+    (carrier,) = objects(graph, "L2DO", title)
+    assert graph.node_index[carrier] == "DOE8"
+    assert objects(graph, "DOP7", carrier) == ["Juízo da Índia e Mina"]
 
     # reference code identifier typed 'Reference Code'
-    identifiers = [o for o in _objects(graph, doc, "P1") if o.asserted_class == "E42"]
+    identifiers = [o for o in objects(graph, "P1", doc) if graph.node_index[o] == "E42"]
     assert len(identifiers) == 1
-    (id_type,) = _objects(graph, identifiers[0], "P2")
+    (id_type,) = objects(graph, "P2", identifiers[0])
     assert graph.shared_term(id_type) == ("ARE5", "Reference Code")
 
     # support and dimension on the physical object
-    (support,) = _objects(graph, hmo, "P45")
+    (support,) = objects(graph, "P45", hmo)
     assert graph.shared_term(support) == ("E57", "Paper")
-    (dimension,) = _objects(graph, hmo, "P43")
-    assert dimension.asserted_class == "E54"
-    assert [o.text for o in _objects(graph, dimension, "P90")] == ["742"]
-    (unit,) = _objects(graph, dimension, "P91")
+    (dimension,) = objects(graph, "P43", hmo)
+    assert graph.node_index[dimension] == "E54"
+    assert objects(graph, "P90", dimension) == ["742"]
+    (unit,) = objects(graph, "P91", dimension)
     assert graph.shared_term(unit) == ("E58", "Centimeter")
 
     # production interval under the production event
-    (production,) = _objects(graph, hmo, "P108")
-    (prod_span,) = _objects(graph, production, "P4")
-    (prod_name,) = _objects(graph, prod_span, "P1")
-    (interval,) = _objects(graph, prod_name, "L2DO")
-    assert interval.asserted_class == "DOE11"
-    assert [o.text for o in _objects(graph, interval, "DOP6")] == ["1700-01-01T00:00:00"]
-    assert [o.text for o in _objects(graph, interval, "DOP2")] == ["1833-12-31T23:59:59"]
+    (production,) = objects(graph, "P108", hmo)
+    (prod_span,) = objects(graph, "P4", production)
+    (prod_name,) = objects(graph, "P1", prod_span)
+    (interval,) = objects(graph, "L2DO", prod_name)
+    assert graph.node_index[interval] == "DOE11"
+    assert objects(graph, "DOP6", interval) == ["1700-01-01T00:00:00"]
+    assert objects(graph, "DOP2", interval) == ["1833-12-31T23:59:59"]
 
     # description creation date: E65 -> E52 -> E41 -> DOE10 Instant
-    (creation,) = _objects(graph, lo, "P94")
-    assert creation.asserted_class == "E65"
-    (span,) = _objects(graph, creation, "P4")
-    assert span.asserted_class == "E52"
-    (span_name,) = _objects(graph, span, "P1")
-    assert span_name.asserted_class == "E41"
-    (instant,) = _objects(graph, span_name, "L2DO")
-    assert instant.asserted_class == "DOE10"
-    (stamp,) = _objects(graph, instant, "DOP8")
-    assert validate_datetime(stamp.text)
+    (creation,) = objects(graph, "P94", lo)
+    assert graph.node_index[creation] == "E65"
+    (span,) = objects(graph, "P4", creation)
+    assert graph.node_index[span] == "E52"
+    (span_name,) = objects(graph, "P1", span)
+    assert graph.node_index[span_name] == "E41"
+    (instant,) = objects(graph, "L2DO", span_name)
+    assert graph.node_index[instant] == "DOE10"
+    (stamp,) = objects(graph, "DOP8", instant)
+    assert validate_datetime(stamp)
 
     # verbatim legacy copies
-    assert [o.text for o in _objects(graph, doc, "ISAD1")] == ["Juízo da Índia e Mina"]
-    assert [o.text for o in _objects(graph, doc, "ISAD17")] == [
+    assert objects(graph, "ISAD1", doc) == ["Juízo da Índia e Mina"]
+    assert objects(graph, "ISAD17", doc) == [
         "Nota de publicação sobre o fundo."
     ]
 
@@ -396,6 +397,13 @@ def _expand_turtle(data: bytes) -> bytes:
     return "".join(expanded).encode("utf-8")
 
 
+def _add_row(graph, stored):
+    """Store a row again through ``add_triple``, by its predicate's id."""
+    subject, predicate, literal, obj, datatype = stored
+    property_id = graph._terms.property_ids[predicate]
+    return graph.add_triple(subject, property_id, obj, datatype if literal else None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -407,7 +415,7 @@ def _expand_turtle(data: bytes) -> bytes:
 def test_row_store_writes_reads_and_rebuilds_the_same_graph(
     schema, registry, rules, seed, size, dates, bogus, strict
 ):
-    """The streamed writer, the reader and the Triple snapshot agree with
+    """The streamed writer, the reader and the row snapshot agree with
     the stored rows, clean and with defects, and the Turtle expands to the
     N-Triples line for line."""
     entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
@@ -427,12 +435,13 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
     assert read.serialize() == outputs["ntriples"]
     snapshot = graph.triples
     assert read.triples == snapshot
+    assert dict(read.node_index) == dict(graph.node_index)
 
     rebuilt = Graph(schema)
-    for node in graph.node_index.values():
-        rebuilt.register_node(node)
-    for triple in snapshot:
-        rebuilt.add_triple(triple.subject, triple.predicate, triple.object)
+    for node, class_id in graph.node_index.items():
+        rebuilt.register_node(node, class_id)
+    for stored in snapshot:
+        _add_row(rebuilt, stored)
     for format, data in outputs.items():
         assert rebuilt.serialize(format) == data
 
@@ -463,10 +472,10 @@ def test_write_order_does_not_depend_on_arrival_order(
     moved = sorted(clone.triples, key=repr)
     order.shuffle(moved)
     moved = moved[: len(moved) // 2]
-    for triple in moved:
-        clone.remove_triple(triple)
-    for triple in moved:
-        clone.add_triple(triple.subject, triple.predicate, triple.object)
+    for stored in moved:
+        clone.remove_triple(stored)
+    for stored in moved:
+        _add_row(clone, stored)
     for format, data in expected.items():
         assert shuffled.serialize(format) == data
         assert clone.serialize(format) == data
@@ -674,31 +683,31 @@ def _clean_graph(trial, schema, registry, rules):
 
 
 def _corrupt_domain(graph):
-    target = next(t for t in graph.triples if t.predicate == "ARP12")
-    wrong = next(n for n in graph.node_index.values() if n.asserted_class == "E22")
+    target = rows_of(graph, "ARP12")[0]
+    wrong = next(n for n, class_id in graph.node_index.items() if class_id == "E22")
     graph.remove_triple(target)
-    graph.add_triple(wrong, "ARP12", target.object)
+    graph.add_triple(wrong, "ARP12", target[3])
     return DOMAIN_VIOLATION
 
 
 def _corrupt_date(graph):
-    target = next(t for t in graph.triples if t.predicate == "DOP8")
+    target = rows_of(graph, "DOP8")[0]
     graph.remove_triple(target)
-    graph.add_triple(target.subject, "DOP8", Literal("1813-07-12", DT))
+    graph.add_triple(target[0], "DOP8", "1813-07-12", DT)
     return DATETIME_LEXICAL
 
 
 def _corrupt_vocabulary(graph):
-    target = next(t for t in graph.triples if t.predicate == "ARP12")
+    target = rows_of(graph, "ARP12")[0]
     graph.remove_triple(target)
-    graph.add_triple(target.subject, "ARP12", graph.mint_shared("ARE1", "Bogus Level"))
+    graph.add_triple(target[0], "ARP12", graph.mint_shared("ARE1", "Bogus Level"))
     return VOCABULARY_VIOLATION
 
 
 def _corrupt_double_level(graph):
-    target = next(t for t in graph.triples if t.predicate == "ARP12")
-    other = "Item" if graph.shared_term(target.object) != ("ARE1", "Item") else "File"
-    graph.add_triple(target.subject, "ARP12", graph.mint_shared("ARE1", other))
+    target = rows_of(graph, "ARP12")[0]
+    other = "Item" if graph.shared_term(target[3]) != ("ARE1", "Item") else "File"
+    graph.add_triple(target[0], "ARP12", graph.mint_shared("ARE1", other))
     return ARP12_CARDINALITY
 
 

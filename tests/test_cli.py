@@ -435,7 +435,7 @@ def test_interval_and_single_date_give_one_time_span(tmp_path, single, warning):
     corpus.write_text(json.dumps(entry) + "\n", encoding="utf-8")
     out, report = tmp_path / "graph.nt", tmp_path / "problems.tsv"
     assert main(["migrate", "--in", str(corpus), "--out", str(out), "--report", str(report)]) == 0
-    has_time_span = f"> <{Graph(builtin_schema()).property_iri('P4')}> <"
+    has_time_span = f"> <{Graph(builtin_schema())._terms.property_iris['P4']}> <"
     assert out.read_text(encoding="utf-8").count(has_time_span) == 1
     assert report.read_text(encoding="utf-8") == f"PT/A\twarning\t{warning}\n"
     assert main(["validate", "--in", str(out), "--out", str(tmp_path / "findings.txt")]) == 0
@@ -687,3 +687,19 @@ def test_nesting_edge_errors_do_not_depend_on_the_hash_seed():
     assert {_python(["-c", nesting], str(seed)).stdout for seed in range(6)} == {
         b"nesting edge ('a', 'x') uses term 'a' outside the level-of-description vocabulary\n"
     }
+
+
+def test_base_iri_from_real_argv_bytes_exits_2_and_writes_nothing(tmp_path):
+    # An interpreter decodes an argv byte that is not UTF-8 to a lone
+    # surrogate, which the base IRI check must refuse before any output.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"1.1": "A", "1.4": "Fonds"}\n', encoding="utf-8")
+    out = tmp_path / "graph.nt"
+    argv = ["-m", "archonto.cli", "migrate", "--in", str(corpus), "--out", str(out),
+            "--base-iri", b"https://x.org/\xff/"]
+    run = _python(argv, "0")
+    assert run.returncode == 2
+    assert run.stderr == (
+        b"error: base IRI 'https://x.org/\\udcff/' holds '\\udcff', which an IRI may not contain\n"
+    )
+    assert run.stdout == b"" and list(tmp_path.iterdir()) == [corpus]

@@ -2,8 +2,9 @@
 
 import random
 
-from archonto.graph import Graph, Literal
+from archonto.graph import Graph
 from archonto.migration import migrate_record, migrate_tree
+from archonto.ontology import XSD_STRING
 from archonto.records import parse_corpus, resolve_inheritance
 from archonto.stats import render_usage, usage_report
 
@@ -73,7 +74,7 @@ def test_unknown_ids_bucketed(schema):
 def test_tsv_rendering(schema):
     graph = Graph(schema)
     doc = graph.mint_node("PT/X", "e31", "1", "E31")
-    graph.add_triple(doc, "ISAD1", Literal("t"))
+    graph.add_triple(doc, "ISAD1", "t", XSD_STRING)
     text = render_usage(usage_report(graph, schema), "tsv")
     lines = text.splitlines()
     assert "CIDOC CRM\tE31\t1" in lines
@@ -84,7 +85,7 @@ def test_tsv_rendering(schema):
 def test_table_rendering(schema):
     graph = Graph(schema)
     doc = graph.mint_node("PT/X", "e31", "1", "E31")
-    graph.add_triple(doc, "ISAD1", Literal("t"))
+    graph.add_triple(doc, "ISAD1", "t", XSD_STRING)
     text = render_usage(usage_report(graph, schema), "table")
     assert "Classes" in text
     assert "Properties" in text

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from archonto.graph import Graph, Literal
+from archonto.graph import Graph
 from archonto.migration import attach_isad_fallback, migrate_record, migrate_tree
-from archonto.ontology import XSD_DATETIME, ClassDef, OntologySchema, SourceOntology
+from archonto.ontology import XSD_DATETIME, XSD_STRING, ClassDef, OntologySchema, SourceOntology
 from archonto.records import parse_corpus, resolve_inheritance
 from archonto.validation import (
     ARP12_CARDINALITY,
@@ -74,7 +74,7 @@ def test_domain_violation_language_on_person(schema, registry, nesting):
 def test_lexical_violation_date_without_time(schema, registry, nesting):
     graph = Graph(schema)
     instant = graph.mint_node("PT/X", "doe10", "1", "DOE10")
-    graph.add_triple(instant, "DOP8", Literal("1813-07-12", XSD_DATETIME))
+    graph.add_triple(instant, "DOP8", "1813-07-12", XSD_DATETIME)
     report = validate_graph(graph, schema, registry, nesting)
     assert codes(report, "error") == {DATETIME_LEXICAL}
 
@@ -83,7 +83,7 @@ def test_lexical_violation_date_without_time(schema, registry, nesting):
 def test_lexical_violation_non_ascii_digits(schema, registry, nesting, text):
     graph = Graph(schema)
     instant = graph.mint_node("PT/X", "doe10", "1", "DOE10")
-    graph.add_triple(instant, "DOP8", Literal(text, XSD_DATETIME))
+    graph.add_triple(instant, "DOP8", text, XSD_DATETIME)
     read = Graph.from_ntriples(graph.serialize(), schema)
     report = validate_graph(read, schema, registry, nesting)
     assert codes(report, "error") == {DATETIME_LEXICAL}
@@ -117,9 +117,9 @@ def test_subclass_aware_checks(schema, registry, nesting):
     # L2DO range is the DataObject root; DOE17 satisfies it via the hierarchy
     graph.add_triple(appellation, "L2DO", person_name)
     # DOP5 domain is DOE17 itself
-    graph.add_triple(person_name, "DOP5", Literal("Lino"))
+    graph.add_triple(person_name, "DOP5", "Lino", XSD_STRING)
     # DOP7 domain DOE8 is satisfied by the DOE17 subclass
-    graph.add_triple(person_name, "DOP7", Literal("Lino"))
+    graph.add_triple(person_name, "DOP7", "Lino", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     assert report.error_count == 0
 
@@ -147,7 +147,7 @@ def test_range_violations(schema, registry, nesting):
     doc = graph.mint_node("PT/X", "e31", "1", "E31")
     hmo = graph.mint_node("PT/X", "e22", "1", "E22")
     # literal where a node is required
-    graph.add_triple(doc, "P128", Literal("not a node"))
+    graph.add_triple(doc, "P128", "not a node", XSD_STRING)
     # node where a literal is required
     instant = graph.mint_node("PT/X", "doe10", "1", "DOE10")
     graph.add_triple(instant, "DOP8", hmo)
@@ -189,7 +189,7 @@ def test_valid_nesting_no_finding(schema, registry, nesting, rules):
 def test_arp12_cardinality_warnings(schema, registry, nesting):
     graph = Graph(schema)
     doc = graph.mint_node("PT/X", "e31", "1", "E31")
-    graph.add_triple(doc, "ISAD1", Literal("untyped doc"))
+    graph.add_triple(doc, "ISAD1", "untyped doc", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     assert codes(report, "warning") == {ARP12_CARDINALITY}
     assert report.error_count == 0
@@ -203,14 +203,14 @@ def test_arp12_cardinality_warnings(schema, registry, nesting):
 def test_regex_string_check(schema, registry, nesting):
     graph = Graph(schema)
     code = graph.mint_node("PT/X", "doe16", "1", "DOE16")
-    graph.add_triple(code, "DOP4", Literal(r"PT(/[A-Z]+)+"))
-    graph.add_triple(code, "DOP7", Literal("PT/TT/JIM"))
+    graph.add_triple(code, "DOP4", r"PT(/[A-Z]+)+", XSD_STRING)
+    graph.add_triple(code, "DOP7", "PT/TT/JIM", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     assert REGEX_MISMATCH not in codes(report)
     bad = graph.copy()
     mismatched = bad.mint_node("PT/X", "doe16", "2", "DOE16")
-    bad.add_triple(mismatched, "DOP4", Literal(r"\d+"))
-    bad.add_triple(mismatched, "DOP7", Literal("not digits"))
+    bad.add_triple(mismatched, "DOP4", r"\d+", XSD_STRING)
+    bad.add_triple(mismatched, "DOP7", "not digits", XSD_STRING)
     report = validate_graph(bad, schema, registry, nesting)
     assert REGEX_MISMATCH in codes(report, "error")
 
@@ -218,8 +218,8 @@ def test_regex_string_check(schema, registry, nesting):
 def test_invalid_regex_reported(schema, registry, nesting):
     graph = Graph(schema)
     code = graph.mint_node("PT/X", "doe16", "1", "DOE16")
-    graph.add_triple(code, "DOP4", Literal("(unclosed"))
-    graph.add_triple(code, "DOP7", Literal("x"))
+    graph.add_triple(code, "DOP4", "(unclosed", XSD_STRING)
+    graph.add_triple(code, "DOP7", "x", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     (finding,) = [f for f in report.findings if f.code == REGEX_MISMATCH]
     assert "invalid pattern" in finding.message
@@ -256,7 +256,7 @@ def test_report_determinism(schema, registry, nesting):
         graph = Graph(schema)
         doc = graph.mint_node("PT/X", "e31", "1", "E31")
         graph.add_triple(doc, "ARP12", graph.mint_shared("ARE1", "Nope"))
-        graph.add_triple(doc, "P128", Literal("wrong"))
+        graph.add_triple(doc, "P128", "wrong", XSD_STRING)
         return graph
 
     report_a = validate_graph(build(), schema, registry, nesting)
@@ -268,20 +268,20 @@ def test_report_determinism(schema, registry, nesting):
 def test_report_line_format(schema, registry, nesting):
     graph = Graph(schema)
     doc = graph.mint_node("PT/X", "e31", "1", "E31")
-    graph.add_triple(doc, "ISAD1", Literal("x"))
+    graph.add_triple(doc, "ISAD1", "x", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     (line,) = report.lines()
     severity, code, subject, message = line.split("\t", 3)
     assert severity == "warning"
     assert code == ARP12_CARDINALITY
-    assert subject == doc.iri
+    assert subject == doc
 
 
 def test_findings_ordered_by_subject_then_code(schema, registry, nesting):
     graph = Graph(schema)
     for ref in ("B", "A"):
         doc = graph.mint_node(ref, "e31", "1", "E31")
-        graph.add_triple(doc, "ISAD1", Literal("x"))
+        graph.add_triple(doc, "ISAD1", "x", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     subjects = [f.subject for f in report.findings]
     assert subjects == sorted(subjects)
@@ -293,7 +293,7 @@ def test_node_index_is_live_read_only_view(schema):
     with pytest.raises(TypeError):
         nodes["x"] = graph.mint_node("PT/X", "e31", "1", "E31")
     later = graph.mint_node("PT/Y", "e31", "1", "E31")
-    assert nodes[later.iri] is later
+    assert nodes[later] == "E31"
 
 
 @pytest.mark.parametrize("size", [10, 200])
@@ -354,9 +354,9 @@ def test_class_unknown_to_the_validating_schema_is_a_finding(schema, registry, n
     )
     graph = Graph(wider)
     node = graph.mint_node("PT/X", "thing", "1", "E999")
-    graph.add_triple(node, "P3", Literal("note"))
+    graph.add_triple(node, "P3", "note", XSD_STRING)
     report = validate_graph(graph, schema, registry, nesting)
     unknown = [f for f in report.findings if f.code == UNKNOWN_CLASS]
     assert [(f.subject, f.message) for f in unknown] == [
-        (node.iri, "node class E999 is not declared")
+        (node, "node class E999 is not declared")
     ]
