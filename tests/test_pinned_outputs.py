@@ -1,7 +1,8 @@
-"""Byte-level pins of `archonto migrate` output.
+"""Byte-level pins of the CLI outputs: `migrate`, `validate`, `stats` and the dumps.
 
-The digests were recorded before the N-Triples writer took plain tuples and
-segment encoding was memoised; any later change to the bytes shows here.
+The `migrate` digests were recorded before the N-Triples writer took plain
+tuples and segment encoding was memoised, the others before vocabularies
+became plain term tuples; any later change to the bytes shows here.
 Regenerate them only for an intended change of the output format.
 """
 
@@ -98,3 +99,61 @@ def test_strict_migrate_output_bytes_are_pinned(tmp_path, name):
     code = main(["migrate", "--strict", "--in", str(corpus), "--out", str(nt), "--report", str(report)])
     assert code == 1
     assert (_sha256(nt), _sha256(report)) == (nt_pin, report_pin)
+
+
+# Outputs that read a graph back, of the corpus with problems: name ->
+# (arguments after the subcommand, exit status, SHA-256 of the --out file).
+# "GRAPH" stands for the N-Triples of `migrate` and "CORPUS" for the corpus.
+# Validation finds the languages outside the vocabulary, so it exits 1.
+INSPECT_PINS = {
+    "validate-in-text": (
+        ["validate", "--in", "GRAPH"],
+        1,
+        "68be88946621adecabe88b1e3b28a68586a20351d023a9ff466e3265b9a81eb1",
+    ),
+    "validate-in-tsv": (
+        ["validate", "--in", "GRAPH", "--format", "tsv"],
+        1,
+        "cdd491decf629d37a4a9e4c912dfb7f8c0c7ba1625661f5684dd94412b7bd32d",
+    ),
+    "validate-corpus-text": (
+        ["validate", "--corpus", "CORPUS"],
+        1,
+        "68be88946621adecabe88b1e3b28a68586a20351d023a9ff466e3265b9a81eb1",
+    ),
+    "stats-in-table": (
+        ["stats", "--in", "GRAPH"],
+        0,
+        "c8937c23b5e17d48dd474d00ed99466c15f4c46becbf87d70983d386291cf463",
+    ),
+    "stats-in-tsv": (
+        ["stats", "--in", "GRAPH", "--format", "tsv"],
+        0,
+        "e985ca479078a2e75f20a0296a2fbe39a73ad5670f9e55d1706bdaeebdcbbcc2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSPECT_PINS))
+def test_inspection_output_bytes_are_pinned(tmp_path, name):
+    argv, exit_pin, out_pin = INSPECT_PINS[name]
+    corpus, nt, out = tmp_path / "corpus.jsonl", tmp_path / "g.nt", tmp_path / "out.txt"
+    corpus.write_text(_synthetic_with_problems(), encoding="utf-8")
+    main(["migrate", "--in", str(corpus), "--out", str(nt)])
+    paths = {"GRAPH": str(nt), "CORPUS": str(corpus)}
+    code = main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)])
+    assert (code, _sha256(out)) == (exit_pin, out_pin)
+
+
+# The built-in schema listing and rule set, as `--dump` writes them.
+DUMP_PINS = {
+    "schema": "2dc7b7c465b6bdd1bd82401c5f60a2f3a5ea6a981a8de6f7d621d94a16279517",
+    "rules": "cd6fea716692e679b65b7ea085f5985459b2e86d1adccbae6bc5ad0fb8015aa0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DUMP_PINS))
+def test_dump_output_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / "dump.txt"
+    assert main([command, "--dump", "--out", str(out)]) == 0
+    assert _sha256(out) == DUMP_PINS[command]
