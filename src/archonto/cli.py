@@ -219,25 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(migrate)
     migrate.set_defaults(handler=_cmd_migrate)
 
-    validate = sub.add_parser("validate", help="check a graph or a corpus migration")
-    group = validate.add_mutually_exclusive_group(required=True)
-    group.add_argument("--in", dest="in_path", type=Path, help="serialized graph (N-Triples)")
-    group.add_argument("--corpus", dest="corpus_path", type=Path, help="corpus to migrate in memory")
-    validate.add_argument("--out", type=Path, help="report output path (default stdout)")
-    validate.add_argument("--format", choices=("text", "tsv"), default="text")
-    validate.add_argument("--inherit", help=argparse.SUPPRESS)
-    _add_common(validate)
-    validate.set_defaults(handler=_cmd_validate)
-
-    stats = sub.add_parser("stats", help="class/property usage report")
-    group = stats.add_mutually_exclusive_group(required=True)
-    group.add_argument("--in", dest="in_path", type=Path, help="serialized graph (N-Triples)")
-    group.add_argument("--corpus", dest="corpus_path", type=Path, help="corpus to migrate in memory")
-    stats.add_argument("--out", type=Path, help="output path (default stdout)")
-    stats.add_argument("--format", choices=("table", "tsv"), default="table")
-    stats.add_argument("--inherit", help=argparse.SUPPRESS)
-    _add_common(stats)
-    stats.set_defaults(handler=_cmd_stats)
+    # The commands that read a graph, or migrate a corpus to one, and report
+    # on it: name, help, --out help, formats (the first is the default), handler.
+    for name, help_text, out_help, formats, handler in (
+        ("validate", "check a graph or a corpus migration", "report output path (default stdout)",
+         ("text", "tsv"), _cmd_validate),
+        ("stats", "class/property usage report", "output path (default stdout)",
+         ("table", "tsv"), _cmd_stats),
+    ):
+        inspect = sub.add_parser(name, help=help_text)
+        group = inspect.add_mutually_exclusive_group(required=True)
+        group.add_argument("--in", dest="in_path", type=Path, help="serialized graph (N-Triples)")
+        group.add_argument("--corpus", dest="corpus_path", type=Path, help="corpus to migrate in memory")
+        inspect.add_argument("--out", type=Path, help=out_help)
+        inspect.add_argument("--format", choices=formats, default=formats[0])
+        inspect.add_argument("--inherit", help=argparse.SUPPRESS)
+        _add_common(inspect)
+        inspect.set_defaults(handler=handler)
 
     rules = sub.add_parser("rules", help="dump the built-in rules or check a rule file")
     rules.add_argument("--dump", action="store_true", help="print the built-in rules (default)")

@@ -212,8 +212,12 @@ class Graph:
             if rows is None:
                 rows = by_iri[row[1]] = []
             rows.append(row)
+        # A property's IRI and its bare id (read from input) name one group.
         property_ids = self._terms.property_ids
-        return {property_ids.get(p, p): rows for p, rows in by_iri.items()}
+        by_id: dict[str, list[_Row]] = {}
+        for p, rows in by_iri.items():
+            by_id.setdefault(property_ids.get(p, p), []).extend(rows)
+        return by_id
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -382,12 +386,13 @@ class Graph:
     ) -> Graph:
         """Rebuild a graph from N-Triples produced by :meth:`serialize`.
 
-        Unknown predicate or class IRIs are preserved verbatim so validation
-        can report them; untyped nodes get the class id "".  Each IRI has one
-        string, shared by its node and by every row that names it, and one
-        class: a second type line with another class is a parse error.  The
-        input is read a block of lines at a time, with one scan per block,
-        and the first fault in line order is the one raised.
+        Predicate IRIs, and class IRIs the schema does not name, are kept
+        verbatim so validation can report unknown ones; untyped nodes get
+        the class id "".  Each IRI has one string, shared by its node and by
+        every row that names it, and one class: a second type line with
+        another class is a parse error.  The input is read a block of lines
+        at a time, with one scan per block, and the first fault in line
+        order is the one raised.
         """
         graph = cls(schema, base_iri)
         terms = graph._terms
@@ -430,11 +435,8 @@ class Graph:
                     continue
                 if s_iri != last_subject:
                     last_subject, subject = s_iri, node_iri(s_iri)
-                # One string per predicate, shared by its rows; a schema
-                # property named by its bare id reads as that property.
-                predicate = predicates.get(p_iri)
-                if predicate is None:
-                    predicate = predicates[p_iri] = terms.property_iris.get(p_iri, p_iri)
+                # One string per predicate, shared by its rows.
+                predicate = predicates.setdefault(p_iri, p_iri)
                 if o_iri:
                     rows[subject, predicate, 0, node_iri(o_iri), ""] = None
                 else:

@@ -62,15 +62,6 @@ class UnboundVariableError(MigrationError):
         super().__init__(f"variable {variable} is unbound (was the document rule applied first?)")
 
 
-class StrictVocabularyError(MigrationError):
-    def __init__(self, class_id: str, term: str) -> None:
-        super().__init__(f"term {term!r} is not in the vocabulary bound to {class_id}")
-
-
-class StrictRangeError(MigrationError):
-    """Strict mode's refusal of a literal on a node range, or a node on a literal range."""
-
-
 class DateTextError(MigrationError):
     def __init__(self, text: str) -> None:
         super().__init__(f"cannot interpret date text {text!r}")
@@ -259,7 +250,9 @@ def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str
         term = term.strip()
         if step.shared is not None:
             if ctx.strict and ctx.registry.contains(step.class_id, term) is False:
-                raise StrictVocabularyError(step.class_id, term)
+                raise MigrationError(
+                    f"term {term!r} is not in the vocabulary bound to {step.class_id}"
+                )
             iri = step.shared + _encode(term)
         else:
             owner = ctx.value_owners.setdefault((step.class_id, term), step.rule_no)
@@ -315,7 +308,7 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
             if step.kind is not _EMIT:
                 target = _resolve(ctx, step, app, assigned)
                 if strict and mismatch is not None:
-                    raise StrictRangeError(f"{mismatch}node {target}")
+                    raise MigrationError(f"{mismatch}node {target}")
                 rows[subject, predicate, 0, target, ""] = None
                 subject = target
                 continue
@@ -323,7 +316,7 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
                 raise UnboundVariableError(step.var)
             text = captures[step.var]
             if strict and mismatch is not None:
-                raise StrictRangeError(f"{mismatch}literal {text!r}")
+                raise MigrationError(f"{mismatch}literal {text!r}")
             if carrier is not None and not is_subclass(nodes[subject], carrier[1].class_id):
                 node = _node(ctx, carrier[1], None, app.key)
                 rows[subject, carrier[0], 0, node, ""] = None

@@ -28,22 +28,25 @@ class SourceOntology(Enum):
     LINK2DO = "Link2DataObject"
 
 
-class UnknownClassError(KeyError):
+class _UnknownTermError(KeyError):
+    """An identifier the schema does not declare as a ``kind``."""
+
+    kind = ""
+
     def __init__(self, identifier: str) -> None:
         super().__init__(identifier)
         self.identifier = identifier
 
     def __str__(self) -> str:
-        return f"unknown class: {self.identifier}"
+        return f"unknown {self.kind}: {self.identifier}"
 
 
-class UnknownPropertyError(KeyError):
-    def __init__(self, identifier: str) -> None:
-        super().__init__(identifier)
-        self.identifier = identifier
+class UnknownClassError(_UnknownTermError):
+    kind = "class"
 
-    def __str__(self) -> str:
-        return f"unknown property: {self.identifier}"
+
+class UnknownPropertyError(_UnknownTermError):
+    kind = "property"
 
 
 @dataclass(frozen=True)
@@ -442,34 +445,28 @@ class OntologySchema:
 
 def _build_builtin() -> OntologySchema:
     classes: dict[str, ClassDef] = {}
-    for rows, source in (
-        (_CIDOC_CLASSES, SourceOntology.CIDOC),
-        (_ARCHONTO_CLASSES, SourceOntology.ARCHONTO),
-        (_DATAOBJECT_CLASSES, SourceOntology.DATAOBJECT),
-        (_NARY_CLASSES, SourceOntology.NARY),
-    ):
-        for identifier, label, parent in rows:
-            if identifier in classes:
-                raise ValueError(f"duplicate class {identifier}")
-            classes[identifier] = ClassDef(identifier, label, source, parent)
-
     properties: dict[str, PropertyDef] = {}
-    prop_rows: list[tuple[tuple[str, str, str, str, str | None], SourceOntology]] = []
-    prop_rows += [(row, SourceOntology.CIDOC) for row in _CIDOC_PROPERTIES]
-    prop_rows += [(row, SourceOntology.ARCHONTO) for row in _ARCHONTO_PROPERTIES]
-    prop_rows += [(row, SourceOntology.LINK2DO) for row in _LINK2DO_PROPERTIES]
-    prop_rows += [(row, SourceOntology.NARY) for row in _NARY_PROPERTIES]
-    prop_rows += [(row, SourceOntology.DATAOBJECT) for row in _DATAOBJECT_PROPERTIES]
-    prop_rows += [
-        ((identifier, label, "E31", XSD_STRING, "P3"), SourceOntology.ISAD)
-        for identifier, label in _ISAD_PROPERTY_LABELS
-    ]
-    for (identifier, label, domain, range_, parent), source in prop_rows:
-        if identifier in properties:
-            raise ValueError(f"duplicate property {identifier}")
-        properties[identifier] = PropertyDef(
-            identifier, label, source, domain, range_, parent
-        )
+    isad_properties = tuple(
+        (identifier, label, "E31", XSD_STRING, "P3") for identifier, label in _ISAD_PROPERTY_LABELS
+    )
+    # Each row after its identifier and label holds the rest of the
+    # definition's fields: a class's parent, a property's domain, range, parent.
+    for catalog, kind, make, rows, source in (
+        (classes, "class", ClassDef, _CIDOC_CLASSES, SourceOntology.CIDOC),
+        (classes, "class", ClassDef, _ARCHONTO_CLASSES, SourceOntology.ARCHONTO),
+        (classes, "class", ClassDef, _DATAOBJECT_CLASSES, SourceOntology.DATAOBJECT),
+        (classes, "class", ClassDef, _NARY_CLASSES, SourceOntology.NARY),
+        (properties, "property", PropertyDef, _CIDOC_PROPERTIES, SourceOntology.CIDOC),
+        (properties, "property", PropertyDef, _ARCHONTO_PROPERTIES, SourceOntology.ARCHONTO),
+        (properties, "property", PropertyDef, _LINK2DO_PROPERTIES, SourceOntology.LINK2DO),
+        (properties, "property", PropertyDef, _NARY_PROPERTIES, SourceOntology.NARY),
+        (properties, "property", PropertyDef, _DATAOBJECT_PROPERTIES, SourceOntology.DATAOBJECT),
+        (properties, "property", PropertyDef, isad_properties, SourceOntology.ISAD),
+    ):
+        for identifier, label, *rest in rows:
+            if identifier in catalog:
+                raise ValueError(f"duplicate {kind} {identifier}")
+            catalog[identifier] = make(identifier, label, source, *rest)
     return OntologySchema(classes, properties, INVERSE_PROPERTY_PAIRS)
 
 

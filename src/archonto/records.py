@@ -64,6 +64,14 @@ ALLOWED_FIELDS = (
     frozenset(ELEMENT_NAMES) | frozenset(SCALAR_SUBFIELDS) | LIST_SUBFIELDS | {PARENT_FIELD}
 )
 
+# The fields that hold text when present, with the refusal of each, in the
+# order they are checked.
+_TEXT_FIELDS = (
+    (PARENT_FIELD, "parent must be a reference code string"),
+    *((key, f"element {key} must be a string") for key in ELEMENT_NAMES),
+    *((key, f"field {key} must be a string") for key in SCALAR_SUBFIELDS),
+)
+
 TITLE_TYPES = frozenset({"formal", "supplied", "absent"})
 DIMENSION_KINDS = frozenset({"dimension", "extension"})
 
@@ -174,15 +182,10 @@ def _check_entry(obj: dict, line: int) -> None:
     for key in obj:
         if key not in ALLOWED_FIELDS:
             raise CorpusError(f"unknown element id {key!r}", line)
-    parent = obj.get(PARENT_FIELD)
-    if parent is not None and not isinstance(parent, str):
-        raise CorpusError("parent must be a reference code string", line)
-    for key in ELEMENT_NAMES:
-        if key in obj and obj[key] is not None and not isinstance(obj[key], str):
-            raise CorpusError(f"element {key} must be a string", line)
-    for key in SCALAR_SUBFIELDS:
-        if key in obj and obj[key] is not None and not isinstance(obj[key], str):
-            raise CorpusError(f"field {key} must be a string", line)
+    for key, refusal in _TEXT_FIELDS:
+        value = obj.get(key)
+        if value is not None and not isinstance(value, str):
+            raise CorpusError(refusal, line)
     title_type = obj.get("title_type")
     if title_type and title_type not in TITLE_TYPES:
         raise CorpusError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -25,15 +26,10 @@ class UsageReport:
         return sum(count for _, count in self.ontology_totals)
 
 
-def _ontology_of_class(schema: OntologySchema, class_id: str) -> str:
-    if class_id and schema.has_class(class_id):
-        return schema.class_def(class_id).source.value
-    return UNKNOWN_BUCKET
-
-
-def _ontology_of_property(schema: OntologySchema, property_id: str) -> str:
-    if schema.has_property(property_id):
-        return schema.property_def(property_id).source.value
+def _ontology_of(has: Callable[[str], bool], definition: Callable, identifier: str) -> str:
+    """The source ontology of a class or property, by that kind's lookups."""
+    if has(identifier):
+        return definition(identifier).source.value
     return UNKNOWN_BUCKET
 
 
@@ -51,9 +47,9 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     for iri, count in Counter(map(itemgetter(1), graph._triples)).items():
         property_tally[property_ids.get(iri, iri)] += count
 
-    def ranked(tally: dict[str, int], ontology_of) -> tuple[tuple[str, str, int], ...]:
+    def ranked(tally: dict[str, int], has, definition) -> tuple[tuple[str, str, int], ...]:
         rows = [
-            (ontology_of(schema, identifier), identifier, count)
+            (_ontology_of(has, definition, identifier), identifier, count)
             for identifier, count in tally.items()
         ]
         rows.sort(key=lambda row: (-row[2], row[1]))
@@ -61,11 +57,11 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
 
     totals: dict[str, int] = {}
     for identifier, count in property_tally.items():
-        ontology = _ontology_of_property(schema, identifier)
+        ontology = _ontology_of(schema.has_property, schema.property_def, identifier)
         totals[ontology] = totals.get(ontology, 0) + count
     return UsageReport(
-        ranked(class_tally, _ontology_of_class),
-        ranked(property_tally, _ontology_of_property),
+        ranked(class_tally, schema.has_class, schema.class_def),
+        ranked(property_tally, schema.has_property, schema.property_def),
         tuple(sorted(totals.items())),
     )
 
@@ -75,11 +71,7 @@ def render_usage(report: UsageReport, format: str = "table") -> str:
     if format == "tsv":
         lines = [
             f"{ontology}\t{identifier}\t{count}"
-            for ontology, identifier, count in report.class_counts
-        ]
-        lines += [
-            f"{ontology}\t{identifier}\t{count}"
-            for ontology, identifier, count in report.property_counts
+            for ontology, identifier, count in report.class_counts + report.property_counts
         ]
         lines += [f"{ontology}\t*\t{count}" for ontology, count in report.ontology_totals]
         return "\n".join(lines) + ("\n" if lines else "")

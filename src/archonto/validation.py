@@ -14,7 +14,7 @@ from datetime import datetime
 
 from .graph import SHARED_SEGMENT, Graph, _Row
 from .ontology import LITERAL_RANGES, OntologySchema, XSD_DATETIME
-from .vocabulary import LevelNestingGraph, VocabularyRegistry
+from .vocabulary import LEVEL_CLASS, LevelNestingGraph, VocabularyRegistry
 
 ERROR = "error"
 WARNING = "warning"
@@ -262,17 +262,19 @@ def _check_nodes(
 def _document_levels(
     graph: Graph, arp12: list[_Row]
 ) -> dict[str, str]:
+    # The rows name few level nodes: each distinct one is decoded once.
+    level_terms: dict[str, str] = {}
+    for obj in {obj for _, _, literal, obj, _ in arp12 if not literal}:
+        shared = graph.shared_term(obj)
+        if shared is not None and shared[0] == LEVEL_CLASS:
+            level_terms[obj] = shared[1]
     # A document with several ARP12 edges already gets a cardinality finding;
     # take the smallest term so the nesting check stays deterministic.
     levels: dict[str, str] = {}
     for subject, _, literal, obj, _ in arp12:
-        if literal:
-            continue
-        shared = graph.shared_term(obj)
-        if shared is not None and shared[0] == "ARE1":
-            current = levels.get(subject)
-            if current is None or shared[1] < current:
-                levels[subject] = shared[1]
+        term = None if literal else level_terms.get(obj)
+        if term is not None and (subject not in levels or term < levels[subject]):
+            levels[subject] = term
     return levels
 
 

@@ -7,8 +7,7 @@ data errors the validator exists to surface.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from functools import lru_cache
 
 from . import utf8
@@ -30,39 +29,27 @@ class UnknownLevelError(ValueError):
         self.term = term
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """An ordered set of admissible terms bound to one ontology class."""
-
-    bound_class: str
-    name: str
-    terms: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for term in self.terms:
-            if not term or term != term.strip():
-                raise VocabularyError(
-                    f"vocabulary {self.name!r}: term {term!r} must be non-empty and trimmed"
-                )
-            if term in seen:
-                raise VocabularyError(f"vocabulary {self.name!r}: duplicate term {term!r}")
-            seen.add(term)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.terms
-
-
 class VocabularyRegistry:
-    """Class-id keyed collection of vocabularies; immutable after load."""
+    """Each bound class id's admissible terms, in table or file order;
+    immutable after load."""
 
-    def __init__(self, vocabularies: dict[str, Vocabulary]) -> None:
-        self._by_class = dict(vocabularies)
+    def __init__(self, vocabularies: Mapping[str, Sequence[str]]) -> None:
+        for class_id, terms in vocabularies.items():
+            seen = set()
+            for term in terms:
+                if not term or term != term.strip():
+                    raise VocabularyError(
+                        f"vocabulary {class_id!r}: term {term!r} must be non-empty and trimmed"
+                    )
+                if term in seen:
+                    raise VocabularyError(f"vocabulary {class_id!r}: duplicate term {term!r}")
+                seen.add(term)
+        self._by_class = {class_id: tuple(terms) for class_id, terms in vocabularies.items()}
 
     def has(self, class_id: str) -> bool:
         return class_id in self._by_class
 
-    def vocabulary(self, class_id: str) -> Vocabulary | None:
+    def vocabulary(self, class_id: str) -> tuple[str, ...] | None:
         return self._by_class.get(class_id)
 
     @property
@@ -71,99 +58,77 @@ class VocabularyRegistry:
 
     def contains(self, class_id: str, term: str) -> bool | None:
         """Exact membership test; ``None`` means the class is unconstrained."""
-        vocab = self._by_class.get(class_id)
-        if vocab is None:
+        terms = self._by_class.get(class_id)
+        if terms is None:
             return None
-        return term.strip() in vocab
+        return term.strip() in terms
 
 
-# Table-derived vocabularies.  ARE1 additionally carries the level terms the
-# sample hierarchy uses (Subfonds, Serie, Installation Unit); ARE5 carries the
-# identifier-type literals the migration rules assign; ARE6 carries the two
-# description-date types alongside the period-type terms.
-_BUILTIN_VOCABULARIES = (
-    (
-        "ARE1",
-        "Level of description",
-        (
-            "Fonds",
-            "Series",
-            "Section",
-            "File",
-            "Item",
-            "Subfonds",
-            "Serie",
-            "Installation Unit",
-        ),
+# Table-derived vocabularies, each named in its comment.  ARE1 additionally
+# carries the level terms the sample hierarchy uses (Subfonds, Serie,
+# Installation Unit); ARE5 carries the identifier-type literals the migration
+# rules assign; ARE6 carries the two description-date types alongside the
+# period-type terms.
+_BUILTIN_VOCABULARIES = {
+    "ARE1": (  # Level of description
+        "Fonds",
+        "Series",
+        "Section",
+        "File",
+        "Item",
+        "Subfonds",
+        "Serie",
+        "Installation Unit",
     ),
-    ("ARE2", "Title Type", ("Formal", "Supplied")),
-    ("ARE3", "Title Type", ("Formal", "Supplied")),
-    (
-        "ARE5",
-        "Identifier of collective person/group",
-        (
-            "PT",
-            "VCT",
-            "AGH01",
-            "161016",
-            "ADLSB",
-            "600084892",
-            "PT-LiBN",
-            "Reference Code",
-            "Physical Location",
-            "Original Numbering",
-            "Previous Location",
-        ),
+    "ARE2": ("Formal", "Supplied"),  # Title Type
+    "ARE3": ("Formal", "Supplied"),  # Title Type
+    "ARE5": (  # Identifier of collective person/group
+        "PT",
+        "VCT",
+        "AGH01",
+        "161016",
+        "ADLSB",
+        "600084892",
+        "PT-LiBN",
+        "Reference Code",
+        "Physical Location",
+        "Original Numbering",
+        "Previous Location",
     ),
-    (
-        "ARE6",
-        "Type of time period",
-        (
-            "Exact dates",
-            "Inferred dates",
-            "Predominant dates",
-            "Creation Date",
-            "Last Modification",
-        ),
+    "ARE6": (  # Type of time period
+        "Exact dates",
+        "Inferred dates",
+        "Predominant dates",
+        "Creation Date",
+        "Last Modification",
     ),
-    (
-        "ARE7",
-        "Type of name of collective person/group",
-        (
-            "Authorized form of name",
-            "Another form of the name",
-            "Parallel name form",
-        ),
+    "ARE7": (  # Type of name of collective person/group
+        "Authorized form of name",
+        "Another form of the name",
+        "Parallel name form",
     ),
-    ("ARE8", "Role played", ("Producer", "Material Author", "Recipient")),
-    ("ARE9", "Type of time period", ("Exact dates", "Inferred dates", "Predominant dates")),
-    ("ARE11", "Documentary Typology", ("Certificate", "Income book", "Patent")),
-    ("ARE13", "Subject", ("Education", "Science", "Law", "Management")),
-    (
-        "ARE14",
-        "Type of jurisdictional entity",
-        ("Ocean", "Archipelago", "Mountain range", "Country", "District"),
+    "ARE8": ("Producer", "Material Author", "Recipient"),  # Role played
+    "ARE9": ("Exact dates", "Inferred dates", "Predominant dates"),  # Type of time period
+    "ARE11": ("Certificate", "Income book", "Patent"),  # Documentary Typology
+    "ARE13": ("Education", "Science", "Law", "Management"),  # Subject
+    # Type of jurisdictional entity
+    "ARE14": ("Ocean", "Archipelago", "Mountain range", "Country", "District"),
+    "ARE15": (  # Transfer of Custody / Acquisition Identifier
+        "Purchase",
+        "Giving",
+        "Donation",
+        "Deposit",
+        "Swap",
+        "Legacy",
+        "Reintegration",
+        "Transfer",
     ),
-    (
-        "ARE15",
-        "Transfer of Custody / Acquisition Identifier",
-        (
-            "Purchase",
-            "Giving",
-            "Donation",
-            "Deposit",
-            "Swap",
-            "Legacy",
-            "Reintegration",
-            "Transfer",
-        ),
-    ),
-    ("ARE16", "Event Type", ("Evaluation", "Expertise", "Financial management")),
-    ("E56", "Language Identifier", ("Portuguese", "Latin", "French", "Greek")),
-    ("E57", "Support", ("Paper", "Parchment", "Photosensitive film")),
-    ("E58", "Measurement Unit", ("Centimeter", "Gram", "Byte", "Minute", "Pack")),
-    ("E98", "Currency", ("Euro", "Dollar", "Kwanza")),
-)
+    "ARE16": ("Evaluation", "Expertise", "Financial management"),  # Event Type
+    "E56": ("Portuguese", "Latin", "French", "Greek"),  # Language Identifier
+    "E57": ("Paper", "Parchment", "Photosensitive film"),  # Support
+    "E58": ("Centimeter", "Gram", "Byte", "Minute", "Pack"),  # Measurement Unit
+    "E98": ("Euro", "Dollar", "Kwanza"),  # Currency
+}
 
 LEVEL_CLASS = "ARE1"
 
@@ -236,12 +201,7 @@ class LevelNestingGraph:
 
 
 def builtin_vocabularies() -> VocabularyRegistry:
-    return VocabularyRegistry(
-        {
-            class_id: Vocabulary(class_id, name, terms)
-            for class_id, name, terms in _BUILTIN_VOCABULARIES
-        }
-    )
+    return VocabularyRegistry(_BUILTIN_VOCABULARIES)
 
 
 @lru_cache(maxsize=1)
@@ -249,7 +209,7 @@ def builtin_nesting() -> LevelNestingGraph:
     edges = frozenset(
         (child, parent) for parent, children in _DEFAULT_NESTING for child in children
     )
-    terms = frozenset(builtin_vocabularies().vocabulary(LEVEL_CLASS).terms)
+    terms = frozenset(_BUILTIN_VOCABULARIES[LEVEL_CLASS])
     return LevelNestingGraph(edges, terms)
 
 
@@ -271,20 +231,13 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
     """
     terms_by_class: dict[str, list[str]] = {}
     for number, class_id, term in _field_pairs(data, "CLASS_ID<TAB>TERM"):
-        if not class_id or not term:
-            raise VocabularyError("empty class id or term", line=number)
         bucket = terms_by_class.setdefault(class_id, [])
         if term in bucket:
             raise VocabularyError(
                 f"duplicate term {term!r} for class {class_id}", line=number
             )
         bucket.append(term)
-    return VocabularyRegistry(
-        {
-            class_id: Vocabulary(class_id, class_id, tuple(terms))
-            for class_id, terms in terms_by_class.items()
-        }
-    )
+    return VocabularyRegistry(terms_by_class)
 
 
 def load_nesting(data: bytes | str, registry: VocabularyRegistry) -> LevelNestingGraph:
@@ -300,4 +253,4 @@ def load_nesting(data: bytes | str, registry: VocabularyRegistry) -> LevelNestin
                     f"level {term!r} not in the {LEVEL_CLASS} vocabulary", line=number
                 )
         edges.add((lower, upper))
-    return LevelNestingGraph(frozenset(edges), frozenset(vocab.terms))
+    return LevelNestingGraph(frozenset(edges), frozenset(vocab))

@@ -500,7 +500,7 @@ _BOM_READERS = {
     "vocabulary": (
         load_vocabularies,
         "ARE1\tFonds\nARE1\tSerie\n",
-        lambda reg: [(c, reg.vocabulary(c).terms) for c in reg.class_ids],
+        lambda reg: [(c, reg.vocabulary(c)) for c in reg.class_ids],
     ),
     "nesting": (
         lambda data: load_nesting(data, builtin_vocabularies()),
@@ -703,3 +703,20 @@ def test_base_iri_from_real_argv_bytes_exits_2_and_writes_nothing(tmp_path):
         b"error: base IRI 'https://x.org/\\udcff/' holds '\\udcff', which an IRI may not contain\n"
     )
     assert run.stdout == b"" and list(tmp_path.iterdir()) == [corpus]
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+@pytest.mark.parametrize("inherit", [[], ["--inherit", "none"]], ids=["default", "none"])
+def test_corpus_report_equals_migrate_then_in(tmp_path, command, inherit):
+    # --inherit, hidden in the help of validate and stats, reaches their
+    # in-memory migration: without inheritance the sample's usage differs.
+    graph, by_in, by_corpus = tmp_path / "g.nt", tmp_path / "in.txt", tmp_path / "corpus.txt"
+    assert main(["migrate", *inherit, "--in", str(SAMPLE), "--out", str(graph)]) == 0
+    assert main([command, "--in", str(graph), "--out", str(by_in)]) == 0
+    assert main([command, *inherit, "--corpus", str(SAMPLE), "--out", str(by_corpus)]) == 0
+    assert by_corpus.read_bytes() == by_in.read_bytes()
+    if command == "stats":
+        inherited = tmp_path / "inherited.txt"
+        other = [] if inherit else ["--inherit", "none"]
+        assert main([command, *other, "--corpus", str(SAMPLE), "--out", str(inherited)]) == 0
+        assert inherited.read_bytes() != by_corpus.read_bytes()

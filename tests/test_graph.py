@@ -189,6 +189,36 @@ def test_foreign_class_and_predicate_reserialize():
     assert b"UnknownClass" in out
 
 
+def test_bare_id_predicate_writes_back_byte_for_byte():
+    # A predicate read as a schema property's bare id is kept as read; the
+    # validator and the usage report still take it for that property.
+    from archonto import builtin_nesting, builtin_vocabularies, render_usage, usage_report
+    from archonto import validate_graph
+
+    schema = builtin_schema()
+    doc = "https://example.org/archonto/A/e31/1"
+    typed = f"<{doc}> <{RDF_TYPE}> <{CRM_NAMESPACE}E31_Document> .\n"
+    bare = f'<{doc}> <P3> "note" .\n' + typed
+    full = f'<{doc}> <{CRM_NAMESPACE}P3_has_note> "note" .\n' + typed
+    graphs = [Graph.from_ntriples(text, schema) for text in (bare, full)]
+    assert [graph.serialize() for graph in graphs] == [bare.encode(), full.encode()]
+
+    def reports(graph):
+        findings = validate_graph(graph, schema, builtin_vocabularies(), builtin_nesting())
+        return findings.text(), render_usage(usage_report(graph))
+
+    assert reports(graphs[0]) == reports(graphs[1])
+    # Rows under both names are checked and counted as one property's.
+    type_node = f"<{CRM_NAMESPACE}E55_Type>"
+    both = Graph.from_ntriples(
+        f"<{doc}> <P3> <{doc}> .\n<{doc}> <{CRM_NAMESPACE}P3_has_note> {type_node} .\n" + typed,
+        schema,
+    )
+    text, usage = reports(both)
+    assert text.count("range-violation") == 2
+    assert "P3  2" in usage
+
+
 def test_node_ref_is_value_object(graph):
     # A node is named by its IRI string alone: equal mints are equal values.
     first = graph.mint_node("PT/X", "e31", "1", "E31")
@@ -550,13 +580,12 @@ def _read_line_at_a_time(data: bytes | str, schema) -> tuple[list, list]:
             nodes[s_iri] = class_id
             continue
         nodes.setdefault(s_iri, "")
-        predicate = terms.property_iris.get(p_iri, p_iri)
         if o_iri is not None:
             nodes.setdefault(o_iri, "")
-            rows[s_iri, predicate, 0, o_iri, ""] = None
+            rows[s_iri, p_iri, 0, o_iri, ""] = None
         else:
             datatype = _DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
-            rows[s_iri, predicate, 1, _unescape_literal(o_text, number), datatype] = None
+            rows[s_iri, p_iri, 1, _unescape_literal(o_text, number), datatype] = None
     return list(rows), list(nodes.items())
 
 

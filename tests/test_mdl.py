@@ -240,3 +240,51 @@ def test_literal_with_arrow_inside_quotes(schema):
     (step,) = ruleset.rules[0].paths[0]
     assert step.binding.value == "a -> b; c"
     assert parse_mdl(render_mdl(ruleset, schema), schema) == ruleset
+
+
+# Each refusal of a rule file: (text, offset, message).  The offset is where
+# the segment, selector, path or rule at fault starts.
+_REFUSALS = [
+    ("RULE 1: X =>\n  E31 Document -> -> E22\n", 31, "empty path segment"),
+    ("RULE 1: X =>\n  $1 -> P2 -> E55\n", 15, "bad variable reference '$1'"),
+    ("RULE 1: X =>\n  E31 -> $D1\n", 22, "dereference where a property edge was expected"),
+    ("RULE 1: X =>\n  {=D1}\n", 15, "binding without a class node"),
+    ("RULE 1: X =>\n  E31 {D1}\n", 15, "malformed binding in 'E31 {D1}'"),
+    ("RULE 1: X =>\n  Foo\n", 15, "unrecognised path segment 'Foo'"),
+    ("RULE 1: X =>\n  E999\n", 15, "unknown class id E999"),
+    ("RULE 1: X =>\n  E31 -> P999 -> E55\n", 22, "unknown property id P999"),
+    ("RULE 1: X =>\n  E31 Wrong\n", 15, "label 'Wrong' does not match schema label for E31"),
+    ("RULE 1: X =>\n  E31 -> E22\n", 22, "class node E22 where a property edge was expected"),
+    ("RULE 1: X =>\n  P2 -> E55\n", 15, "property edge P2 where a class node was expected"),
+    ("RULE 1: X =>\n  E31 -> P2{=T} -> E55\n", 22, "property edge P2 cannot carry a binding"),
+    ("RULE 1: X{V} =>\n  E31 -> P3 -> V -> P2 -> E55\n", 35, "variable emission must end the path"),
+    ("RULE 1: X =>\n  E31 -> P2\n", 12, "path may not end on a property edge"),
+    ("RULE 1: $D1 X =>\n  E31\n", 8, "selector anchor without '->'"),
+    ("RULE 1: $1 -> X =>\n  E31\n", 8, "bad selector anchor '$1 '"),
+    ("RULE 1: X} =>\n  E31\n", 8, "unbalanced '}' in selector"),
+    ("RULE 1: X{a, 1} =>\n  E31\n", 8, "bad capture variable '1'"),
+    ("RULE 1: X{a =>\n  E31\n", 8, "unbalanced '{' in selector"),
+    ("RULE 1: =>\n  E31\n", 8, "selector has no element name"),
+    (b"RULE 1: X =>\n  E31\n\xff", 19, "line 3: invalid UTF-8 byte 0xFF"),
+    ("hello\n", 0, "no RULE header found"),
+    ("x\nRULE 1: X =>\n  E31\n", 0, "text before first RULE header"),
+    ("RULE 1: X\n  E31\n", 7, "rule body missing '=>'"),
+    ("RULE 1: X =>\n", 7, "rule has no paths"),
+    ("RULE 1: X => ;\n", 7, "rule has no paths"),
+    ("RULE 1: $V -> X =>\n  E31\n", 0, "rule 1: unbound variable V"),
+    ("RULE 1: X =>\n  E31 -> P3 -> V\n", 0, "rule 1: emission V is not a capture of the selector"),
+    ("RULE 1: X =>\n  $V -> P2 -> E55\n", 0, "rule 1: unbound variable V"),
+]
+
+
+@pytest.mark.parametrize("text,offset,message", _REFUSALS)
+def test_each_refusal_names_its_offset_and_exits_2(schema, tmp_path, capsys, text, offset, message):
+    from archonto.cli import main
+
+    with pytest.raises(MdlSyntaxError) as exc:
+        parse_mdl(text, schema)
+    assert (str(exc.value), exc.value.offset) == (f"offset {offset}: {message}", offset)
+    path = tmp_path / "rules.mdl"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert main(["rules", "--check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: offset {offset}: {message}\n"

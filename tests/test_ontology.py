@@ -215,3 +215,34 @@ def test_is_subclass_unknown_child_below_known_ancestor(schema):
     with pytest.raises(UnknownClassError) as exc:
         schema.is_subclass("E999", "E31")
     assert "E999" in str(exc.value)
+
+
+def test_unknown_class_and_property_errors_name_their_kind(schema):
+    with pytest.raises(UnknownClassError) as unknown_class:
+        schema.class_def("E999")
+    with pytest.raises(UnknownPropertyError) as unknown_property:
+        schema.property_def("P999")
+    assert (str(unknown_class.value), unknown_class.value.identifier) == ("unknown class: E999", "E999")
+    assert (str(unknown_property.value), unknown_property.value.identifier) == (
+        "unknown property: P999",
+        "P999",
+    )
+    assert isinstance(unknown_class.value, KeyError) and isinstance(unknown_property.value, KeyError)
+    assert not isinstance(unknown_class.value, UnknownPropertyError)
+    assert not isinstance(unknown_property.value, UnknownClassError)
+
+
+@pytest.mark.parametrize(
+    "table,row,message",
+    [
+        ("_NARY_CLASSES", ("E31", "Document", "E1"), "duplicate class E31"),
+        ("_DATAOBJECT_PROPERTIES", ("P3", "has note", "E1", XSD_STRING, None), "duplicate property P3"),
+    ],
+)
+def test_builtin_catalog_refuses_a_repeated_identifier(monkeypatch, table, row, message):
+    from archonto import ontology
+
+    monkeypatch.setattr(ontology, table, getattr(ontology, table) + (row,))
+    with pytest.raises(ValueError) as exc:
+        ontology._build_builtin()
+    assert str(exc.value) == message

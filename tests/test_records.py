@@ -345,3 +345,47 @@ def test_line_separator_inside_corpus_string(separator):
     tree = parse_corpus(raw + "\r\n" + escaped + "\n")
     assert tree.record("A").elements["1.2"] == title
     assert tree.record("B").elements["1.2"] == title
+
+
+# Each refusal of a record's fields: (the record on line 2, the message).  A
+# record with several faults gets the first in check order: the text fields
+# (parent, the elements, the scalar sub-fields, each in table order), then
+# title_type, the lists of strings, dimensions and creators.
+_FIELD_REFUSALS = [
+    ("[]", "record must be a JSON object"),
+    ('{"1.1": "B", "9.9": "x"}', "unknown element id '9.9'"),
+    ('{"1.1": "B", "1.2": 7, "parent": 7}', "parent must be a reference code string"),
+    ('{"1.1": "B", "title_type": 7, "1.3": 7, "1.2": 7}', "element 1.2 must be a string"),
+    ('{"1.1": "B", "previous_location": [], "title_type": {}}', "field title_type must be a string"),
+    ('{"1.1": "B", "supports": [], "title_type": "fancy"}',
+     "title_type must be one of ['absent', 'formal', 'supplied'], got 'fancy'"),
+    ('{"1.1": "B", "supports": "Paper"}', "field supports must be a list of strings"),
+    ('{"1.1": "B", "dimensions": 1, "languages": ["Latin", 7]}',
+     "field languages must be a list of strings"),
+    ('{"1.1": "B", "creators": 1, "dimensions": {}}', "field dimensions must be a list"),
+    ('{"1.1": "B", "dimensions": ["1 cm"]}', "dimension entries must be objects"),
+    ('{"1.1": "B", "dimensions": [{"kind": "girth", "value": []}]}',
+     "dimension kind must be dimension|extension, got 'girth'"),
+    ('{"1.1": "B", "dimensions": [{"value": true, "unit": 2}]}',
+     "dimension value must be text or a number"),
+    ('{"1.1": "B", "dimensions": [{"value": 1, "unit": 2}]}', "dimension unit must be text"),
+    ('{"1.1": "B", "creators": {}}', "field creators must be a list"),
+    ('{"1.1": "B", "creators": ["Lino"]}', "creator entries must be objects"),
+    ('{"1.1": "B", "creators": [{"role": 7, "name": 7}]}', "creator name must be text"),
+    ('{"1.1": "B", "creators": [{"name": "Lino", "role": []}]}', "creator role must be text"),
+]
+
+
+@pytest.mark.parametrize("record,message", _FIELD_REFUSALS)
+def test_each_field_refusal_names_its_line_and_exits_2(tmp_path, capsys, record, message):
+    from archonto.cli import main
+
+    corpus = _line(**{"1.1": "A", "1.4": "Fonds"}) + "\n" + record + "\n"
+    with pytest.raises(CorpusError) as exc:
+        parse_corpus(corpus)
+    assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
+    path, out = tmp_path / "corpus.jsonl", tmp_path / "graph.nt"
+    path.write_text(corpus, encoding="utf-8")
+    assert main(["migrate", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert not out.exists()

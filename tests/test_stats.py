@@ -95,3 +95,19 @@ def test_table_rendering(schema):
 
 def test_empty_tsv_rendering(schema):
     assert render_usage(usage_report(Graph(schema), schema), "tsv") == ""
+
+
+def test_untyped_and_foreign_class_nodes_count_as_unknown(schema):
+    data = (
+        '<https://example.org/archonto/X/e31/1> <https://example.org/elsewhere/mystery> "v" .\n'
+        "<https://example.org/x/2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+        "<https://example.org/elsewhere/Thing> .\n"
+    )
+    report = usage_report(Graph.from_ntriples(data, schema), schema)
+    # Classes, then properties, then the totals by ontology.
+    assert render_usage(report, "tsv") == (
+        "unknown\t(untyped)\t1\n"
+        "unknown\thttps://example.org/elsewhere/Thing\t1\n"
+        "unknown\thttps://example.org/elsewhere/mystery\t1\n"
+        "unknown\t*\t1\n"
+    )

@@ -1,11 +1,14 @@
 """Vocabulary membership, file loading and level nesting."""
 
+import itertools
+
 import pytest
 
 from archonto.vocabulary import (
     LEVEL_CLASS,
     UnknownLevelError,
     VocabularyError,
+    VocabularyRegistry,
     builtin_nesting,
     builtin_vocabularies,
     load_nesting,
@@ -147,7 +150,7 @@ def test_allows_agrees_with_lower_edge_closure(nesting):
 
 
 def test_level_vocabulary_terms_are_nesting_nodes(registry, nesting):
-    for term in registry.vocabulary(LEVEL_CLASS).terms:
+    for term in registry.vocabulary(LEVEL_CLASS):
         assert term in nesting.terms
 
 
@@ -180,3 +183,82 @@ def test_first_fault_in_line_order_wins_over_a_later_bad_byte(registry, loader):
             load_nesting(data.replace(b"ARE1\tFonds", b"Fonds\tSerie"), registry)
     assert exc.value.line == 2
     assert str(exc.value).startswith("line 2: expected ")
+
+
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        (("Fonds", ""), "vocabulary 'ARE1': term '' must be non-empty and trimmed"),
+        (("Fonds ",), "vocabulary 'ARE1': term 'Fonds ' must be non-empty and trimmed"),
+        (("Fonds", "Serie", "Fonds"), "vocabulary 'ARE1': duplicate term 'Fonds'"),
+    ],
+)
+def test_registry_refuses_empty_untrimmed_or_duplicate_terms(terms, message):
+    with pytest.raises(VocabularyError) as exc:
+        VocabularyRegistry({"E57": ("Paper",), "ARE1": terms})
+    assert str(exc.value) == message
+
+
+def test_registry_holds_each_vocabulary_as_its_terms_in_order():
+    registry = load_vocabularies("E57\tVellum\nARE1\tSerie\nE57\tPaper\n")
+    assert registry.vocabulary("E57") == ("Vellum", "Paper")
+    assert registry.vocabulary("ARE1") == ("Serie",)
+    assert registry.vocabulary("E56") is None
+
+
+def test_no_vocabulary_line_has_a_blank_class_id_or_term():
+    # Each line is trimmed before it is cut at its tab, so neither field can
+    # be blank: every short line of these characters (whitespace that str.strip
+    # removes among them) is loaded or refused for its shape.
+    alphabet = ("a", "#", "\t", " ", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000")
+    for length in range(1, 5):
+        for line in map("".join, itertools.product(alphabet, repeat=length)):
+            try:
+                registry = load_vocabularies(line)
+            except VocabularyError as exc:
+                assert str(exc) == "line 1: expected CLASS_ID<TAB>TERM"
+                continue
+            for class_id in registry.class_ids:
+                assert class_id.strip() and all(term.strip() for term in registry.vocabulary(class_id))
+
+
+# Each refusal of a vocabulary (--vocab) or nesting (--nesting) file: (the
+# vocabulary file or None for the built-in one, the nesting file, message).
+_FILE_REFUSALS = [
+    ("ARE1\tFonds\nARE1 Serie\n", None, "line 2: expected CLASS_ID<TAB>TERM"),
+    ("ARE1\tFonds\nARE1\tSerie\tFile\n", None, "line 2: expected CLASS_ID<TAB>TERM"),
+    ("ARE1\tFonds\nARE1\tFonds\n", None, "line 2: duplicate term 'Fonds' for class ARE1"),
+    ("E57\tPaper\n", "Fonds\tSerie\n", "registry has no level-of-description vocabulary"),
+    (
+        "ARE1\tFonds\nARE1\tSerie\n",
+        "Fonds\tSerie\nFonds Serie\n",
+        "line 2: expected UPPER_LEVEL<TAB>LOWER_LEVEL",
+    ),
+    (
+        "ARE1\tFonds\nARE1\tSerie\n",
+        "Fonds\tSerie\nFonds\tItem\n",
+        "line 2: level 'Item' not in the ARE1 vocabulary",
+    ),
+    (None, "# levels\nBogus\tItem\n", "line 2: level 'Bogus' not in the ARE1 vocabulary"),
+]
+
+
+@pytest.mark.parametrize("vocab,nesting,message", _FILE_REFUSALS)
+def test_each_file_refusal_names_its_line_and_exits_2(tmp_path, capsys, vocab, nesting, message):
+    from archonto.cli import main
+
+    with pytest.raises(VocabularyError) as exc:
+        registry = builtin_vocabularies() if vocab is None else load_vocabularies(vocab)
+        if nesting is not None:
+            load_nesting(nesting, registry)
+    assert str(exc.value) == message
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "graph.nt"
+    corpus.write_text('{"1.1": "A", "1.4": "Fonds"}\n', encoding="utf-8")
+    argv = ["migrate", "--in", str(corpus), "--out", str(out)]
+    for option, text in (("--vocab", vocab), ("--nesting", nesting)):
+        if text is not None:
+            (tmp_path / option[2:]).write_text(text, encoding="utf-8")
+            argv += [option, str(tmp_path / option[2:])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
