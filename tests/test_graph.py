@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archonto import utf8
+from archonto import (
+    builtin_nesting,
+    builtin_vocabularies,
+    render_usage,
+    usage_report,
+    utf8,
+    validate_graph,
+)
 from archonto.graph import (
     CRM_NAMESPACE,
     RDF_TYPE,
@@ -192,9 +199,6 @@ def test_foreign_class_and_predicate_reserialize():
 def test_bare_id_predicate_writes_back_byte_for_byte():
     # A predicate read as a schema property's bare id is kept as read; the
     # validator and the usage report still take it for that property.
-    from archonto import builtin_nesting, builtin_vocabularies, render_usage, usage_report
-    from archonto import validate_graph
-
     schema = builtin_schema()
     doc = "https://example.org/archonto/A/e31/1"
     typed = f"<{doc}> <{RDF_TYPE}> <{CRM_NAMESPACE}E31_Document> .\n"

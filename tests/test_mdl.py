@@ -2,6 +2,7 @@
 
 import pytest
 
+from archonto.cli import main
 from archonto.mdl import (
     BindMode,
     MdlSyntaxError,
@@ -279,8 +280,6 @@ _REFUSALS = [
 
 @pytest.mark.parametrize("text,offset,message", _REFUSALS)
 def test_each_refusal_names_its_offset_and_exits_2(schema, tmp_path, capsys, text, offset, message):
-    from archonto.cli import main
-
     with pytest.raises(MdlSyntaxError) as exc:
         parse_mdl(text, schema)
     assert (str(exc.value), exc.value.offset) == (f"offset {offset}: {message}", offset)

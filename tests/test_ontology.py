@@ -2,6 +2,7 @@
 
 import pytest
 
+from archonto import ontology
 from archonto.mdl import builtin_rules
 from archonto.ontology import (
     SourceOntology,
@@ -240,8 +241,6 @@ def test_unknown_class_and_property_errors_name_their_kind(schema):
     ],
 )
 def test_builtin_catalog_refuses_a_repeated_identifier(monkeypatch, table, row, message):
-    from archonto import ontology
-
     monkeypatch.setattr(ontology, table, getattr(ontology, table) + (row,))
     with pytest.raises(ValueError) as exc:
         ontology._build_builtin()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archonto.cli import main
 from archonto.records import (
     CorpusError,
     DEFAULT_INHERITABLE,
@@ -378,8 +379,6 @@ _FIELD_REFUSALS = [
 
 @pytest.mark.parametrize("record,message", _FIELD_REFUSALS)
 def test_each_field_refusal_names_its_line_and_exits_2(tmp_path, capsys, record, message):
-    from archonto.cli import main
-
     corpus = _line(**{"1.1": "A", "1.4": "Fonds"}) + "\n" + record + "\n"
     with pytest.raises(CorpusError) as exc:
         parse_corpus(corpus)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from archonto.cli import main
 from archonto.vocabulary import (
     LEVEL_CLASS,
     UnknownLevelError,
@@ -245,8 +246,6 @@ _FILE_REFUSALS = [
 
 @pytest.mark.parametrize("vocab,nesting,message", _FILE_REFUSALS)
 def test_each_file_refusal_names_its_line_and_exits_2(tmp_path, capsys, vocab, nesting, message):
-    from archonto.cli import main
-
     with pytest.raises(VocabularyError) as exc:
         registry = builtin_vocabularies() if vocab is None else load_vocabularies(vocab)
         if nesting is not None:
