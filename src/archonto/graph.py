@@ -97,7 +97,7 @@ class _TermTable:
 
 
 # Keyed by schema identity and base IRI: a run uses one or two of each, while
-# every record of a migration builds its own Graph.
+# the ISAD(G) fallback looks its properties up once per migrated record.
 @lru_cache(maxsize=16)
 def _term_table(schema: OntologySchema, base_iri: str) -> _TermTable:
     ontology = base_iri + "ontology/"
@@ -290,14 +290,6 @@ class Graph:
 
     def remove_triple(self, row: _Row) -> None:
         self._triples.pop(row, None)
-
-    def absorb(self, other: Graph) -> None:
-        """Merge another graph built against the same schema and base IRI."""
-        if other.base_iri != self.base_iri:
-            raise GraphError("cannot merge graphs with different base IRIs")
-        for iri, class_id in other._nodes.items():
-            self.register_node(iri, class_id)
-        self._triples.update(other._triples)
 
     def copy(self) -> Graph:
         clone = Graph(self.schema, self.base_iri)

@@ -5,7 +5,7 @@ are picked by title type, date rules by date shape (interval vs single
 instant), dimension rules by entry kind, and the description-date rule runs
 once per date type.  Each rule is compiled once per run into a plan of plain
 tuples holding all it needs from the schema; a per-record emitter walks the
-plans and writes rows straight into the record's graph.  Node identity is
+plans and writes rows straight into the run's one graph.  Node identity is
 deterministic (the README's "IRI scheme" lists the rules), and every node
 the engine names is claimed through ``Graph.register_node``, the one check
 that an IRI keeps one class.
@@ -289,7 +289,7 @@ def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dic
 
 
 def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application) -> int:
-    """Write one firing into the record's graph; returns the rows written.  A
+    """Write one firing into the run's graph; returns the rows written.  A
     path is its start node, then ``(edge, node)`` hops: the parser makes steps
     alternate, puts a node at both ends and an emission only last."""
     if not ctx.record.reference_code:
@@ -474,15 +474,14 @@ def migrate_record(
     *,
     base_iri: str = DEFAULT_BASE_IRI,
     strict: bool = False,
-    plans: tuple[_RulePlan, ...] | None = None,
+    run: tuple[tuple[_RulePlan, ...], Graph] | None = None,
 ) -> RecordMigration:
     """Apply the rule set to one (already resolved) record; a rule's migration
     or graph error is raised as ``MigrationError("rule N (key): reason")``.
-    Without ``plans`` (see :func:`_compile`), the rules are compiled for this call."""
-    graph = Graph(schema, base_iri)
+    Without ``run``, one run's plans (see :func:`_compile`) and graph, both are made anew."""
+    graph = run[1] if run else Graph(schema, base_iri)
+    plans = run[0] if run else _compile(rules, schema, graph.base_iri)
     ctx = MigrationContext(record, graph, registry, strict)
-    if plans is None:
-        plans = _compile(rules, schema, graph.base_iri)
     for rule, paths, document in plans:
         apps = _applications_for(ctx, rule)
         if apps is None:
@@ -538,20 +537,24 @@ def migrate_tree(
     fail_fast: bool = False,
 ) -> MigrationResult:
     """Migrate every record of a resolved tree into one deterministic graph.
-    A record that raises adds no triple, only one ``error`` problem; with
+    A record that raises is undone, and adds only one ``error`` problem; with
     ``fail_fast`` it stops the run."""
     graph = Graph(schema, base_iri)
-    plans = _compile(rules, schema, graph.base_iri)
+    run = _compile(rules, schema, graph.base_iri), graph
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
         record = tree.records[reference]
+        marks = len(graph._nodes), len(graph._triples)
         try:
             outcome = migrate_record(
-                record, rules, schema, registry, base_iri=base_iri, strict=strict, plans=plans
+                record, rules, schema, registry, base_iri=base_iri, strict=strict, run=run
             )
-            attach_isad_fallback(record, outcome.graph)
-            graph.absorb(outcome.graph)
+            attach_isad_fallback(record, graph)
         except (MigrationError, GraphError) as exc:
+            # A record only adds to both insertion-ordered dicts: pop back to the marks.
+            for table, mark in zip((graph._nodes, graph._triples), marks):
+                for _ in range(len(table) - mark):
+                    table.popitem()
             if fail_fast:
                 raise MigrationError(f"record {reference}: {exc}") from exc
             problems.append(RecordProblem(reference, "error", str(exc)))

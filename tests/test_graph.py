@@ -157,18 +157,6 @@ def test_ntriples_parse_error_reports_line():
     assert exc.value.line == 1
 
 
-def test_absorb_merges_and_detects_conflicts(graph):
-    other = Graph(builtin_schema())
-    doc = other.mint_node("PT/X", "e31", "1", "E31")
-    other.add_triple(doc, "ISAD1", "x", XSD_STRING)
-    graph.absorb(other)
-    assert len(graph) == 1
-    conflicting = Graph(builtin_schema())
-    conflicting.mint_node("PT/X", "e31", "1", "E22")
-    with pytest.raises(NodeClassConflict):
-        graph.absorb(conflicting)
-
-
 def test_unknown_predicate_survives_round_trip():
     schema = builtin_schema()
     data = (

@@ -555,6 +555,42 @@ def test_strict_refusal_leaves_nothing_of_the_record(schema, registry, rules, en
     assert result.graph.serialize() == alone.graph.serialize()
 
 
+@pytest.mark.parametrize("fail_fast", [False, True], ids=["filed", "fail-fast"])
+def test_a_refused_record_is_undone_beyond_its_own_nodes(
+    schema, registry, rules, monkeypatch, fail_fast
+):
+    first = {"1.1": "PT/A", "1.4": "Fonds", "supports": ["Paper"]}
+    refused = {"1.1": "PT/B", "1.4": "Fonds", "supports": ["Parchment"], "languages": ["Klingon"]}
+    alone = migrate_tree(parse_corpus(_corpus(first)), rules, schema, registry, strict=True).graph
+    # Rule 11 claims the shared Parchment node before rule 12 refuses the record.
+    order = [rule.rule_no for rule in rules.application_order]
+    assert order.index(11) < order.index(12)
+    outcomes = []
+    real = migration.migrate_record
+
+    def kept(*args, **kwargs):
+        outcomes.append(real(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(migration, "migrate_record", kept)
+    tree = parse_corpus(_corpus(first, refused))
+    message = "rule 12 (1): term 'Klingon' is not in the vocabulary bound to E56"
+    if fail_fast:
+        with pytest.raises(MigrationError, match=re.escape(f"record PT/B: {message}")):
+            migrate_tree(tree, rules, schema, registry, strict=True, fail_fast=True)
+        graph = outcomes[0].graph
+    else:
+        result = migrate_tree(tree, rules, schema, registry, strict=True)
+        assert result.report_lines() == [f"PT/B\terror\t{message}"]
+        graph = result.graph
+    assert len(outcomes) == 1 and all(outcome.graph is graph for outcome in outcomes)
+    shared = graph.base_iri + "shared/E57/"
+    assert shared + "Paper" in graph.node_index
+    assert shared + "Parchment" not in graph.node_index
+    assert list(graph.node_index.items()) == list(alone.node_index.items())
+    assert graph.serialize() == alone.serialize()
+
+
 def test_unbound_anchor_in_a_custom_rule_refuses_the_record(schema, registry):
     ruleset = parse_mdl(
         "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
