@@ -7,7 +7,7 @@ data errors the validator exists to surface.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterator, Mapping
 from functools import lru_cache
 
 from . import utf8
@@ -30,12 +30,14 @@ class UnknownLevelError(ValueError):
 
 
 class VocabularyRegistry:
-    """Each bound class id's admissible terms, in table or file order;
-    immutable after load."""
+    """Each bound class id's admissible terms, in table or file order, and
+    as a set for membership; immutable after load."""
 
-    def __init__(self, vocabularies: Mapping[str, Sequence[str]]) -> None:
+    def __init__(self, vocabularies: Mapping[str, Collection[str]]) -> None:
+        self._by_class: dict[str, tuple[str, ...]] = {}
+        self._sets: dict[str, frozenset[str]] = {}
         for class_id, terms in vocabularies.items():
-            seen = set()
+            seen: set[str] = set()
             for term in terms:
                 if not term or term != term.strip():
                     raise VocabularyError(
@@ -44,7 +46,8 @@ class VocabularyRegistry:
                 if term in seen:
                     raise VocabularyError(f"vocabulary {class_id!r}: duplicate term {term!r}")
                 seen.add(term)
-        self._by_class = {class_id: tuple(terms) for class_id, terms in vocabularies.items()}
+            self._by_class[class_id] = tuple(terms)
+            self._sets[class_id] = frozenset(seen)
 
     def has(self, class_id: str) -> bool:
         return class_id in self._by_class
@@ -58,7 +61,7 @@ class VocabularyRegistry:
 
     def contains(self, class_id: str, term: str) -> bool | None:
         """Exact membership test; ``None`` means the class is unconstrained."""
-        terms = self._by_class.get(class_id)
+        terms = self._sets.get(class_id)
         if terms is None:
             return None
         return term.strip() in terms
@@ -229,14 +232,15 @@ def load_vocabularies(data: bytes | str) -> VocabularyRegistry:
 
     An empty file yields an empty registry, making membership checks vacuous.
     """
-    terms_by_class: dict[str, list[str]] = {}
+    # Each class's terms as the keys of a dict: file order and a hash lookup.
+    terms_by_class: dict[str, dict[str, None]] = {}
     for number, class_id, term in _field_pairs(data, "CLASS_ID<TAB>TERM"):
-        bucket = terms_by_class.setdefault(class_id, [])
+        bucket = terms_by_class.setdefault(class_id, {})
         if term in bucket:
             raise VocabularyError(
                 f"duplicate term {term!r} for class {class_id}", line=number
             )
-        bucket.append(term)
+        bucket[term] = None
     return VocabularyRegistry(terms_by_class)
 
 
@@ -248,7 +252,7 @@ def load_nesting(data: bytes | str, registry: VocabularyRegistry) -> LevelNestin
     edges = set()
     for number, upper, lower in _field_pairs(data, "UPPER_LEVEL<TAB>LOWER_LEVEL"):
         for term in (upper, lower):
-            if term not in vocab:
+            if not registry.contains(LEVEL_CLASS, term):
                 raise VocabularyError(
                     f"level {term!r} not in the {LEVEL_CLASS} vocabulary", line=number
                 )
