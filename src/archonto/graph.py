@@ -84,6 +84,29 @@ def _encode(segment: str) -> str:
     return quote(segment, safe="")
 
 
+# The README's "IRI scheme" is built and read by these three alone; base_iri ends in "/".
+def record_prefix(base_iri: str, reference: str) -> str:
+    """``<base>/<reference>/``, the prefix of every node of one record."""
+    if not reference:
+        raise GraphError("record_ref must be non-empty")
+    return base_iri + _encode(reference) + "/"
+
+
+def shared_prefix(base_iri: str, class_id: str) -> str:
+    """``<base>/shared/<class>/``, the prefix of a class's corpus-wide individuals."""
+    return record_prefix(base_iri, SHARED_SEGMENT) + _encode(class_id) + "/"
+
+
+def decode_node(base_iri: str, iri: str) -> tuple[str, str, str] | None:
+    """Decoded (reference, role, discriminator) of a node IRI, ("shared", class,
+    term) for a shared node, else None; only the encoder's spelling of a reference decodes."""
+    segments = iri[len(base_iri) :].split("/")
+    if not iri.startswith(base_iri) or len(segments) != 3 or not segments[0]:
+        return None
+    reference, role, discriminator = map(unquote, segments)
+    return (reference, role, discriminator) if _encode(reference) == segments[0] else None
+
+
 @dataclass(frozen=True)
 class _TermTable:
     """Class and property IRIs of one schema under one base IRI, both ways,
@@ -94,6 +117,7 @@ class _TermTable:
     class_ids: dict[str, str]
     property_ids: dict[str, str]
     turtle_names: dict[str, str]
+    ontology: str  # the extension ontologies' namespace
 
 
 # Keyed by schema identity and base IRI: a run uses one or two of each, while
@@ -118,6 +142,7 @@ def _term_table(schema: OntologySchema, base_iri: str) -> _TermTable:
         {v: k for k, v in class_iris.items()},
         {v: k for k, v in property_iris.items()},
         dict((*class_names.values(), *property_names.values())),
+        ontology,
     )
 
 
@@ -228,18 +253,9 @@ class Graph:
         self, record_ref: str, role: str, discriminator: str, class_id: str
     ) -> str:
         """Deterministic node IRI: base/record_ref/role/discriminator (encoded)."""
-        if not record_ref:
-            raise GraphError("record_ref must be non-empty")
+        prefix = record_prefix(self.base_iri, record_ref)
         self.schema.class_def(class_id)
-        iri = (
-            self.base_iri
-            + _encode(record_ref)
-            + "/"
-            + _encode(role)
-            + "/"
-            + _encode(discriminator)
-        )
-        return self.register_node(iri, class_id)
+        return self.register_node(prefix + _encode(role) + "/" + _encode(discriminator), class_id)
 
     def mint_shared(self, class_id: str, term: str) -> str:
         """Corpus-wide individual of a type-like class, keyed by its term."""
@@ -255,16 +271,10 @@ class Graph:
 
     def shared_term(self, iri: str) -> tuple[str, str] | None:
         """Decode (class_id, term) for shared vocabulary individuals."""
-        prefix = self.base_iri + SHARED_SEGMENT + "/"
-        if not iri.startswith(prefix):
+        decoded = decode_node(self.base_iri, iri)
+        if decoded is None or decoded[0] != SHARED_SEGMENT:
             return None
-        rest = iri[len(prefix) :].split("/")
-        if len(rest) != 2:
-            return None
-        class_id, term = unquote(rest[0]), unquote(rest[1])
-        if not self.schema.has_class(class_id):
-            return None
-        return class_id, term
+        return decoded[1:] if self.schema.has_class(decoded[1]) else None
 
     # -- rows -------------------------------------------------------------------
 
@@ -326,7 +336,7 @@ class Graph:
             header, predicates, objects, suffixes = "", {}, {}, _NT_SUFFIXES
         elif format == "turtle":
             header = (
-                f"@prefix aont: <{self.base_iri}ontology/> .\n"
+                f"@prefix aont: <{self._terms.ontology}> .\n"
                 f"@prefix crm: <{CRM_NAMESPACE}> .\n"
                 "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
                 f"@prefix xsd: <{XSD_NAMESPACE}> .\n\n"

@@ -6,9 +6,10 @@ instant), dimension rules by entry kind, and the description-date rule runs
 once per date type.  Each rule is compiled once per run into a plan of plain
 tuples holding all it needs from the schema; a per-record emitter walks the
 plans and writes rows straight into the run's one graph.  Node identity is
-deterministic (the README's "IRI scheme" lists the rules), and every node
-the engine names is claimed through ``Graph.register_node``, the one check
-that an IRI keeps one class.
+deterministic (the README's "IRI scheme" lists the rules): the plans and each
+record's context hold prefixes built by ``graph.record_prefix`` and
+``graph.shared_prefix``, and every node the engine names is claimed through
+``Graph.register_node``, the one check that an IRI keeps one class.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .graph import DEFAULT_BASE_IRI, SHARED_SEGMENT, Graph, GraphError
+from .graph import DEFAULT_BASE_IRI, Graph, GraphError, record_prefix, shared_prefix
 from .graph import _encode, _term_table
 from .mdl import BindMode, MdlRule, PathStep, RuleSet, StepKind
 from .ontology import LITERAL_RANGES, XSD_STRING, OntologySchema, SourceOntology
@@ -145,7 +146,6 @@ _RulePlan = tuple[MdlRule, tuple, bool]
 def _compile_rule(rule: MdlRule, schema: OntologySchema, base_iri: str) -> _RulePlan:
     """Look up once what every firing of ``rule`` needs from the schema."""
     property_iris = _term_table(schema, base_iri).property_iris
-    shared = base_iri + _encode(SHARED_SEGMENT) + "/"
 
     def step(path_step: PathStep) -> _Step:
         binding = path_step.binding
@@ -153,9 +153,9 @@ def _compile_rule(rule: MdlRule, schema: OntologySchema, base_iri: str) -> _Rule
         class_id = DOCUMENT_CLASS if kind is _DEREF else path_step.ident or ""
         role = _role(class_id) if class_id else ""
         type_like = class_id and schema.is_subclass(class_id, TYPE_ROOT)
-        shared_prefix = f"{shared}{_encode(class_id)}/" if type_like else None
+        shared = shared_prefix(base_iri, class_id) if type_like else None
         return _Step(kind, var, class_id, _encode(role), _encode(f"{role}.{rule.rule_no}"),
-                     shared_prefix, class_id in SINGLETON_CLASSES, rule.rule_no)
+                     shared, class_id in SINGLETON_CLASSES, rule.rule_no)
 
     def hop(edge: PathStep, node: PathStep) -> tuple:
         prop, target = schema.property_def(edge.ident), step(node)
@@ -227,7 +227,7 @@ class MigrationContext:
     problems: list[RecordProblem] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.prefix = self.graph.base_iri + _encode(self.record.reference_code) + "/"
+        self.prefix = record_prefix(self.graph.base_iri, self.record.reference_code)
 
     def warn(self, message: str) -> None:
         self.problems.append(RecordProblem(self.record.reference_code, "warning", message))
@@ -275,7 +275,7 @@ def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dic
     if var in captures:
         if kind is _DEREF:
             # Text dereferences to the document of the record it names (a parent).
-            iri = ctx.graph.base_iri + _encode(captures[var]) + "/" + step.role + "/1"
+            iri = record_prefix(ctx.graph.base_iri, captures[var]) + step.role + "/1"
             return ctx.graph.register_node(iri, DOCUMENT_CLASS)
         node = assigned[var] = _node(ctx, step, captures[var], app.key)
         return node
@@ -292,8 +292,6 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
     """Write one firing into the run's graph; returns the rows written.  A
     path is its start node, then ``(edge, node)`` hops: the parser makes steps
     alternate, puts a node at both ends and an emission only last."""
-    if not ctx.record.reference_code:
-        raise GraphError("record_ref must be non-empty")
     captures, terms, rows, strict = app.captures, app.class_terms, ctx.graph._triples, ctx.strict
     nodes, is_subclass = ctx.graph._nodes, ctx.graph.schema.is_subclass
     if "" in captures.values() or "" in terms.values():
@@ -477,7 +475,8 @@ def migrate_record(
     run: tuple[tuple[_RulePlan, ...], Graph] | None = None,
 ) -> RecordMigration:
     """Apply the rule set to one (already resolved) record; a rule's migration
-    or graph error is raised as ``MigrationError("rule N (key): reason")``.
+    or graph error is raised as ``MigrationError("rule N (key): reason")``, and
+    an empty reference code as ``GraphError`` before any rule fires.
     Without ``run``, one run's plans (see :func:`_compile`) and graph, both are made anew."""
     graph = run[1] if run else Graph(schema, base_iri)
     plans = run[0] if run else _compile(rules, schema, graph.base_iri)

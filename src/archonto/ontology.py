@@ -354,18 +354,6 @@ class OntologySchema:
     def properties(self) -> tuple[PropertyDef, ...]:
         return tuple(self._properties.values())
 
-    @property
-    def subclass_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (c.identifier, c.parent) for c in self._classes.values() if c.parent
-        )
-
-    @property
-    def subproperty_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (p.identifier, p.parent) for p in self._properties.values() if p.parent
-        )
-
     # -- hierarchy -------------------------------------------------------
 
     def ancestors(self, identifier: str) -> tuple[str, ...]:
@@ -382,11 +370,6 @@ class OntologySchema:
         if lineage is None:
             raise UnknownClassError(child)
         return ancestor in lineage
-
-    def property_signature(self, identifier: str) -> tuple[str, str]:
-        """Declared (domain, range) of a property; range may be a datatype tag."""
-        prop = self.property_def(identifier)
-        return prop.domain, prop.range
 
     # -- dump ------------------------------------------------------------
 

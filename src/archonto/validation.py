@@ -12,7 +12,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
-from .graph import SHARED_SEGMENT, Graph, _Row
+from .graph import SHARED_SEGMENT, Graph, _Row, record_prefix
 from .ontology import LITERAL_RANGES, OntologySchema, XSD_DATETIME
 from .vocabulary import LEVEL_CLASS, LevelNestingGraph, VocabularyRegistry
 
@@ -237,7 +237,7 @@ def _check_nodes(
 ) -> None:
     # A graph holds few classes: each is asked of the schema once.
     known = {class_id: _known_class(schema, class_id) for class_id in set(nodes.values())}
-    shared_prefix = graph.base_iri + SHARED_SEGMENT + "/"
+    shared_prefix = record_prefix(graph.base_iri, SHARED_SEGMENT)
     for iri, asserted in nodes.items():
         if not known[asserted]:
             out.add(

@@ -187,10 +187,6 @@ class LevelNestingGraph:
             closed[start] = frozenset(reached)
         return closed
 
-    @property
-    def lower_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset((upper, lower) for lower, upper in self.upper_edges)
-
     def uppers_of(self, term: str) -> frozenset[str]:
         if term not in self.terms:
             raise UnknownLevelError(term)

@@ -505,7 +505,7 @@ _BOM_READERS = {
     "nesting": (
         lambda data: load_nesting(data, builtin_vocabularies()),
         "Fonds\tSerie\n",
-        lambda nesting: nesting.lower_edges,
+        lambda nesting: nesting.upper_edges,
     ),
     "ntriples": (
         lambda data: Graph.from_ntriples(data, builtin_schema()),

@@ -21,6 +21,7 @@ from archonto import (
 )
 from archonto.graph import (
     CRM_NAMESPACE,
+    DEFAULT_BASE_IRI,
     RDF_TYPE,
     XSD_NAMESPACE,
     Graph,
@@ -29,6 +30,8 @@ from archonto.graph import (
     NTriplesParseError,
     _IRI_EXCLUDED,
     _unescape_literal,
+    decode_node,
+    record_prefix,
 )
 from archonto.migration import migrate_tree
 from archonto.ontology import XSD_DATETIME, XSD_STRING, UnknownPropertyError, builtin_schema
@@ -71,6 +74,20 @@ def test_shared_term_round_trip(graph):
     assert graph.shared_term(node) == ("ARE1", "Installation Unit")
     ordinary = graph.mint_node("PT/X", "e31", "1", "E31")
     assert graph.shared_term(ordinary) is None
+    # Foreign IRIs: class and term decode from any escaping, but the shared
+    # segment only as written.
+    assert graph.shared_term(graph.base_iri + "shared/ARE1/%46onds") == ("ARE1", "Fonds")
+    assert graph.shared_term(graph.base_iri + "%73hared/ARE1/Fonds") is None
+
+
+@pytest.mark.parametrize(
+    "iri",
+    [DEFAULT_BASE_IRI + path
+     for path in ("%73hared/ARE1/Fonds", "A/e31", "A/e31/1/2", "/e31/1", "ontology/E31_Document")]
+    + ["https://example.org/other/A/e31/1"],
+)
+def test_decode_node_refuses_what_the_scheme_does_not_write(iri):
+    assert decode_node(DEFAULT_BASE_IRI, iri) is None
 
 
 def test_add_triple_set_semantics(graph):
@@ -324,17 +341,28 @@ _IRIREF_FORBIDDEN = set('<>"{}|^`\\') | {chr(c) for c in range(0x21)}
 
 
 @settings(deadline=None)
-@given(term=st.text(), reference=st.text(min_size=1))
-@example(term="a/b", reference="PT/TT")
-@example(term="100%", reference="%2F")
-@example(term="two words", reference="\U0001F4DC scroll")
-@example(term="", reference="\u3000")
-def test_any_segment_encodes_and_round_trips(term, reference):
+@given(
+    term=st.text(),
+    reference=st.sampled_from(["shared", "ontology", "A/1", "50%", "%2F"]) | st.text(min_size=1),
+    role=st.text(),
+    discriminator=st.text(),
+)
+@example(term="a/b", reference="PT/TT", role="e31", discriminator="1")
+@example(term="100%", reference="%2F", role="e42.13", discriminator="100%")
+@example(term="two words", reference="\U0001F4DC scroll", role="", discriminator="a/b")
+@example(term="", reference="\u3000", role="%", discriminator="")
+@example(term="Fonds", reference="shared", role="ARE1", discriminator="Fonds")
+@example(term="x", reference="ontology", role="E31_Document", discriminator="")
+def test_any_segment_encodes_and_round_trips(term, reference, role, discriminator):
     schema = builtin_schema()
     graph = Graph(schema)
     node = graph.mint_shared("E55", term)
     assert graph.shared_term(node) == ("E55", term)
+    assert decode_node(graph.base_iri, node) == ("shared", "E55", term)
     assert not _IRIREF_FORBIDDEN & set(node)
+    minted = Graph(schema).mint_node(reference, role, discriminator, "E31")
+    assert minted.startswith(record_prefix(graph.base_iri, reference))
+    assert decode_node(graph.base_iri, minted) == (reference, role, discriminator)
     doc = graph.mint_node(reference, "e31", "1", "E31")
     graph.add_triple(doc, "P2", node)
     data = graph.serialize("ntriples")

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from archonto import migration
+from archonto.graph import GraphError, decode_node
 from archonto.mdl import parse_mdl, render_mdl
 from archonto.migration import (
     DateTextError,
@@ -18,8 +19,8 @@ from archonto.migration import (
     RecordProblem,
 )
 from archonto.ontology import XSD_STRING
-from archonto.records import parse_corpus, resolve_inheritance
-from archonto.validation import validate_datetime
+from archonto.records import IsadRecord, RecordTree, parse_corpus, resolve_inheritance
+from archonto.validation import validate_datetime, validate_graph
 
 from conftest import corpus_text, make_record, objects, row, rows_of, synthetic_corpus
 
@@ -459,6 +460,55 @@ def test_shared_individuals_minted_once(schema, registry, rules):
         if result.graph.shared_term(n) == ("E57", "Paper")
     ]
     assert len(paper_nodes) == 1
+
+
+def test_an_empty_reference_is_refused_before_any_rule_fires(schema, registry, rules):
+    record = IsadRecord("", None, {"1.4": "Fonds"})
+    with pytest.raises(GraphError, match=r"^record_ref must be non-empty$"):
+        migrate_record(record, rules, schema, registry)
+
+
+def test_an_empty_reference_in_a_tree_is_one_error_and_writes_nothing(schema, registry, rules):
+    tree = RecordTree({"": IsadRecord("", None, {"1.4": "Fonds"})}, {}, ("",))
+    result = migrate_tree(tree, rules, schema, registry)
+    assert result.problems == (RecordProblem("", "error", "record_ref must be non-empty"),)
+    assert len(result.graph) == 0 and not result.graph.node_index
+
+
+# References spelled like the shared segment, the ontology namespace, or one
+# another once encoded (A/1 and A-1), or holding the escape character.
+_SCHEME_SHAPED_REFERENCES = (
+    {"1.1": "shared", "1.4": "Fonds", "languages": ["Portuguese"], "supports": ["Paper"]},
+    {"1.1": "ontology", "1.4": "Fonds"},
+    {"1.1": "A/1", "1.4": "File", "parent": "shared"},
+    {"1.1": "A-1", "1.4": "Fonds"},
+    {"1.1": "50%", "1.4": "Serie", "parent": "ontology"},
+)
+
+
+def test_references_shaped_like_the_scheme_decode_to_their_own_record(
+    schema, registry, nesting, rules
+):
+    tree = resolve_inheritance(parse_corpus(_corpus(*_SCHEME_SHAPED_REFERENCES)))
+    result = migrate_tree(tree, rules, schema, registry)
+    graph = result.graph
+    assert not result.problems
+    assert validate_graph(graph, schema, registry, nesting).findings == ()
+    kinds = set()
+    for iri, class_id in graph.node_index.items():
+        reference, role, discriminator = decode_node(graph.base_iri, iri)
+        if schema.has_class(role):
+            assert (reference, role) == ("shared", class_id)
+            assert graph.shared_term(iri) == (role, discriminator)
+        else:
+            assert reference in tree.records
+            assert role.split(".")[0] == class_id.lower()
+            assert graph.shared_term(iri) is None
+        kinds.add((reference, schema.has_class(role)))
+    assert kinds == {(ref, False) for ref in tree.records} | {("shared", True)}
+    own_document = graph.base_iri + "shared/e31/1"
+    assert graph.node_index[own_document] == "E31"
+    assert decode_node(graph.base_iri, own_document) == ("shared", "e31", "1")
 
 
 def test_monotonicity_of_added_elements(schema, registry, rules):

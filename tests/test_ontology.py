@@ -75,16 +75,19 @@ def test_is_subclass_unknown_id(schema):
     ],
 )
 def test_property_signature(schema, prop, domain, range_):
-    assert schema.property_signature(prop) == (domain, range_)
+    declared = schema.property_def(prop)
+    assert (declared.domain, declared.range) == (domain, range_)
 
 
 def test_property_signature_unknown(schema):
     with pytest.raises(UnknownPropertyError):
-        schema.property_signature("ARP99")
+        schema.property_def("ARP99")
 
 
 def test_subclass_edges_antisymmetric(schema):
-    for child, parent in schema.subclass_edges:
+    edges = [(c.identifier, c.parent) for c in schema.classes if c.parent]
+    assert edges
+    for child, parent in edges:
         assert schema.is_subclass(child, parent)
         assert not schema.is_subclass(parent, child)
 
@@ -127,14 +130,13 @@ REQUIRED_SUBCLASS_EDGES = [
 
 @pytest.mark.parametrize("child,parent", REQUIRED_SUBCLASS_EDGES)
 def test_required_subclass_edges(schema, child, parent):
-    assert (child, parent) in set(schema.subclass_edges)
+    assert schema.class_def(child).parent == parent
 
 
 def test_required_subproperty_edges(schema):
-    edges = set(schema.subproperty_edges)
-    assert ("ARP12", "P2") in edges
+    assert schema.property_def("ARP12").parent == "P2"
     for number in range(1, 28):
-        assert (f"ISAD{number}", "P3") in edges
+        assert schema.property_def(f"ISAD{number}").parent == "P3"
 
 
 def test_schema_closure(schema):

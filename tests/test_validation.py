@@ -62,7 +62,7 @@ def test_validate_datetime(text, expected):
 
 def test_domain_violation_language_on_person(schema, registry, nesting):
     # oracle: the declared signature puts P72 on the linguistic-object side
-    assert schema.property_signature("P72")[0] == "E33"
+    assert schema.property_def("P72").domain == "E33"
     graph = Graph(schema)
     person = graph.mint_node("PT/X", "e21", "Lino", "E21")
     language = graph.mint_shared("E56", "Portuguese")
