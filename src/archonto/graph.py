@@ -120,32 +120,6 @@ class _TermTable:
     ontology: str  # the extension ontologies' namespace
 
 
-# Keyed by schema identity and base IRI: a run uses one or two of each, while
-# the ISAD(G) fallback looks its properties up once per migrated record.
-@lru_cache(maxsize=16)
-def _term_table(schema: OntologySchema, base_iri: str) -> _TermTable:
-    ontology = base_iri + "ontology/"
-
-    def names(term: ClassDef | PropertyDef) -> tuple[str, str]:
-        local = f"{term.identifier}_{term.label.replace(' ', '_')}"
-        if term.source is SourceOntology.CIDOC:
-            return CRM_NAMESPACE + local, "crm:" + local
-        return ontology + local, "aont:" + local
-
-    class_names = {c.identifier: names(c) for c in schema.classes}
-    property_names = {p.identifier: names(p) for p in schema.properties}
-    class_iris = {ident: iri for ident, (iri, _) in class_names.items()}
-    property_iris = {ident: iri for ident, (iri, _) in property_names.items()}
-    return _TermTable(
-        class_iris,
-        property_iris,
-        {v: k for k, v in class_iris.items()},
-        {v: k for k, v in property_iris.items()},
-        dict((*class_names.values(), *property_names.values())),
-        ontology,
-    )
-
-
 # Characters N-Triples literals must escape; most texts hold none of them,
 # and the search is cheaper than a translate that changes nothing.
 _LITERAL_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
@@ -212,7 +186,26 @@ class Graph:
 
     @cached_property
     def _terms(self) -> _TermTable:
-        return _term_table(self.schema, self.base_iri)
+        ontology = self.base_iri + "ontology/"
+
+        def names(term: ClassDef | PropertyDef) -> tuple[str, str]:
+            local = f"{term.identifier}_{term.label.replace(' ', '_')}"
+            if term.source is SourceOntology.CIDOC:
+                return CRM_NAMESPACE + local, "crm:" + local
+            return ontology + local, "aont:" + local
+
+        class_names = {c.identifier: names(c) for c in self.schema.classes}
+        property_names = {p.identifier: names(p) for p in self.schema.properties}
+        class_iris = {ident: iri for ident, (iri, _) in class_names.items()}
+        property_iris = {ident: iri for ident, (iri, _) in property_names.items()}
+        return _TermTable(
+            class_iris,
+            property_iris,
+            {v: k for k, v in class_iris.items()},
+            {v: k for k, v in property_iris.items()},
+            dict((*class_names.values(), *property_names.values())),
+            ontology,
+        )
 
     # -- content views -----------------------------------------------------
 

@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError, record_prefix, shared_prefix
-from .graph import _encode, _term_table
+from .graph import _encode
 from .mdl import BindMode, MdlRule, PathStep, RuleSet, StepKind
 from .ontology import LITERAL_RANGES, XSD_STRING, OntologySchema, SourceOntology
 from .records import PARENT_FIELD, IsadRecord, RecordTree
@@ -143,9 +143,9 @@ class _Step(NamedTuple):
 _RulePlan = tuple[MdlRule, tuple, bool]
 
 
-def _compile_rule(rule: MdlRule, schema: OntologySchema, base_iri: str) -> _RulePlan:
-    """Look up once what every firing of ``rule`` needs from the schema."""
-    property_iris = _term_table(schema, base_iri).property_iris
+def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
+    """Look up once what every firing of ``rule`` into ``graph`` needs from its schema."""
+    schema, property_iris = graph.schema, graph._terms.property_iris
 
     def step(path_step: PathStep) -> _Step:
         binding = path_step.binding
@@ -153,7 +153,7 @@ def _compile_rule(rule: MdlRule, schema: OntologySchema, base_iri: str) -> _Rule
         class_id = DOCUMENT_CLASS if kind is _DEREF else path_step.ident or ""
         role = _role(class_id) if class_id else ""
         type_like = class_id and schema.is_subclass(class_id, TYPE_ROOT)
-        shared = shared_prefix(base_iri, class_id) if type_like else None
+        shared = shared_prefix(graph.base_iri, class_id) if type_like else None
         return _Step(kind, var, class_id, _encode(role), _encode(f"{role}.{rule.rule_no}"),
                      shared, class_id in SINGLETON_CLASSES, rule.rule_no)
 
@@ -179,9 +179,9 @@ def _compile_rule(rule: MdlRule, schema: OntologySchema, base_iri: str) -> _Rule
     return rule, tuple(paths), rule.selector.name == "ISAD"
 
 
-def _compile(rules: RuleSet, schema: OntologySchema, base_iri: str) -> tuple[_RulePlan, ...]:
-    """The plans of a rule set, in application order, for one run."""
-    return tuple(_compile_rule(rule, schema, base_iri) for rule in rules.application_order)
+def _compile(rules: RuleSet, graph: Graph) -> tuple[_RulePlan, ...]:
+    """The plans of a rule set, in application order, for one run's graph."""
+    return tuple(_compile_rule(rule, graph) for rule in rules.application_order)
 
 
 def range_mismatches(rules: RuleSet, schema: OntologySchema) -> list[str]:
@@ -192,7 +192,7 @@ def range_mismatches(rules: RuleSet, schema: OntologySchema) -> list[str]:
     found = [
         (rule.rule_no,
          f"rule {rule.rule_no}: {mismatch}a {'literal' if step.kind is _EMIT else 'node'}")
-        for rule, paths, _ in _compile(rules, schema, DEFAULT_BASE_IRI)
+        for rule, paths, _ in _compile(rules, Graph(schema))
         for _, hops, _, _ in paths
         for _, step, _, mismatch, _ in hops
         if mismatch is not None
@@ -479,7 +479,7 @@ def migrate_record(
     an empty reference code as ``GraphError`` before any rule fires.
     Without ``run``, one run's plans (see :func:`_compile`) and graph, both are made anew."""
     graph = run[1] if run else Graph(schema, base_iri)
-    plans = run[0] if run else _compile(rules, schema, graph.base_iri)
+    plans = run[0] if run else _compile(rules, graph)
     ctx = MigrationContext(record, graph, registry, strict)
     for rule, paths, document in plans:
         apps = _applications_for(ctx, rule)
@@ -502,7 +502,7 @@ def migrate_record(
 def attach_isad_fallback(record: IsadRecord, graph: Graph) -> Graph:
     """Copy every mapped non-blank textual element verbatim onto the document."""
     document = graph.mint_node(record.reference_code, _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS)
-    property_iris, rows = _term_table(graph.schema, graph.base_iri).property_iris, graph._triples
+    property_iris, rows = graph._terms.property_iris, graph._triples
     for element, property_id in ISAD_FALLBACK_MAP:
         value = record.value(element)
         text = value.strip() if isinstance(value, str) else ""
@@ -539,7 +539,7 @@ def migrate_tree(
     A record that raises is undone, and adds only one ``error`` problem; with
     ``fail_fast`` it stops the run."""
     graph = Graph(schema, base_iri)
-    run = _compile(rules, schema, graph.base_iri), graph
+    run = _compile(rules, graph), graph
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
         record = tree.records[reference]

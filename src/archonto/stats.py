@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graph import Graph
 from .ontology import OntologySchema
@@ -41,11 +40,8 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     """
     schema = schema or graph.schema
     class_tally = Counter(class_id or "(untyped)" for class_id in graph._nodes.values())
-    # Rows by predicate IRI, then by id: a foreign predicate keeps its IRI.
-    property_ids = graph._terms.property_ids
-    property_tally: Counter[str] = Counter()
-    for iri, count in Counter(map(itemgetter(1), graph._triples)).items():
-        property_tally[property_ids.get(iri, iri)] += count
+    # Rows by property id, a foreign predicate keeping its IRI.
+    property_tally = {p: len(rows) for p, rows in graph._rows_by_predicate().items()}
 
     def ranked(tally: dict[str, int], has, definition) -> tuple[tuple[str, str, int], ...]:
         rows = [

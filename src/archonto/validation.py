@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -126,35 +126,15 @@ class _Collector:
 _Index = dict[str, list[_Row]]
 
 
-def _known_class(schema: OntologySchema, class_id: str) -> bool:
-    return bool(class_id) and schema.has_class(class_id)
-
-
-# Whether a class lies within an ancestor; None for an empty or unknown class.
-_Within = Callable[[str, str], bool | None]
-
-
-def _within(schema: OntologySchema) -> _Within:
-    """The subclass test for one validation run: a graph names few classes
-    and the schema few domains and ranges, so each (class, ancestor) pair is
-    asked of the schema once, however many rows and nodes repeat it."""
-    verdicts: dict[tuple[str, str], bool | None] = {}
-
-    def within(class_id: str, ancestor: str) -> bool | None:
-        key = (class_id, ancestor)
-        if key not in verdicts:
-            known = _known_class(schema, class_id)
-            verdicts[key] = schema.is_subclass(class_id, ancestor) if known else None
-        return verdicts[key]
-
-    return within
+def _within(schema: OntologySchema, class_id: str, ancestor: str) -> bool | None:
+    """Whether a class lies within an ancestor; None for an empty or unknown class."""
+    return schema.is_subclass(class_id, ancestor) if schema.has_class(class_id) else None
 
 
 def _check_triples(
     index: _Index,
     nodes: Mapping[str, str],
     schema: OntologySchema,
-    within: _Within,
     out: _Collector,
 ) -> None:
     for predicate, rows in index.items():
@@ -170,16 +150,16 @@ def _check_triples(
         prop = schema.property_def(predicate)
         literal_range = prop.range in LITERAL_RANGES
         # A predicate's rows hold few distinct (subject class, object class)
-        # pairs, None standing for a literal object.  Each class is asked of
-        # the schema once, and the rows are walked only to report a pair at
-        # fault or to check the lexical form of dateTime literals.
+        # pairs, None standing for a literal object.  Each pair is judged once,
+        # and the rows are walked only to report a pair at fault or to check
+        # the lexical form of dateTime literals.
         pairs = {
             (nodes[subject], None if literal else nodes[obj])
             for subject, _, literal, obj, _ in rows
         }
-        outside_domain = {s for s, _ in pairs if within(s, prop.domain) is False}
+        outside_domain = {s for s, _ in pairs if _within(schema, s, prop.domain) is False}
         outside_range = set() if literal_range else {
-            o for _, o in pairs if o is not None and within(o, prop.range) is False
+            o for _, o in pairs if o is not None and _within(schema, o, prop.range) is False
         }
         misplaced = any((o is None) is not literal_range for _, o in pairs)
         if not (outside_domain or outside_range or misplaced or prop.range == XSD_DATETIME):
@@ -235,11 +215,9 @@ def _check_nodes(
     registry: VocabularyRegistry,
     out: _Collector,
 ) -> None:
-    # A graph holds few classes: each is asked of the schema once.
-    known = {class_id: _known_class(schema, class_id) for class_id in set(nodes.values())}
     shared_prefix = record_prefix(graph.base_iri, SHARED_SEGMENT)
     for iri, asserted in nodes.items():
-        if not known[asserted]:
+        if not schema.has_class(asserted):
             out.add(
                 UNKNOWN_CLASS,
                 iri,
@@ -282,13 +260,13 @@ def _check_documents(
     graph: Graph,
     index: _Index,
     nodes: Mapping[str, str],
-    within: _Within,
+    schema: OntologySchema,
     nesting: LevelNestingGraph,
     out: _Collector,
 ) -> None:
     arp12 = index.get("ARP12", [])
     arp12_counts = Counter(row[0] for row in arp12)
-    documents = {class_id for class_id in set(nodes.values()) if within(class_id, "E31")}
+    documents = {class_id for class_id in set(nodes.values()) if _within(schema, class_id, "E31")}
     for iri, class_id in nodes.items():
         if class_id not in documents:
             continue
@@ -308,10 +286,9 @@ def _check_documents(
     for subject, _, literal, obj, _ in index.get("P165", ()):
         if literal:
             continue
+        # A document with no level (None) lies outside the nesting graph too.
         child_level = levels.get(subject)
         parent_level = levels.get(obj)
-        if child_level is None or parent_level is None:
-            continue
         if child_level not in nesting.terms or parent_level not in nesting.terms:
             continue
         if not nesting.allows(parent_level, child_level):
@@ -372,10 +349,9 @@ def validate_graph(
     """Run every check over a graph and return the ordered findings."""
     nodes, index = graph._nodes, graph._rows_by_predicate()
     out = _Collector()
-    within = _within(schema)
-    _check_triples(index, nodes, schema, within, out)
+    _check_triples(index, nodes, schema, out)
     _check_nodes(graph, nodes, schema, registry, out)
-    _check_documents(graph, index, nodes, within, nesting, out)
+    _check_documents(graph, index, nodes, schema, nesting, out)
     _check_regex_strings(index, nodes, out)
     _check_inverses(index, schema, out)
     # Findings with equal sort keys are equal, so this sort alone fixes the order.

@@ -30,30 +30,28 @@ class UnknownLevelError(ValueError):
 
 
 class VocabularyRegistry:
-    """Each bound class id's admissible terms, in table or file order, and
-    as a set for membership; immutable after load."""
+    """Each bound class id's admissible terms, in table or file order, as the
+    keys of a dict: the order and a hash lookup in one; immutable after load."""
 
     def __init__(self, vocabularies: Mapping[str, Collection[str]]) -> None:
-        self._by_class: dict[str, tuple[str, ...]] = {}
-        self._sets: dict[str, frozenset[str]] = {}
+        self._by_class: dict[str, dict[str, None]] = {}
         for class_id, terms in vocabularies.items():
-            seen: set[str] = set()
+            bucket = self._by_class[class_id] = {}
             for term in terms:
                 if not term or term != term.strip():
                     raise VocabularyError(
                         f"vocabulary {class_id!r}: term {term!r} must be non-empty and trimmed"
                     )
-                if term in seen:
+                if term in bucket:
                     raise VocabularyError(f"vocabulary {class_id!r}: duplicate term {term!r}")
-                seen.add(term)
-            self._by_class[class_id] = tuple(terms)
-            self._sets[class_id] = frozenset(seen)
+                bucket[term] = None
 
     def has(self, class_id: str) -> bool:
         return class_id in self._by_class
 
     def vocabulary(self, class_id: str) -> tuple[str, ...] | None:
-        return self._by_class.get(class_id)
+        terms = self._by_class.get(class_id)
+        return None if terms is None else tuple(terms)
 
     @property
     def class_ids(self) -> tuple[str, ...]:
@@ -61,7 +59,7 @@ class VocabularyRegistry:
 
     def contains(self, class_id: str, term: str) -> bool | None:
         """Exact membership test; ``None`` means the class is unconstrained."""
-        terms = self._sets.get(class_id)
+        terms = self._by_class.get(class_id)
         if terms is None:
             return None
         return term.strip() in terms

@@ -377,6 +377,30 @@ def test_unwritable_out_fails_before_any_input_is_read(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == [graph]
 
 
+def test_out_that_is_no_regular_file_is_opened_in_place(tmp_path, corpus_file, capsys):
+    directory = tmp_path / "graphs"
+    directory.mkdir()
+    (directory / "kept.nt").write_bytes(b"old\n")
+    assert main(["migrate", "--in", str(corpus_file), "--out", str(directory)]) == 2
+    real = os.path.realpath(directory)
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{real}'\n"
+    assert list(directory.iterdir()) == [directory / "kept.nt"]
+    assert (directory / "kept.nt").read_bytes() == b"old\n"
+    assert main(["migrate", "--in", str(corpus_file), "--out", os.devnull]) == 0
+    assert sorted(tmp_path.iterdir()) == [corpus_file, directory]
+
+
+def test_stats_of_an_empty_graph(tmp_path, capsysbinary):
+    graph = tmp_path / "empty.nt"
+    graph.write_bytes(b"")
+    assert main(["stats", "--in", str(graph)]) == 0
+    assert capsysbinary.readouterr().out == (
+        b"Classes\n  (none)\n\nProperties\n  (none)\n\nProperty totals by ontology\n  (none)\n"
+    )
+    assert main(["stats", "--in", str(graph), "--format", "tsv"]) == 0
+    assert capsysbinary.readouterr().out == b""
+
+
 def test_failed_migrate_leaves_no_file_and_a_good_one_only_its_outputs(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"1.1": "A", "1.4": "Bogus"}\n{"1.1": "B", "1.4": "Fonds"}\n', encoding="utf-8")

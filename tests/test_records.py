@@ -180,6 +180,23 @@ def test_identity_elements_not_in_default_set():
     assert not DEFAULT_INHERITABLE & {"1.1", "1.2", "1.4"}
 
 
+def test_empty_list_inherits_and_own_list_is_kept():
+    corpus = "\n".join(
+        [
+            _line(**{"1.1": "P", "1.4": "Fonds", "languages": ["Latin"]}),
+            _line(**{"1.1": "P/1", "parent": "P", "1.4": "Serie", "languages": []}),
+            _line(**{"1.1": "P/2", "parent": "P", "1.4": "Serie", "languages": ["French"]}),
+        ]
+    )
+    tree = resolve_inheritance(parse_corpus(corpus), {"languages"})
+    empty, own = tree.record("P/1"), tree.record("P/2")
+    assert empty.elements["languages"] == ["Latin"]
+    assert empty.provenance["languages"] == Provenance("P")
+    assert empty.provenance["languages"].inherited
+    assert own.elements["languages"] == ["French"]
+    assert not own.provenance["languages"].inherited
+
+
 def test_reference_code_refuses_to_inherit():
     tree = parse_corpus(_line(**{"1.1": "A"}))
     with pytest.raises(ValueError):
