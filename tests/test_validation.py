@@ -2,6 +2,7 @@
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 
@@ -322,11 +323,14 @@ def test_validation_reads_graph_views_a_fixed_number_of_times(
     assert reads["triples"] <= 2
 
 
-def test_validation_subclass_questions_do_not_grow_with_the_corpus(
-    schema, registry, nesting, rules, monkeypatch
+@pytest.mark.parametrize("size", [10, 200])
+def test_validation_asks_each_subclass_question_once_per_run(
+    schema, registry, nesting, rules, monkeypatch, size
 ):
     # Validation judges each distinct class or class pair, not each row or
-    # node, so the schema is asked as often of 10 records as of 200.
+    # node, so one run puts the same questions to the schema, as often, for
+    # 10 records as for 200. Nothing is kept between runs: a second run asks
+    # them all again.
     asked = []
     is_subclass = OntologySchema.is_subclass
 
@@ -334,17 +338,21 @@ def test_validation_subclass_questions_do_not_grow_with_the_corpus(
         asked.append((child, ancestor))
         return is_subclass(self, child, ancestor)
 
-    counts = []
-    for size in (10, 200):
-        corpus = corpus_text(synthetic_corpus(random.Random(5), size))
-        graph = migrate_tree(resolve_inheritance(parse_corpus(corpus)), rules, schema, registry).graph
-        with monkeypatch.context() as patch:
-            patch.setattr(OntologySchema, "is_subclass", counted)
-            validate_graph(graph, schema, registry, nesting)
-        counts.append(len(asked))
+    def graph_of(records):
+        corpus = corpus_text(synthetic_corpus(random.Random(5), records))
+        return migrate_tree(resolve_inheritance(parse_corpus(corpus)), rules, schema, registry).graph
+
+    def ask(graph):
         asked.clear()
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
+        report = validate_graph(graph, schema, registry, nesting)
+        return report, Counter(asked)
+
+    monkeypatch.setattr(OntologySchema, "is_subclass", counted)
+    graph = graph_of(size)
+    first, questions = ask(graph)
+    assert questions
+    assert ask(graph) == (first, questions)
+    assert ask(graph_of(200 if size == 10 else 10))[1] == questions
 
 
 def test_nesting_and_regex_checks_skip_what_they_cannot_judge(schema, registry, nesting):
