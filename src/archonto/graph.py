@@ -362,11 +362,16 @@ class Graph:
     # or comment line, or anything else (the last group: not a statement).
     # N-Triples whitespace is space and tab only; other Unicode spaces are not
     # separators.  Space, tab and CR (as of a CRLF) may pad either end of a
-    # line.  A literal holds no raw CR (nor LF, which ends a line).
+    # line.  A literal holds no raw CR (nor LF, which ends a line).  An IRI is
+    # matched as anything up to its '>', which the regex engine scans with its
+    # one-character loop; the reader refuses the first sight of an IRI that
+    # holds a character `_IRI_FORBIDDEN` finds.  Only an IRI can hold an LF,
+    # so a match that runs on past its line is refused at that line: the
+    # same line and message as a pattern that refused the IRI itself.
     _NT_LINE = re.compile(
-        rf"^[ \t\r]*<([^{_IRI_EXCLUDED}]+)>[ \t]+<([^{_IRI_EXCLUDED}]+)>[ \t]+"
-        rf"(?:<([^{_IRI_EXCLUDED}]+)>|\"([^\"\\\r\n]*(?:\\.[^\"\\\r\n]*)*)\""
-        rf"(?:\^\^<([^{_IRI_EXCLUDED}]+)>)?)[ \t]*\.[ \t\r]*$"
+        r"^[ \t\r]*<([^>]+)>[ \t]+<([^>]+)>[ \t]+"
+        r"(?:<([^>]+)>|\"([^\"\\\r\n]*(?:\\.[^\"\\\r\n]*)*)\""
+        r"(?:\^\^<([^>]+)>)?)[ \t]*\.[ \t\r]*$"
         r"|^[ \t\r]*(?:#.*)?$"
         r"|^(.*)$",
         re.MULTILINE,
@@ -386,55 +391,73 @@ class Graph:
         the class id "".  Each IRI has one string, shared by its node and by
         every row that names it, and one class: a second type line with
         another class is a parse error.  The input is read a block of lines
-        at a time, with one scan per block, and the first fault in line
-        order is the one raised.
+        at a time, with one lazy scan per block, and the first fault in line
+        order is the one raised.  Each distinct IRI is checked once, on the
+        line where it is first seen, before anything else on that line.
         """
         graph = cls(schema, base_iri)
         terms = graph._terms
         nodes, rows = graph._nodes, graph._triples
-        predicates: dict[str, str] = {}
-        # The one string of each IRI read so far; kept for this read only.
-        iris: dict[str, str] = {}
+        # Each IRI that passed its check, by what it names; kept for this read only.
+        iris: dict[str, str] = {}  # node IRI -> its one string
+        predicates = {RDF_TYPE: RDF_TYPE}  # predicate IRI -> its one string
+        classes: dict[str, str] = {}  # class IRI -> class id
+        datatypes = dict(_IRI_DATATYPES)  # datatype IRI -> datatype tag
+
+        def checked(iri: str, number: int) -> str:
+            if _IRI_FORBIDDEN.search(iri) is not None:
+                raise NTriplesParseError("not a valid N-Triples statement", number)
+            return iri
 
         # A node named before its type line is untyped until that line.
-        def node_iri(iri: str) -> str:
+        def node_iri(iri: str, number: int) -> str:
             known = iris.get(iri)
             if known is None:
-                known = iris[iri] = iri
+                known = iris[iri] = checked(iri, number)
                 nodes[iri] = ""
             return known
 
         # Written output is sorted by subject, so a run of lines shares one.
         last_subject = subject = ""
         for first, block in utf8.blocks(data, NTriplesParseError):
-            # One tuple per line, so a match's place in the list is its line.
-            for number, (s_iri, p_iri, o_iri, o_text, o_dt, bad) in enumerate(
-                cls._NT_LINE.findall(block), first
-            ):
+            # One match per line up to the first that runs on, which is
+            # refused.  Lazily: a line whose IRI is left open scans on to the
+            # next '>', and findall would repeat that from every later line.
+            for number, match in enumerate(cls._NT_LINE.finditer(block), first):
+                s_iri, p_iri, o_iri, o_text, o_dt, bad = match.groups()
                 if not s_iri:
                     if bad:
                         raise NTriplesParseError("not a valid N-Triples statement", number)
                     continue
-                if p_iri == RDF_TYPE:
-                    if not o_iri:
-                        raise NTriplesParseError("rdf:type object must be an IRI", number)
-                    class_id = terms.class_ids.get(o_iri, o_iri)
-                    typed = nodes.get(s_iri)
+                # Every IRI of the line is checked before any other fault.
+                if s_iri != last_subject:
+                    last_subject, subject = s_iri, node_iri(s_iri, number)
+                predicate = predicates.get(p_iri)
+                if predicate is None:
+                    predicate = predicates[p_iri] = checked(p_iri, number)
+                if o_iri:
+                    if predicate != RDF_TYPE:
+                        rows[subject, predicate, 0, node_iri(o_iri, number), ""] = None
+                        continue
+                    class_id = classes.get(o_iri)
+                    if class_id is None:
+                        checked(o_iri, number)
+                        class_id = classes[o_iri] = terms.class_ids.get(o_iri, o_iri)
+                    typed = nodes[subject]
                     if not typed:
-                        nodes[node_iri(s_iri)] = class_id
+                        nodes[subject] = class_id
                     elif typed != class_id:
                         raise NTriplesParseError(
                             f"<{s_iri}> is typed again with another class; a node has one class",
                             number,
                         )
                     continue
-                if s_iri != last_subject:
-                    last_subject, subject = s_iri, node_iri(s_iri)
-                # One string per predicate, shared by its rows.
-                predicate = predicates.setdefault(p_iri, p_iri)
-                if o_iri:
-                    rows[subject, predicate, 0, node_iri(o_iri), ""] = None
-                else:
-                    datatype = _IRI_DATATYPES.get(o_dt, o_dt) if o_dt else XSD_STRING
-                    rows[subject, predicate, 1, _unescape_literal(o_text, number), datatype] = None
+                datatype = XSD_STRING
+                if o_dt:
+                    datatype = datatypes.get(o_dt)
+                    if datatype is None:
+                        datatype = datatypes[o_dt] = checked(o_dt, number)
+                if predicate == RDF_TYPE:
+                    raise NTriplesParseError("rdf:type object must be an IRI", number)
+                rows[subject, predicate, 1, _unescape_literal(o_text, number), datatype] = None
         return graph

@@ -46,20 +46,18 @@ FINDING_CODES = frozenset(
 )
 _WARNING_CODES = frozenset({ARP12_CARDINALITY, INVERSE_MISSING})
 
-# ASCII digits only: \d would also take other scripts' digits, which int() reads.
-_DATETIME_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
+# ASCII digits only: \d would also take other scripts' digits.  The hour's
+# range is in the pattern: ISO 8601 also writes midnight as 24:00, which this
+# check refuses whatever a Python's fromisoformat makes of it.
+_DATETIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
 
 
 def validate_datetime(text: str) -> bool:
     """Exact YYYY-MM-DDThh:mm:ss check denoting a real proleptic-Gregorian instant."""
-    match = _DATETIME_RE.fullmatch(text)
-    if match is None:
-        return False
-    year, month, day, hour, minute, second = (int(g) for g in match.groups())
-    if hour > 23 or minute > 59 or second > 59:
+    if _DATETIME_RE.fullmatch(text) is None:
         return False
     try:
-        datetime(year, month, day, hour, minute, second)
+        datetime.fromisoformat(text)
     except ValueError:
         return False
     return True

@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from archonto import (
     builtin_nesting,
@@ -137,6 +138,24 @@ def synthetic_corpus(rng: random.Random, size: int) -> list[dict]:
 
 def corpus_text(entries: list[dict]) -> str:
     return "\n".join(json.dumps(entry, ensure_ascii=False) for entry in entries) + "\n"
+
+
+# Defects for the corpus properties: a single production date (unusable, or
+# beside an interval) and an out-of-vocabulary support, by record index.
+DATE_DEFECTS = st.dictionaries(
+    st.integers(min_value=0, max_value=39), st.sampled_from(("circa 1650", "1720")), max_size=8
+)
+SUPPORT_DEFECTS = st.sets(st.integers(min_value=0, max_value=39), max_size=8)
+
+
+def with_defects(entries: list[dict], dates: dict[int, str], bogus: set[int]) -> list[dict]:
+    for index, text in dates.items():
+        if index < len(entries):
+            entries[index]["production_date_single"] = text
+    for index in bogus:
+        if index < len(entries):
+            entries[index]["supports"] = entries[index].get("supports", []) + [f"Bogus {index}"]
+    return entries
 
 
 # -- random forests for inheritance --------------------------------------------

@@ -29,6 +29,8 @@ from archonto.validation import (
 )
 
 from conftest import (
+    DATE_DEFECTS,
+    SUPPORT_DEFECTS,
     corpus_text,
     make_record,
     naive_inheritance,
@@ -38,6 +40,7 @@ from conftest import (
     row,
     rows_of,
     synthetic_corpus,
+    with_defects,
 )
 
 REF = "PT/R"
@@ -318,31 +321,13 @@ def test_determinism_under_rerun_and_shuffle(schema, registry, rules):
     _passed("determinism")
 
 
-# Defects for the properties below: a single production date (unusable, or
-# beside an interval) and an out-of-vocabulary support, by record index.
-_DATE_DEFECTS = st.dictionaries(
-    st.integers(min_value=0, max_value=39), st.sampled_from(("circa 1650", "1720")), max_size=8
-)
-_SUPPORT_DEFECTS = st.sets(st.integers(min_value=0, max_value=39), max_size=8)
-
-
-def _with_defects(entries: list[dict], dates: dict[int, str], bogus: set[int]) -> list[dict]:
-    for index, text in dates.items():
-        if index < len(entries):
-            entries[index]["production_date_single"] = text
-    for index in bogus:
-        if index < len(entries):
-            entries[index]["supports"] = entries[index].get("supports", []) + [f"Bogus {index}"]
-    return entries
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     size=st.integers(min_value=1, max_value=40),
     order=st.randoms(use_true_random=False),
-    dates=_DATE_DEFECTS,
-    bogus=_SUPPORT_DEFECTS,
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
     strict=st.booleans(),
 )
 def test_shuffled_corpus_gives_identical_graph_and_report(
@@ -351,7 +336,7 @@ def test_shuffled_corpus_gives_identical_graph_and_report(
     """Any record order gives the same N-Triples and problem report.  Single
     dates, unusable or beside an interval, give the report some lines, and
     out-of-vocabulary supports make strict mode refuse some records."""
-    entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
 
     def run(corpus: str) -> tuple[bytes, bytes, list[str]]:
         tree = resolve_inheritance(parse_corpus(corpus))
@@ -408,8 +393,8 @@ def _add_row(graph, stored):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     size=st.integers(min_value=1, max_value=40),
-    dates=_DATE_DEFECTS,
-    bogus=_SUPPORT_DEFECTS,
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
     strict=st.booleans(),
 )
 def test_row_store_writes_reads_and_rebuilds_the_same_graph(
@@ -418,7 +403,7 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
     """The streamed writer, the reader and the row snapshot agree with
     the stored rows, clean and with defects, and the Turtle expands to the
     N-Triples line for line."""
-    entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
     tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
     graph = migrate_tree(tree, rules, schema, registry, strict=strict).graph
     outputs = {}
@@ -451,8 +436,8 @@ def test_row_store_writes_reads_and_rebuilds_the_same_graph(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     size=st.integers(min_value=1, max_value=40),
     order=st.randoms(use_true_random=False),
-    dates=_DATE_DEFECTS,
-    bogus=_SUPPORT_DEFECTS,
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
 )
 def test_write_order_does_not_depend_on_arrival_order(
     schema, registry, rules, seed, size, order, dates, bogus
@@ -461,7 +446,7 @@ def test_write_order_does_not_depend_on_arrival_order(
     makes the output order.  A graph read from the shuffled N-Triples, its
     copy, and the copy with rows removed and added back (so they arrive
     last) all write the migrated graph's bytes, in both formats."""
-    entries = _with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
     tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
     graph = migrate_tree(tree, rules, schema, registry).graph
     expected = {format: graph.serialize(format) for format in ("ntriples", "turtle")}

@@ -624,8 +624,10 @@ _NODE_IRIS = st.sampled_from([
 _PREDICATE_IRIS = st.sampled_from([
     _BASE + "ontology/ISAD18_has_notes", CRM_NAMESPACE + "P128_carries", "P3", "https://other.example/p",
 ])
+# A datatype's IRI as a class is a foreign class, not the datatype's tag.
 _CLASS_IRIS = st.sampled_from([
     CRM_NAMESPACE + "E31_Document", CRM_NAMESPACE + "E22_Human-Made_Object", "https://other.example/C",
+    XSD_NAMESPACE + "string",
 ])
 # Literal text: plain and multi-byte characters and the escapes N-Triples
 # has; then, in a faulty document, escapes it does not have and a raw quote
@@ -636,49 +638,80 @@ _PADS = ["", " ", "\t", "\r", " \t\r"]
 _SEPS = [" ", "\t", " \t "]
 # A Unicode space that is not N-Triples whitespace, in faulty documents.
 _BAD_SPACES = ["\u2003"]
+# Characters an IRIREF may not hold, put into an IRI of a faulty document; a
+# lone surrogate only in str input, since UTF-8 bytes cannot hold one.
+_BAD_IRI_CHARS = [*'{}|^`\\<"', " ", "\t", "\x01"]
+_SURROGATES = ["\ud800", "\udfff"]
 
 
 @st.composite
-def _ntriples_lines(draw, faulty: bool) -> str:
-    kinds = ["node", "literal", "literal", "type", "type", "comment", "blank"] + ["bad"] * faulty
+def _ntriples_lines(draw, faulty: bool, text: bool) -> str:
+    kinds = ["node", "literal", "literal", "type", "type", "comment", "blank"] + ["bad", "open"] * faulty
     kind = draw(st.sampled_from(kinds))
     literals = st.lists(st.sampled_from(_PIECES + _BAD_PIECES * faulty), max_size=6).map("".join)
     pad = st.sampled_from(_PADS + _BAD_SPACES * faulty)
     sep = draw(st.sampled_from(_SEPS + _BAD_SPACES * faulty))
+    bad_chars = _BAD_IRI_CHARS + _SURROGATES * text
+
+    def iri(pool, close: str = ">") -> str:
+        value = draw(pool)
+        if faulty and draw(st.integers(0, 5)) == 0:
+            cut = draw(st.integers(0, len(value)))
+            value = value[:cut] + draw(st.sampled_from(bad_chars)) + value[cut:]
+        return f"<{value}{close}"
+
+    def statement(kind: str, close: str = ">") -> str:
+        subject = iri(_NODE_IRIS)
+        if kind == "type":
+            if faulty and draw(st.booleans()):
+                obj = '"E31"' + (f"^^{iri(st.just(XSD_NAMESPACE + 'string'))}" if draw(st.booleans()) else "")
+            else:
+                obj = iri(_CLASS_IRIS, close)
+            return f"{subject}{sep}<{RDF_TYPE}>{sep}{obj}"
+        if kind == "node":
+            obj = iri(_NODE_IRIS, close)
+        else:
+            datatype = draw(st.sampled_from(["", XSD_NAMESPACE + "dateTime", XSD_NAMESPACE + "string",
+                                             "https://other.example/dt"]))
+            obj = f'"{draw(literals)}"' + (f"^^{iri(st.just(datatype), close)}" if datatype else "")
+        return f"{subject}{sep}{iri(_PREDICATE_IRIS)}{sep}{obj}"
+
     if kind == "comment":
         body = "# " + draw(literals)
     elif kind == "blank":
         body = ""
     elif kind == "bad":
         body = draw(st.sampled_from(["not a statement", "<a> <b> .", "<a> <b> <c>", "<a b> <c> <d> ."]))
-    else:
-        subject = f"<{draw(_NODE_IRIS)}>"
-        if kind == "type":
-            obj = '"E31"' if faulty and draw(st.booleans()) else f"<{draw(_CLASS_IRIS)}>"
-            body = f"{subject}{sep}<{RDF_TYPE}>{sep}{obj}{sep}."
+    elif kind == "open":
+        # An IRI left open at the end of its line, before a valid statement
+        # whose '>' could close it if a match ran on past the LF.
+        shape = draw(st.sampled_from(["subject", "predicate", "node", "type", "literal"]))
+        if shape == "subject":
+            opened = f"<{draw(_NODE_IRIS)}"
+        elif shape == "predicate":
+            opened = f"{iri(_NODE_IRIS)}{sep}<{draw(_PREDICATE_IRIS)}"
         else:
-            if kind == "node":
-                obj = f"<{draw(_NODE_IRIS)}>"
-            else:
-                datatype = draw(st.sampled_from(["", XSD_NAMESPACE + "dateTime", XSD_NAMESPACE + "string",
-                                                 "https://other.example/dt"]))
-                obj = f'"{draw(literals)}"' + (f"^^<{datatype}>" if datatype else "")
-            body = f"{subject}{sep}<{draw(_PREDICATE_IRIS)}>{sep}{obj}{draw(st.sampled_from(['', ' ']))}."
+            opened = statement(shape, close="")
+        body = opened + "\n" + draw(st.sampled_from([_TYPE_LINE, _STATEMENT.format(sep=" ")]))
+    else:
+        end = f"{sep}." if kind == "type" else f"{draw(st.sampled_from(['', ' ']))}."
+        body = statement(kind) + end
     return draw(pad) + body + draw(pad)
 
 
 @st.composite
 def _ntriples_documents(draw) -> bytes | str:
     """Statements, comments and blank lines, CRLF or LF, with or without a
-    last LF; a faulty document may also hold bad lines, escapes and bytes."""
-    faulty = draw(st.booleans())
-    lines = draw(st.lists(_ntriples_lines(faulty), max_size=12))
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    last LF; a faulty document may also hold bad lines, escapes and bytes,
+    IRIs that hold a character an IRI may not, and IRIs left open."""
+    faulty, text = draw(st.booleans()), draw(st.booleans())
+    lines = draw(st.lists(_ntriples_lines(faulty, text), max_size=12))
+    document = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
     if lines and draw(st.booleans()):
-        text = text.removesuffix("\n")
-    if draw(st.booleans()):
-        return text
-    data = text.encode("utf-8")
+        document = document.removesuffix("\n")
+    if text:
+        return document
+    data = document.encode("utf-8")
     if draw(st.booleans()):
         data = codecs.BOM_UTF8 + data
     if faulty and draw(st.booleans()):
@@ -691,6 +724,10 @@ def _ntriples_documents(draw) -> bytes | str:
 @given(data=_ntriples_documents(), size=st.integers(1, 64))
 @example(data=f"{_TYPE_LINE}\r\n\n# c\n{_TYPE_LINE}\n".encode(), size=1)
 @example(data=b"# a\n\n\xff\n", size=64)
+# An IRI left open on the last line of a block, and inside one.
+@example(data=f"{_TYPE_LINE}\n<https://x/a\n{_TYPE_LINE}\n".encode(), size=1)
+@example(data=f"{_TYPE_LINE}\n{_DOC} <{RDF_TYPE}> <https://x/C\n{_TYPE_LINE}\n", size=1)
+@example(data=f"{_TYPE_LINE}\n<https://x/a\n{_TYPE_LINE}\n", size=64)
 def test_block_reader_matches_the_line_at_a_time_reader(data, size):
     schema = builtin_schema()
     expected = _outcome(lambda: _read_line_at_a_time(data, schema))
@@ -707,6 +744,45 @@ def test_block_reader_matches_the_line_at_a_time_reader(data, size):
         assert subject is keys[subject]
         assert literal or obj is keys[obj]
     assert len({id(row[1]) for row in graph._triples}) == len({row[1] for row in graph._triples})
+
+
+@pytest.mark.parametrize("data_type", [str, bytes])
+@pytest.mark.parametrize(
+    "opened",
+    [
+        "<https://x/a",
+        f"{_DOC} <https://x/p",
+        f"{_DOC} <https://x/p> <https://x/a",
+        f'{_DOC} <https://x/p> "x"^^<https://x/dt',
+        f"{_DOC} <{RDF_TYPE}> <https://x/C",
+    ],
+    ids=["subject", "predicate", "object", "datatype", "class"],
+)
+def test_an_iri_left_open_is_refused_at_its_own_line(opened, data_type):
+    # The next line's '>' must not close the IRI: no statement spans lines.
+    good = _STATEMENT.format(sep=" ")
+    data = f"{good}\n{opened}\n{good}\n"
+    with pytest.raises(NTriplesParseError) as exc:
+        Graph.from_ntriples(data if data_type is str else data.encode(), builtin_schema())
+    assert str(exc.value) == "line 2: not a valid N-Triples statement"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f'{_DOC} <{RDF_TYPE}> "E31"^^<https://x/d{{t> .',
+        _TYPE_LINE.replace("E31_Document", "E22_{Human-Made_Object"),
+        f'{_DOC} <https://x/p> "\\x41"^^<https://x/d{{t> .',
+        f'{_DOC} <https://x/p{{> "\\x41" .',
+        f'<https://x/s{{> <{RDF_TYPE}> "E31" .',
+    ],
+    ids=["type-literal", "retype", "escape", "escape-predicate", "type-literal-subject"],
+)
+def test_a_bad_iri_is_the_fault_of_its_line(line):
+    # Each line also holds another fault that the reader would raise on its own.
+    with pytest.raises(NTriplesParseError) as exc:
+        Graph.from_ntriples(f"{_TYPE_LINE}\n{line}\n", builtin_schema())
+    assert str(exc.value) == "line 2: not a valid N-Triples statement"
 
 
 def test_a_graph_of_several_blocks_reads_back_to_the_same_bytes():

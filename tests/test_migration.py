@@ -1,10 +1,14 @@
 """Rule engine behaviour: node identity, rule choice, fallback, tree driver."""
 
+import heapq
+import itertools
 import json
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archonto import migration
 from archonto.graph import GraphError, decode_node
@@ -22,7 +26,17 @@ from archonto.ontology import XSD_STRING
 from archonto.records import IsadRecord, RecordTree, parse_corpus, resolve_inheritance
 from archonto.validation import validate_datetime, validate_graph
 
-from conftest import corpus_text, make_record, objects, row, rows_of, synthetic_corpus
+from conftest import (
+    DATE_DEFECTS,
+    SUPPORT_DEFECTS,
+    corpus_text,
+    make_record,
+    objects,
+    row,
+    rows_of,
+    synthetic_corpus,
+    with_defects,
+)
 
 
 def migrate(record, rules, schema, registry, rule_nos=None, strict=False):
@@ -509,6 +523,55 @@ def test_references_shaped_like_the_scheme_decode_to_their_own_record(
     own_document = graph.base_iri + "shared/e31/1"
     assert graph.node_index[own_document] == "E31"
     assert decode_node(graph.base_iri, own_document) == ("shared", "e31", "1")
+
+
+def _assert_a_run_merges_its_parts(tree, part_of, rules, schema, registry, strict=False):
+    """Migrating the records of ``tree`` apart, the i-th (in sorted order) in
+    part ``part_of[i]``, gives what one run over them all gives."""
+    whole = migrate_tree(tree, rules, schema, registry, strict=strict)
+    grouped: dict[int, dict] = {}
+    for reference, part in zip(sorted(tree.records), part_of):
+        grouped.setdefault(part, {})[reference] = tree.records[reference]
+    parts = [
+        migrate_tree(RecordTree(records, {}, ()), rules, schema, registry, strict=strict)
+        for records in grouped.values()
+    ]
+    lines = set(whole.graph.serialize().splitlines())
+    assert lines == set().union(*(part.graph.serialize().splitlines() for part in parts))
+    problems = sorted(line for part in parts for line in part.report_lines())
+    assert sorted(whole.report_lines()) == problems
+    # Rows, not rendered lines, give the writer's order; a row that two
+    # parts share (a shared node's type, a parent's E31 type) comes once.
+    merged = heapq.merge(*(part.graph._sorted_rows() for part in parts))
+    assert whole.graph._sorted_rows() == [row for row, _ in itertools.groupby(merged)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
+    strict=st.booleans(),
+)
+def test_a_run_is_the_merge_of_runs_over_any_split_of_its_records(
+    schema, registry, rules, seed, size, data, dates, bogus, strict
+):
+    """Once inheritance is resolved, a record's output depends on that record
+    alone: lines, problems and rows of the whole run are those of its parts."""
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
+    part_of = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    _assert_a_run_merges_its_parts(tree, part_of, rules, schema, registry, strict)
+
+
+def test_references_shaped_like_the_scheme_merge_under_every_split(schema, registry, rules):
+    # 'shared' shares its prefix with the shared nodes, and A%2F1 sorts
+    # before A-1 encoded, though A-1 < A/1 raw.
+    tree = resolve_inheritance(parse_corpus(_corpus(*_SCHEME_SHAPED_REFERENCES)))
+    for part_of in itertools.product(range(3), repeat=len(tree.records)):
+        _assert_a_run_merges_its_parts(tree, part_of, rules, schema, registry)
 
 
 def test_monotonicity_of_added_elements(schema, registry, rules):

@@ -2,9 +2,13 @@
 
 import functools
 import random
+import re
 from collections import Counter
+from datetime import datetime
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from archonto.graph import Graph
 from archonto.migration import attach_isad_fallback, migrate_record, migrate_tree
@@ -59,6 +63,61 @@ def codes(report, severity=None):
 )
 def test_validate_datetime(text, expected):
     assert validate_datetime(text) is expected
+
+
+# The validator as it was before it asked datetime.fromisoformat, as the oracle.
+_ORACLE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
+
+
+def _validate_datetime_oracle(text: str) -> bool:
+    match = _ORACLE_RE.fullmatch(text)
+    if match is None:
+        return False
+    year, month, day, hour, minute, second = (int(g) for g in match.groups())
+    if hour > 23 or minute > 59 or second > 59:
+        return False
+    try:
+        datetime(year, month, day, hour, minute, second)
+    except ValueError:
+        return False
+    return True
+
+
+# Arabic-Indic, fullwidth, Devanagari and mathematical bold digits, which int() reads.
+_NON_ASCII_DIGITS = ["\u0661", "\uff11", "\u0967", "\U0001D7CF"]
+
+
+@st.composite
+def _datetime_texts(draw) -> str:
+    """YYYY-MM-DDThh:mm:ss with any two-digit field, often out of range, and
+    sometimes one character swapped for a non-ASCII digit or a separator."""
+    year = draw(st.one_of(st.integers(0, 9999), st.sampled_from([0, 1, 1900, 2000, 2023, 2024])))
+    day = st.one_of(st.integers(0, 99), st.integers(27, 32))
+    fields = [draw(st.integers(0, 99)) for _ in range(5)]
+    fields[1] = draw(day)
+    text = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(year, *fields)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        swap = draw(st.sampled_from(_NON_ASCII_DIGITS + ["-", "T", ":", " ", "Z", "0"]))
+        text = text[:at] + swap + text[at + 1 :]
+    return text
+
+
+@given(st.one_of(_datetime_texts(), st.text(max_size=24)))
+@example("2024-02-29T00:00:00")
+@example("2023-02-29T00:00:00")
+@example("1900-02-29T23:59:59")
+@example("2000-02-29T23:59:59")
+@example("0000-01-01T00:00:00")
+@example("0001-01-01T00:00:00")
+@example("2000-01-01T24:00:00")
+@example("2000-01-01T00:60:00")
+@example("2000-01-01T00:00:60")
+@example("2000-01-01T00:00:0\u0661")
+@example("\uff12000-01-01T00:00:00")
+@example("2000-01-01 00:00:00")
+def test_validate_datetime_matches_the_field_by_field_check(text):
+    assert validate_datetime(text) is _validate_datetime_oracle(text)
 
 
 def test_domain_violation_language_on_person(schema, registry, nesting):
