@@ -37,10 +37,18 @@ SHARED_SEGMENT = "shared"
 
 _IRI_DATATYPES = {XSD_NAMESPACE + "string": XSD_STRING, XSD_NAMESPACE + "dateTime": XSD_DATETIME}
 
-# What follows a literal's quoted text, by datatype tag, in each format.  Any
-# other datatype is a foreign IRI read from input and is written in full.
-_NT_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: f"^^<{XSD_NAMESPACE}dateTime>"}
-_TURTLE_SUFFIXES = {XSD_STRING: "", XSD_DATETIME: "^^xsd:dateTime"}
+
+class _Suffixes(dict):
+    """What follows a literal's quoted text, by datatype tag, in one format.
+    Any other datatype is a foreign IRI read from input and is written in full."""
+
+    def __missing__(self, datatype: str) -> str:
+        return f"^^<{datatype}>"
+
+
+_NT_SUFFIXES = _Suffixes({XSD_STRING: "", XSD_DATETIME: f"^^<{XSD_NAMESPACE}dateTime>"})
+_TURTLE_SUFFIXES = _Suffixes({XSD_STRING: "", XSD_DATETIME: "^^xsd:dateTime"})
+
 # Rows rendered and encoded per write: the writer never holds the whole
 # output as lines or as one string.
 _WRITE_CHUNK = 8192
@@ -120,8 +128,7 @@ class _TermTable:
     ontology: str  # the extension ontologies' namespace
 
 
-# Characters N-Triples literals must escape; most texts hold none of them,
-# and the search is cheaper than a translate that changes nothing.
+# Characters N-Triples literals must escape.
 _LITERAL_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
 _LITERAL_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20)} | {
     ord("\\"): "\\\\",
@@ -130,17 +137,6 @@ _LITERAL_ESCAPES = {code: f"\\u{code:04X}" for code in range(0x20)} | {
     ord("\r"): "\\r",
     ord("\t"): "\\t",
 }
-
-
-def _escape_literal(text: str) -> str:
-    if _LITERAL_ESCAPED.search(text) is None:
-        return text
-    return text.translate(_LITERAL_ESCAPES)
-
-
-def _literal(text: str, datatype: str, suffixes: Mapping[str, str]) -> str:
-    suffix = suffixes.get(datatype)
-    return f'"{_escape_literal(text)}"' + (f"^^<{datatype}>" if suffix is None else suffix)
 
 
 # The escapes of RDF 1.1 N-Triples: ECHAR and UCHAR.
@@ -325,27 +321,35 @@ class Graph:
     def write(self, sink: BinaryIO, format: str = "ntriples") -> None:
         """Write deterministic N-Triples or Turtle, one type assertion per
         node, to a binary file object, ``_WRITE_CHUNK`` rows per write."""
+        terms = self._terms
         if format == "ntriples":
-            header, predicates, objects, suffixes = "", {}, {}, _NT_SUFFIXES
+            header, suffixes = "", _NT_SUFFIXES
+            predicates = {iri: f"<{iri}>" for iri in (*terms.property_iris.values(), RDF_TYPE)}
+            objects = {iri: f"<{iri}>" for iri in terms.class_iris.values()}
         elif format == "turtle":
             header = (
-                f"@prefix aont: <{self._terms.ontology}> .\n"
+                f"@prefix aont: <{terms.ontology}> .\n"
                 f"@prefix crm: <{CRM_NAMESPACE}> .\n"
                 "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
                 f"@prefix xsd: <{XSD_NAMESPACE}> .\n\n"
             )
             # Only schema terms get a prefixed name: a node IRI's path may
             # hold a '/', which a prefixed name's local part may not.
-            objects, suffixes = self._terms.turtle_names, _TURTLE_SUFFIXES
+            objects, suffixes = terms.turtle_names, _TURTLE_SUFFIXES
             predicates = {**objects, RDF_TYPE: "a"}  # 'a' is a predicate form only
         else:
             raise GraphError(f"unsupported serialization format: {format}")
         sink.write(header.encode("utf-8"))
         rows = self._sorted_rows()
+        # Most literal texts hold no character to escape, and the search is
+        # cheaper than a translate that changes nothing.  Each line is one
+        # f-string, which builds no string per part.
+        search, escapes = _LITERAL_ESCAPED.search, _LITERAL_ESCAPES
         for start in range(0, len(rows), _WRITE_CHUNK):
             chunk = [
-                f"<{s}> {predicates.get(p) or f'<{p}>'} "
-                f"{_literal(o, dt, suffixes) if lit else objects.get(o) or f'<{o}>'} ."
+                f"""<{s}> {predicates.get(p) or f'<{p}>'} {
+                    f'"{o if search(o) is None else o.translate(escapes)}"{suffixes[dt]}'
+                    if lit else objects.get(o) or f'<{o}>'} ."""
                 for s, p, lit, o, dt in rows[start : start + _WRITE_CHUNK]
             ]
             sink.write(("\n".join(chunk) + "\n").encode("utf-8"))

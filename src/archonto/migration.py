@@ -4,12 +4,16 @@ Rule choice that the mapping language cannot express lives here: title rules
 are picked by title type, date rules by date shape (interval vs single
 instant), dimension rules by entry kind, and the description-date rule runs
 once per date type.  Each rule is compiled once per run into a plan of plain
-tuples holding all it needs from the schema; a per-record emitter walks the
-plans and writes rows straight into the run's one graph.  Node identity is
-deterministic (the README's "IRI scheme" lists the rules): the plans and each
-record's context hold prefixes built by ``graph.record_prefix`` and
-``graph.shared_prefix``, and every node the engine names is claimed through
-``Graph.register_node``, the one check that an IRI keeps one class.
+tuples holding all it needs from the schema, and the adapter that yields its
+firings is bound then; a per-record emitter walks the plans and writes rows
+straight into the run's one graph.  Node identity is deterministic (the
+README's "IRI scheme" lists the rules): the plans and each record's context
+hold prefixes built by ``graph.record_prefix`` and ``graph.shared_prefix``,
+and every node the engine names is claimed through ``Graph.register_node``,
+the one check that an IRI keeps one class.  A claim that succeeded holds
+while the node map only grows, so it is made once: a singleton node's once
+per record, a shared node's once per run (forgotten when a refused record is
+undone).  A date text's widening is likewise worked out once per run.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -20,9 +24,10 @@ from __future__ import annotations
 
 import calendar
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .graph import DEFAULT_BASE_IRI, Graph, GraphError, record_prefix, shared_prefix
@@ -100,15 +105,17 @@ def widen_date_text(text: str, position: str) -> str:
 # -- rule plans ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Application:
+_NO_VALUES: Mapping[str, str] = MappingProxyType({})
+
+
+class Application(NamedTuple):
     """One firing of a rule: its capture values, and the terms that name the
     nodes of some classes.  A blank value or term marks an absent optional
     part: every path that reads it is skipped."""
 
     key: str
-    captures: dict[str, str] = field(default_factory=dict)
-    class_terms: dict[str, str] = field(default_factory=dict)
+    captures: Mapping[str, str] = _NO_VALUES
+    class_terms: Mapping[str, str] = _NO_VALUES
 
 
 class TraceEntry(NamedTuple):
@@ -136,11 +143,14 @@ class _Step(NamedTuple):
 
 
 # A rule's plan is (rule, paths, whether it is an ISAD rule, whose assignments
-# become the record's anchors).  A path is (start step, hops, the captures and
-# the classes whose blank value or term skips it).  A hop is (predicate IRI,
+# become the record's anchors, the adapter that yields its applications to a
+# record, None for an unknown selector, and the trace entry of a record it
+# does not fire on).  A path is (start step, hops, the captures and the
+# classes whose blank value or term skips it).  A hop is (predicate IRI,
 # step, datatype of an emitted literal, strict mode's refusal less what it
 # got, and (L2DO IRI, DataObject step) for the carrier of a literal).
-_RulePlan = tuple[MdlRule, tuple, bool]
+_Adapter = Callable[["MigrationContext", MdlRule], Sequence[Application]]
+_RulePlan = tuple[MdlRule, tuple, bool, "_Adapter | None", TraceEntry]
 
 
 def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
@@ -176,7 +186,11 @@ def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
         classes = tuple(s.ident for s in nodes if s.ident is not None)
         hops = tuple(hop(edge, node) for edge, node in zip(path[1::2], path[2::2]))
         paths.append((step(path[0]), hops, reads, classes))
-    return rule, tuple(paths), rule.selector.name == "ISAD"
+    adapter = _adapter(rule)
+    skipped = TraceEntry(
+        rule.rule_no, None, 0, "unknown selector" if adapter is None else "element blank; skipped"
+    )
+    return rule, tuple(paths), rule.selector.name == "ISAD", adapter, skipped
 
 
 def _compile(rules: RuleSet, graph: Graph) -> tuple[_RulePlan, ...]:
@@ -192,7 +206,7 @@ def range_mismatches(rules: RuleSet, schema: OntologySchema) -> list[str]:
     found = [
         (rule.rule_no,
          f"rule {rule.rule_no}: {mismatch}a {'literal' if step.kind is _EMIT else 'node'}")
-        for rule, paths, _ in _compile(rules, Graph(schema))
+        for rule, paths, *_ in _compile(rules, Graph(schema))
         for _, hops, _, _ in paths
         for _, step, _, mismatch, _ in hops
         if mismatch is not None
@@ -214,19 +228,39 @@ class RecordProblem:
 
 
 @dataclass
+class _Run:
+    """One migration run: its graph, its rule plans, and what holds for all its
+    records.  ``shared`` maps (shared prefix, term) to the IRI of a claim that
+    succeeded, strict mode's vocabulary check included; ``dates`` maps (text,
+    position) to the widened text, "" when it is not usable."""
+
+    graph: Graph
+    plans: tuple[_RulePlan, ...]
+    shared: dict[tuple[str, str], str] = field(default_factory=dict)
+    dates: dict[tuple[str, str], str] = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str) -> _Run:
+        graph = Graph(schema, base_iri)
+        return cls(graph, _compile(rules, graph))
+
+
+@dataclass
 class MigrationContext:
     """Per-record state threaded through rule applications."""
 
     record: IsadRecord
-    graph: Graph
+    run: _Run
     registry: VocabularyRegistry
     strict: bool = False
     anchors: dict[str, str] = field(default_factory=dict)
     value_owners: dict[tuple[str, str], int] = field(default_factory=dict)
+    singletons: dict[str, str] = field(default_factory=dict)  # class id -> claimed IRI
     trace: list[TraceEntry] = field(default_factory=list)
     problems: list[RecordProblem] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.graph = self.run.graph
         self.prefix = record_prefix(self.graph.base_iri, self.record.reference_code)
 
     def warn(self, message: str) -> None:
@@ -237,6 +271,9 @@ def _role(class_id: str) -> str:
     return class_id.lower()
 
 
+_DOCUMENT_ROLE = _encode(_role(DOCUMENT_CLASS))
+
+
 def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str:
     """The IRI of the node of ``step`` that application ``key`` names by ``term``.  No
     term: a structural node, once per record for a singleton class and once
@@ -245,19 +282,29 @@ def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str
     other term: a value node, owned by the first rule that mints the term;
     another rule gets the role ``<class>.<rule>`` and a node of its own."""
     if term is None:
-        iri = ctx.prefix + step.role + ("/1" if step.singleton else "/" + _encode(key))
+        if step.singleton:
+            iri = ctx.singletons.get(step.class_id)
+            if iri is None:
+                iri = ctx.prefix + step.role + "/1"
+                iri = ctx.singletons[step.class_id] = ctx.graph.register_node(iri, step.class_id)
+            return iri
+        iri = ctx.prefix + step.role + "/" + _encode(key)
     else:
         term = term.strip()
         if step.shared is not None:
-            if ctx.strict and ctx.registry.contains(step.class_id, term) is False:
-                raise MigrationError(
-                    f"term {term!r} is not in the vocabulary bound to {step.class_id}"
-                )
-            iri = step.shared + _encode(term)
-        else:
-            owner = ctx.value_owners.setdefault((step.class_id, term), step.rule_no)
-            role = step.role if owner == step.rule_no else step.alt_role
-            iri = ctx.prefix + role + "/" + _encode(term)
+            claim = step.shared, term
+            iri = ctx.run.shared.get(claim)
+            if iri is None:
+                if ctx.strict and ctx.registry.contains(step.class_id, term) is False:
+                    raise MigrationError(
+                        f"term {term!r} is not in the vocabulary bound to {step.class_id}"
+                    )
+                iri = ctx.graph.register_node(step.shared + _encode(term), step.class_id)
+                ctx.run.shared[claim] = iri
+            return iri
+        owner = ctx.value_owners.setdefault((step.class_id, term), step.rule_no)
+        role = step.role if owner == step.rule_no else step.alt_role
+        iri = ctx.prefix + role + "/" + _encode(term)
     return ctx.graph.register_node(iri, step.class_id)
 
 
@@ -330,12 +377,19 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
 
 def _widen(ctx: MigrationContext, text: str, position: str, element: str | None) -> str | None:
     """The widened date text, or None; the warning names ``element``, if given."""
-    try:
-        return widen_date_text(text, position)
-    except DateTextError:
-        if element is not None:
-            ctx.warn(f"{element}: date text {text!r} is not usable; kept as legacy text only")
-        return None
+    dates = ctx.run.dates
+    widened = dates.get((text, position))
+    if widened is None:
+        try:
+            widened = widen_date_text(text, position)
+        except DateTextError:
+            widened = ""
+        dates[text, position] = widened
+    if widened:
+        return widened
+    if element is not None:
+        ctx.warn(f"{element}: date text {text!r} is not usable; kept as legacy text only")
+    return None
 
 
 def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
@@ -422,9 +476,9 @@ def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> list[Applicat
     return apps
 
 
-# Selector name -> adapter yielding a rule's applications to one record.
-# The dispatcher calls an adapter only when the selector has captures.
-_ADAPTERS: dict[str, Callable[[MigrationContext, MdlRule], list[Application]]] = {
+# Selector name -> adapter yielding a rule's applications to one record; a
+# rule's plan binds its selector's adapter (see `_adapter`).
+_ADAPTERS: dict[str, _Adapter] = {
     "Description Level": partial(_element_applications, element="1.4"),
     "Reference Code": partial(_element_applications, element="1.1"),
     "Title": partial(_element_applications, element="1.2", title_type="absent"),
@@ -444,14 +498,26 @@ _ADAPTERS: dict[str, Callable[[MigrationContext, MdlRule], list[Application]]] =
 }
 
 
-def _applications_for(ctx: MigrationContext, rule: MdlRule) -> list[Application] | None:
-    """The rule's applications to the record; None for an unknown selector."""
+_ISAD_APPLICATIONS = (Application("1"),)
+
+
+def _isad_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+    return _ISAD_APPLICATIONS
+
+
+def _no_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+    return ()
+
+
+def _adapter(rule: MdlRule) -> _Adapter | None:
+    """The adapter of the rule's selector, None for an unknown one; the ISAD
+    rule fires once per record, and a selector without captures never."""
     if rule.selector.name == "ISAD":
-        return [Application("1")]
+        return _isad_applications
     adapter = _ADAPTERS.get(rule.selector.name)
-    if adapter is None:
-        return None
-    return adapter(ctx, rule) if rule.selector.captures else []
+    if adapter is None or rule.selector.captures:
+        return adapter
+    return _no_applications
 
 
 # -- record and corpus drivers ---------------------------------------------------
@@ -472,39 +538,42 @@ def migrate_record(
     *,
     base_iri: str = DEFAULT_BASE_IRI,
     strict: bool = False,
-    run: tuple[tuple[_RulePlan, ...], Graph] | None = None,
+    run: _Run | None = None,
 ) -> RecordMigration:
     """Apply the rule set to one (already resolved) record; a rule's migration
     or graph error is raised as ``MigrationError("rule N (key): reason")``, and
     an empty reference code as ``GraphError`` before any rule fires.
-    Without ``run``, one run's plans (see :func:`_compile`) and graph, both are made anew."""
-    graph = run[1] if run else Graph(schema, base_iri)
-    plans = run[0] if run else _compile(rules, graph)
-    ctx = MigrationContext(record, graph, registry, strict)
-    for rule, paths, document in plans:
-        apps = _applications_for(ctx, rule)
-        if apps is None:
+    Without ``run`` (see :class:`_Run`), a run of this one record is made."""
+    if run is None:
+        run = _Run.start(rules, schema, base_iri)
+    ctx = MigrationContext(record, run, registry, strict)
+    trace = ctx.trace
+    for rule, paths, document, adapter, skipped in run.plans:
+        if adapter is None:
             ctx.warn(f"rule {rule.rule_no}: no engine adapter for selector "
                      f"{rule.selector.name!r}; rule skipped")
+            trace.append(skipped)
+            continue
+        apps = adapter(ctx, rule)
         if not apps:
-            note = "unknown selector" if apps is None else "element blank; skipped"
-            ctx.trace.append(TraceEntry(rule.rule_no, None, 0, note))
+            trace.append(skipped)
             continue
         for app in apps:
             try:
                 count = _emit(ctx, paths, document, app)
             except (MigrationError, GraphError) as exc:
                 raise MigrationError(f"rule {rule.rule_no} ({app.key}): {exc}") from exc
-            ctx.trace.append(TraceEntry(rule.rule_no, app.key, count))
-    return RecordMigration(graph, tuple(ctx.trace), tuple(ctx.problems))
+            trace.append(TraceEntry(rule.rule_no, app.key, count))
+    return RecordMigration(run.graph, tuple(ctx.trace), tuple(ctx.problems))
 
 
 def attach_isad_fallback(record: IsadRecord, graph: Graph) -> Graph:
     """Copy every mapped non-blank textual element verbatim onto the document."""
-    document = graph.mint_node(record.reference_code, _role(DOCUMENT_CLASS), "1", DOCUMENT_CLASS)
-    property_iris, rows = graph._terms.property_iris, graph._triples
+    iri = record_prefix(graph.base_iri, record.reference_code) + _DOCUMENT_ROLE + "/1"
+    document = graph.register_node(iri, DOCUMENT_CLASS)
+    property_iris, rows, elements = graph._terms.property_iris, graph._triples, record.elements
     for element, property_id in ISAD_FALLBACK_MAP:
-        value = record.value(element)
+        value = elements.get(element)
         text = value.strip() if isinstance(value, str) else ""
         if text and not (element == "title_type" and text == "absent"):
             rows[document, property_iris[property_id], 1, value, XSD_STRING] = None
@@ -538,8 +607,8 @@ def migrate_tree(
     """Migrate every record of a resolved tree into one deterministic graph.
     A record that raises is undone, and adds only one ``error`` problem; with
     ``fail_fast`` it stops the run."""
-    graph = Graph(schema, base_iri)
-    run = _compile(rules, graph), graph
+    run = _Run.start(rules, schema, base_iri)
+    graph = run.graph
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
         record = tree.records[reference]
@@ -554,6 +623,7 @@ def migrate_tree(
             for table, mark in zip((graph._nodes, graph._triples), marks):
                 for _ in range(len(table) - mark):
                     table.popitem()
+            run.shared.clear()  # it may name a node popped just now
             if fail_fast:
                 raise MigrationError(f"record {reference}: {exc}") from exc
             problems.append(RecordProblem(reference, "error", str(exc)))

@@ -160,6 +160,10 @@ def _finite(text: str) -> float:
     return value
 
 
+# One decoder for every line: ``json.loads`` would build one per call.
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def _has_surrogate(value: object) -> bool:
     """Whether a key or text at any depth of a JSON value holds a lone surrogate,
     which no RDF literal or IRI can hold (a ``\\ud800`` escape decodes to one).
@@ -235,7 +239,9 @@ def parse_corpus(data: bytes | str) -> RecordTree:
         if not line:
             continue
         try:
-            obj = json.loads(line, parse_float=_finite, parse_constant=_finite)
+            if line.startswith("\ufeff"):  # the check json.loads makes before decoding
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"invalid JSON ({exc.msg})", number) from None
         except ValueError as exc:  # _finite's refusal, or an int too long to convert

@@ -644,6 +644,21 @@ def test_json_the_rdf_cannot_hold_exits_2_naming_the_line(tmp_path, capsysbinary
     assert captured.out == b"" and not out.exists()
 
 
+def test_byte_order_mark_on_a_later_line_exits_2_naming_the_line(tmp_path, capsysbinary):
+    # Only a leading byte order mark is dropped; one that starts line 2 is a JSON error.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(
+        b'{"1.1": "Z", "1.4": "Fonds"}\n' + codecs.BOM_UTF8 + b'{"1.1": "A", "1.4": "Fonds"}\n'
+    )
+    out = tmp_path / "graph.nt"
+    assert main(["migrate", "--in", str(corpus), "--out", str(out)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == (
+        b"error: line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"
+    )
+    assert captured.out == b"" and not out.exists()
+
+
 def _python(args: list[str], hash_seed: str) -> subprocess.CompletedProcess:
     """Run a new interpreter that imports this package, under the given PYTHONHASHSEED."""
     source = str(Path(archonto.__file__).resolve().parent.parent)

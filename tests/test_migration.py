@@ -704,6 +704,72 @@ def test_a_refused_record_is_undone_beyond_its_own_nodes(
     assert graph.serialize() == alone.serialize()
 
 
+def test_a_shared_node_first_claimed_by_a_refused_record_is_written_for_a_later_one(
+    schema, registry, rules
+):
+    # PT/B's rule 11 claims the shared node, its rule 12 refuses PT/B, and
+    # PT/C, migrated next, claims the same node again.
+    refused = {"1.1": "PT/B", "1.4": "Fonds", "supports": ["Photosensitive film"],
+               "languages": ["Klingon"]}
+    later = {"1.1": "PT/C", "1.4": "Fonds", "supports": ["Photosensitive film"]}
+    result = migrate_tree(parse_corpus(_corpus(refused, later)), rules, schema, registry, strict=True)
+    assert result.report_lines() == [
+        "PT/B\terror\trule 12 (1): term 'Klingon' is not in the vocabulary bound to E56"
+    ]
+    node = result.graph.base_iri + "shared/E57/Photosensitive%20film"
+    assert result.graph.node_index[node] == "E57"
+    written = result.graph.serialize()
+    assert f"<{node}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ".encode() in written
+    alone = migrate_tree(parse_corpus(_corpus(later)), rules, schema, registry, strict=True)
+    assert written == alone.graph.serialize()
+
+
+def test_strict_refuses_an_unknown_shared_term_in_every_record_that_uses_it(
+    schema, registry, rules, monkeypatch
+):
+    checked = []
+    real = registry.contains
+
+    def contains(class_id, term):
+        checked.append(term)
+        return real(class_id, term)
+
+    monkeypatch.setattr(registry, "contains", contains)
+    entries = [{"1.1": ref, "1.4": "Fonds", "supports": [term]}
+               for ref, term in (("A", "Bogus"), ("B", "Paper"), ("C", "Bogus"), ("D", "Paper"))]
+    result = migrate_tree(parse_corpus(_corpus(*entries)), rules, schema, registry, strict=True)
+    message = "rule 11 (1): term 'Bogus' is not in the vocabulary bound to E57"
+    assert result.report_lines() == [f"{ref}\terror\t{message}" for ref in "AC"]
+    assert not any(f"/{ref}/" in iri for iri in result.graph.node_index for ref in "AC")
+    # A refusal is never remembered: each record that uses the term checks it.
+    assert checked.count("Bogus") == 2
+
+
+def test_migrate_tree_keeps_no_state_between_runs(schema, registry, rules):
+    first = _corpus(
+        {"1.1": "A", "1.4": "Fonds", "supports": ["Paper"], "languages": ["Portuguese"],
+         "production_date_single": "1700", "description_creation_date": "someday"},
+        {"1.1": "A/1", "1.4": "Serie", "parent": "A", "production_date_start": "circa 1650",
+         "production_date_end": "1700-02", "description_last_modification": "2001-02-30"},
+    )
+    second = _corpus(
+        {"1.1": "B", "1.4": "Fonds", "supports": ["Paper"], "languages": ["Portuguese"],
+         "production_date_single": "1700", "description_creation_date": "someday",
+         "description_last_modification": "2001-02-30"},
+        {"1.1": "B/1", "1.4": "Serie", "parent": "B", "production_date_start": "1650",
+         "production_date_end": "1700-02", "description_creation_date": "1700"},
+    )
+
+    def migrated(corpus: str) -> tuple[bytes, bytes]:
+        result = migrate_tree(resolve_inheritance(parse_corpus(corpus)), rules, schema, registry)
+        return result.graph.serialize(), "".join(f"{line}\n" for line in result.report_lines()).encode()
+
+    alone = migrated(second)
+    assert alone[1].count(b"\twarning\t") == 2 and b"shared/E57/Paper" in alone[0]
+    migrated(first)
+    assert migrated(second) == alone
+
+
 def test_unbound_anchor_in_a_custom_rule_refuses_the_record(schema, registry):
     ruleset = parse_mdl(
         "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
