@@ -11,9 +11,9 @@ README's "IRI scheme" lists the rules): the plans and each record's context
 hold prefixes built by ``graph.record_prefix`` and ``graph.shared_prefix``,
 and every node the engine names is claimed through ``Graph.register_node``,
 the one check that an IRI keeps one class.  A claim that succeeded holds
-while the node map only grows, so it is made once: a singleton node's once
-per record, a shared node's once per run (forgotten when a refused record is
-undone).  A date text's widening is likewise worked out once per run.
+while the node map only grows, so a shared node is claimed once per run
+(forgotten when a refused record is undone); every other claim is made each
+time its node is named.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -231,13 +231,11 @@ class RecordProblem:
 class _Run:
     """One migration run: its graph, its rule plans, and what holds for all its
     records.  ``shared`` maps (shared prefix, term) to the IRI of a claim that
-    succeeded, strict mode's vocabulary check included; ``dates`` maps (text,
-    position) to the widened text, "" when it is not usable."""
+    succeeded, strict mode's vocabulary check included."""
 
     graph: Graph
     plans: tuple[_RulePlan, ...]
     shared: dict[tuple[str, str], str] = field(default_factory=dict)
-    dates: dict[tuple[str, str], str] = field(default_factory=dict)
 
     @classmethod
     def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str) -> _Run:
@@ -255,7 +253,6 @@ class MigrationContext:
     strict: bool = False
     anchors: dict[str, str] = field(default_factory=dict)
     value_owners: dict[tuple[str, str], int] = field(default_factory=dict)
-    singletons: dict[str, str] = field(default_factory=dict)  # class id -> claimed IRI
     trace: list[TraceEntry] = field(default_factory=list)
     problems: list[RecordProblem] = field(default_factory=list)
 
@@ -282,13 +279,7 @@ def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str
     other term: a value node, owned by the first rule that mints the term;
     another rule gets the role ``<class>.<rule>`` and a node of its own."""
     if term is None:
-        if step.singleton:
-            iri = ctx.singletons.get(step.class_id)
-            if iri is None:
-                iri = ctx.prefix + step.role + "/1"
-                iri = ctx.singletons[step.class_id] = ctx.graph.register_node(iri, step.class_id)
-            return iri
-        iri = ctx.prefix + step.role + "/" + _encode(key)
+        iri = ctx.prefix + step.role + ("/1" if step.singleton else "/" + _encode(key))
     else:
         term = term.strip()
         if step.shared is not None:
@@ -377,19 +368,12 @@ def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application)
 
 def _widen(ctx: MigrationContext, text: str, position: str, element: str | None) -> str | None:
     """The widened date text, or None; the warning names ``element``, if given."""
-    dates = ctx.run.dates
-    widened = dates.get((text, position))
-    if widened is None:
-        try:
-            widened = widen_date_text(text, position)
-        except DateTextError:
-            widened = ""
-        dates[text, position] = widened
-    if widened:
-        return widened
-    if element is not None:
-        ctx.warn(f"{element}: date text {text!r} is not usable; kept as legacy text only")
-    return None
+    try:
+        return widen_date_text(text, position)
+    except DateTextError:
+        if element is not None:
+            ctx.warn(f"{element}: date text {text!r} is not usable; kept as legacy text only")
+        return None
 
 
 def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
