@@ -72,10 +72,8 @@ class NodeClassConflict(GraphError):
         )
 
 
-class NTriplesParseError(GraphError):
-    def __init__(self, message: str, line: int) -> None:
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class NTriplesParseError(GraphError, utf8.LineError):
+    """Raised at the first line of a graph input that is not valid N-Triples."""
 
 
 # How a graph stores a statement: (subject IRI, predicate IRI, 1 for a

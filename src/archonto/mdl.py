@@ -302,8 +302,11 @@ def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSe
         raise MdlSyntaxError("no RULE header found", 0)
     if headers and clean[: headers[0].start()].strip():
         raise MdlSyntaxError("text before first RULE header", 0)
-    rules = []
+    rules: dict[int, MdlRule] = {}
     for index, header in enumerate(headers):
+        rule_no = int(header.group(1))
+        if rule_no in rules:
+            raise MdlSyntaxError(f"duplicate rule number {rule_no}", header.start())
         body_start = header.end()
         body_end = headers[index + 1].start() if index + 1 < len(headers) else len(clean)
         body = clean[body_start:body_end]
@@ -320,10 +323,10 @@ def parse_mdl(text: str | bytes, schema: OntologySchema | None = None) -> RuleSe
             paths.append(_parse_path(chunk, chunk_offset, schema))
         if not paths:
             raise MdlSyntaxError("rule has no paths", body_start)
-        rule = MdlRule(int(header.group(1)), selector, tuple(paths))
+        rule = MdlRule(rule_no, selector, tuple(paths))
         _check_variable_hygiene(rule, header.start())
-        rules.append(rule)
-    return RuleSet(tuple(rules))
+        rules[rule_no] = rule
+    return RuleSet(tuple(rules.values()))
 
 
 def _render_step(step: PathStep, schema: OntologySchema) -> str:

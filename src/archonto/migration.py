@@ -11,9 +11,9 @@ README's "IRI scheme" lists the rules): the plans and each record's context
 hold prefixes built by ``graph.record_prefix`` and ``graph.shared_prefix``,
 and every node the engine names is claimed through ``Graph.register_node``,
 the one check that an IRI keeps one class.  A claim that succeeded holds
-while the node map only grows, so a shared node is claimed once per run
-(forgotten when a refused record is undone); every other claim is made each
-time its node is named.
+while its node stays in the node map, so a shared node is claimed once per
+run, and again only after a refused record's undoing removed it; every other
+claim is made each time its node is named.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -144,13 +144,13 @@ class _Step(NamedTuple):
 
 # A rule's plan is (rule, paths, whether it is an ISAD rule, whose assignments
 # become the record's anchors, the adapter that yields its applications to a
-# record, None for an unknown selector, and the trace entry of a record it
-# does not fire on).  A path is (start step, hops, the captures and the
-# classes whose blank value or term skips it).  A hop is (predicate IRI,
-# step, datatype of an emitted literal, strict mode's refusal less what it
-# got, and (L2DO IRI, DataObject step) for the carrier of a literal).
+# record, and the trace entry of a record it does not fire on).  A path is
+# (start step, hops, the captures and the classes whose blank value or term
+# skips it).  A hop is (predicate IRI, step, datatype of an emitted literal,
+# strict mode's refusal less what it got, and (L2DO IRI, DataObject step) for
+# the carrier of a literal).
 _Adapter = Callable[["MigrationContext", MdlRule], Sequence[Application]]
-_RulePlan = tuple[MdlRule, tuple, bool, "_Adapter | None", TraceEntry]
+_RulePlan = tuple[MdlRule, tuple, bool, _Adapter, TraceEntry]
 
 
 def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
@@ -187,9 +187,8 @@ def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
         hops = tuple(hop(edge, node) for edge, node in zip(path[1::2], path[2::2]))
         paths.append((step(path[0]), hops, reads, classes))
     adapter = _adapter(rule)
-    skipped = TraceEntry(
-        rule.rule_no, None, 0, "unknown selector" if adapter is None else "element blank; skipped"
-    )
+    note = "unknown selector" if adapter is _unknown_selector else "element blank; skipped"
+    skipped = TraceEntry(rule.rule_no, None, 0, note)
     return rule, tuple(paths), rule.selector.name == "ISAD", adapter, skipped
 
 
@@ -231,7 +230,7 @@ class RecordProblem:
 class _Run:
     """One migration run: its graph, its rule plans, and what holds for all its
     records.  ``shared`` maps (shared prefix, term) to the IRI of a claim that
-    succeeded, strict mode's vocabulary check included."""
+    succeeded, strict mode's check included, while the node map has the IRI."""
 
     graph: Graph
     plans: tuple[_RulePlan, ...]
@@ -285,7 +284,7 @@ def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str
         if step.shared is not None:
             claim = step.shared, term
             iri = ctx.run.shared.get(claim)
-            if iri is None:
+            if iri not in ctx.graph._nodes:
                 if ctx.strict and ctx.registry.contains(step.class_id, term) is False:
                     raise MigrationError(
                         f"term {term!r} is not in the vocabulary bound to {step.class_id}"
@@ -493,13 +492,19 @@ def _no_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Applicati
     return ()
 
 
-def _adapter(rule: MdlRule) -> _Adapter | None:
-    """The adapter of the rule's selector, None for an unknown one; the ISAD
-    rule fires once per record, and a selector without captures never."""
+def _unknown_selector(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+    ctx.warn(f"rule {rule.rule_no}: no engine adapter for selector "
+             f"{rule.selector.name!r}; rule skipped")
+    return ()
+
+
+def _adapter(rule: MdlRule) -> _Adapter:
+    """The adapter of the rule's selector: the ISAD rule fires once per record,
+    a known selector without captures never, and an unknown one warns."""
     if rule.selector.name == "ISAD":
         return _isad_applications
-    adapter = _ADAPTERS.get(rule.selector.name)
-    if adapter is None or rule.selector.captures:
+    adapter = _ADAPTERS.get(rule.selector.name, _unknown_selector)
+    if adapter is _unknown_selector or rule.selector.captures:
         return adapter
     return _no_applications
 
@@ -533,11 +538,6 @@ def migrate_record(
     ctx = MigrationContext(record, run, registry, strict)
     trace = ctx.trace
     for rule, paths, document, adapter, skipped in run.plans:
-        if adapter is None:
-            ctx.warn(f"rule {rule.rule_no}: no engine adapter for selector "
-                     f"{rule.selector.name!r}; rule skipped")
-            trace.append(skipped)
-            continue
         apps = adapter(ctx, rule)
         if not apps:
             trace.append(skipped)
@@ -607,7 +607,6 @@ def migrate_tree(
             for table, mark in zip((graph._nodes, graph._triples), marks):
                 for _ in range(len(table) - mark):
                     table.popitem()
-            run.shared.clear()  # it may name a node popped just now
             if fail_fast:
                 raise MigrationError(f"record {reference}: {exc}") from exc
             problems.append(RecordProblem(reference, "error", str(exc)))

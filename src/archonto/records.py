@@ -87,12 +87,8 @@ DEFAULT_INHERITABLE = frozenset(
 )
 
 
-class CorpusError(ValueError):
-    def __init__(self, message: str, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class CorpusError(utf8.LineError):
+    """Raised for a malformed corpus, or a tree that cannot be resolved."""
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ _BLOCK = 1 << 16
 _Error = Callable[[str, int], Exception]
 
 
+class LineError(ValueError):
+    """A fault in a line-based input, named by its line when that is known."""
+
+    def __init__(self, message: str, line: int | None = None) -> None:
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
 def blocks(data: bytes | str, error: _Error) -> Iterator[tuple[int, str]]:
     """Yield ``(number of its first line, text)`` for runs of whole lines of
     about ``_BLOCK`` bytes, cut at an LF that the text leaves out, so that

@@ -65,11 +65,14 @@ def validate_datetime(text: str) -> bool:
 
 @dataclass(frozen=True)
 class ValidationFinding:
-    severity: str
     code: str
     subject: str
     involved: str
     message: str
+
+    @property
+    def severity(self) -> str:
+        return WARNING if self.code in _WARNING_CODES else ERROR
 
     def sort_key(self) -> tuple[str, str, str, str]:
         return (self.subject, self.code, self.involved, self.message)
@@ -108,20 +111,11 @@ class ValidationReport:
         return f"{body}\n{summary}\n"
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self.findings: list[ValidationFinding] = []
-
-    def add(self, code: str, subject: str, involved: str, message: str) -> None:
-        severity = WARNING if code in _WARNING_CODES else ERROR
-        self.findings.append(
-            ValidationFinding(severity, code, subject, involved, message)
-        )
-
-
 # The graph's own rows by predicate id: (subject IRI, predicate IRI,
 # is_literal, object IRI or literal text, datatype tag or "").
 _Index = dict[str, list[_Row]]
+
+_Findings = list[ValidationFinding]
 
 
 def _within(schema: OntologySchema, class_id: str, ancestor: str) -> bool | None:
@@ -133,17 +127,17 @@ def _check_triples(
     index: _Index,
     nodes: Mapping[str, str],
     schema: OntologySchema,
-    out: _Collector,
+    out: _Findings,
 ) -> None:
     for predicate, rows in index.items():
         if not schema.has_property(predicate):
             for subject, *_ in rows:
-                out.add(
+                out.append(ValidationFinding(
                     UNKNOWN_PROPERTY,
                     subject,
                     predicate,
                     f"property {predicate} is not declared in the schema",
-                )
+                ))
             continue
         prop = schema.property_def(predicate)
         literal_range = prop.range in LITERAL_RANGES
@@ -165,45 +159,45 @@ def _check_triples(
         for subject, _, literal, obj, _ in rows:
             subject_class = nodes[subject]
             if subject_class in outside_domain:
-                out.add(
+                out.append(ValidationFinding(
                     DOMAIN_VIOLATION,
                     subject,
                     predicate,
                     f"subject class {subject_class} is outside the "
                     f"domain {prop.domain} of {predicate}",
-                )
+                ))
             if literal_range:
                 if not literal:
-                    out.add(
+                    out.append(ValidationFinding(
                         RANGE_VIOLATION,
                         subject,
                         predicate,
                         f"{predicate} expects a {prop.range} literal, found node {obj}",
-                    )
+                    ))
                 elif prop.range == XSD_DATETIME and not validate_datetime(obj):
-                    out.add(
+                    out.append(ValidationFinding(
                         DATETIME_LEXICAL,
                         subject,
                         predicate,
                         f"literal {obj!r} does not match YYYY-MM-DDThh:mm:ss",
-                    )
+                    ))
             elif literal:
-                out.add(
+                out.append(ValidationFinding(
                     RANGE_VIOLATION,
                     subject,
                     predicate,
                     f"{predicate} expects a {prop.range} node, found literal {obj!r}",
-                )
+                ))
             else:
                 object_class = nodes[obj]
                 if object_class in outside_range:
-                    out.add(
+                    out.append(ValidationFinding(
                         RANGE_VIOLATION,
                         subject,
                         predicate,
                         f"object class {object_class} is outside the "
                         f"range {prop.range} of {predicate}",
-                    )
+                    ))
 
 
 def _check_nodes(
@@ -211,28 +205,28 @@ def _check_nodes(
     nodes: Mapping[str, str],
     schema: OntologySchema,
     registry: VocabularyRegistry,
-    out: _Collector,
+    out: _Findings,
 ) -> None:
     shared_prefix = record_prefix(graph.base_iri, SHARED_SEGMENT)
     for iri, asserted in nodes.items():
         if not schema.has_class(asserted):
-            out.add(
+            out.append(ValidationFinding(
                 UNKNOWN_CLASS,
                 iri,
                 asserted or "(untyped)",
                 f"node class {asserted or '(untyped)'} is not declared",
-            )
+            ))
             continue
         shared = graph.shared_term(iri) if iri.startswith(shared_prefix) else None
         if shared is not None:
             class_id, term = shared
             if registry.contains(class_id, term) is False:
-                out.add(
+                out.append(ValidationFinding(
                     VOCABULARY_VIOLATION,
                     iri,
                     class_id,
                     f"term {term!r} is not in the vocabulary bound to {class_id}",
-                )
+                ))
 
 
 def _document_levels(
@@ -260,7 +254,7 @@ def _check_documents(
     nodes: Mapping[str, str],
     schema: OntologySchema,
     nesting: LevelNestingGraph,
-    out: _Collector,
+    out: _Findings,
 ) -> None:
     arp12 = index.get("ARP12", [])
     arp12_counts = Counter(row[0] for row in arp12)
@@ -270,16 +264,16 @@ def _check_documents(
             continue
         count = arp12_counts[iri]
         if count == 0:
-            out.add(
+            out.append(ValidationFinding(
                 ARP12_CARDINALITY, iri, "ARP12", "document has no level of description"
-            )
+            ))
         elif count > 1:
-            out.add(
+            out.append(ValidationFinding(
                 ARP12_CARDINALITY,
                 iri,
                 "ARP12",
                 f"document has {count} levels of description",
-            )
+            ))
     levels = _document_levels(graph, arp12)
     for subject, _, literal, obj, _ in index.get("P165", ()):
         if literal:
@@ -290,15 +284,15 @@ def _check_documents(
         if child_level not in nesting.terms or parent_level not in nesting.terms:
             continue
         if not nesting.allows(parent_level, child_level):
-            out.add(
+            out.append(ValidationFinding(
                 NESTING_VIOLATION,
                 subject,
                 "P165",
                 f"level {child_level!r} may not nest under {parent_level!r}",
-            )
+            ))
 
 
-def _check_regex_strings(index: _Index, nodes: Mapping[str, str], out: _Collector) -> None:
+def _check_regex_strings(index: _Index, nodes: Mapping[str, str], out: _Findings) -> None:
     values: dict[str, list[str]] = {}
     for subject, _, literal, text, _ in index.get("DOP7", ()):
         if literal:
@@ -309,19 +303,21 @@ def _check_regex_strings(index: _Index, nodes: Mapping[str, str], out: _Collecto
         try:
             compiled = re.compile(pattern)
         except re.error as exc:
-            out.add(REGEX_MISMATCH, iri, "DOP4", f"invalid pattern {pattern!r}: {exc}")
+            out.append(ValidationFinding(
+                REGEX_MISMATCH, iri, "DOP4", f"invalid pattern {pattern!r}: {exc}"
+            ))
             continue
         for value in values.get(iri, ()):
             if compiled.fullmatch(value) is None:
-                out.add(
+                out.append(ValidationFinding(
                     REGEX_MISMATCH,
                     iri,
                     "DOP4",
                     f"value {value!r} does not match pattern {pattern!r}",
-                )
+                ))
 
 
-def _check_inverses(index: _Index, schema: OntologySchema, out: _Collector) -> None:
+def _check_inverses(index: _Index, schema: OntologySchema, out: _Findings) -> None:
     edges = {
         predicate: {
             (subject, obj)
@@ -335,7 +331,9 @@ def _check_inverses(index: _Index, schema: OntologySchema, out: _Collector) -> N
         for a, b in ((left, right), (right, left)):
             for subject, obj in edges[a]:
                 if (obj, subject) not in edges[b]:
-                    out.add(INVERSE_MISSING, subject, a, f"{a} edge lacks the inverse {b} edge")
+                    out.append(ValidationFinding(
+                        INVERSE_MISSING, subject, a, f"{a} edge lacks the inverse {b} edge"
+                    ))
 
 
 def validate_graph(
@@ -346,11 +344,11 @@ def validate_graph(
 ) -> ValidationReport:
     """Run every check over a graph and return the ordered findings."""
     nodes, index = graph._nodes, graph._rows_by_predicate()
-    out = _Collector()
+    out: _Findings = []
     _check_triples(index, nodes, schema, out)
     _check_nodes(graph, nodes, schema, registry, out)
     _check_documents(graph, index, nodes, schema, nesting, out)
     _check_regex_strings(index, nodes, out)
     _check_inverses(index, schema, out)
     # Findings with equal sort keys are equal, so this sort alone fixes the order.
-    return ValidationReport(tuple(sorted(out.findings, key=lambda f: f.sort_key())))
+    return ValidationReport(tuple(sorted(out, key=lambda f: f.sort_key())))

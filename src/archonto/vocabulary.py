@@ -13,14 +13,8 @@ from functools import lru_cache
 from . import utf8
 
 
-class VocabularyError(ValueError):
+class VocabularyError(utf8.LineError):
     """Raised for malformed vocabulary or nesting input."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class UnknownLevelError(ValueError):
@@ -185,16 +179,12 @@ class LevelNestingGraph:
             closed[start] = frozenset(reached)
         return closed
 
-    def uppers_of(self, term: str) -> frozenset[str]:
-        if term not in self.terms:
-            raise UnknownLevelError(term)
-        return self._uppers.get(term, frozenset())
-
     def allows(self, parent_level: str, child_level: str) -> bool:
         """True iff a child-level unit may nest (transitively) under parent_level."""
-        if parent_level not in self.terms:
-            raise UnknownLevelError(parent_level)
-        return parent_level in self.uppers_of(child_level)
+        for level in (parent_level, child_level):
+            if level not in self.terms:
+                raise UnknownLevelError(level)
+        return parent_level in self._uppers.get(child_level, ())
 
 
 def builtin_vocabularies() -> VocabularyRegistry:

@@ -181,6 +181,22 @@ def test_rules_check(tmp_path, capsys):
     assert main(["rules", "--check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["rules", "migrate"])
+def test_a_repeated_rule_number_is_an_input_error(tmp_path, capsys, corpus_file, command):
+    rules, out = tmp_path / "dup.mdl", tmp_path / "g.nt"
+    rules.write_text("RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n" * 2, encoding="utf-8")
+    argv = {
+        "rules": ["rules", "--check", str(rules)],
+        "migrate": ["migrate", "--rules", str(rules), "--in", str(corpus_file), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: offset ") and err.count("\n") == 1, err
+    assert err.endswith(": duplicate rule number 1\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _TITLE_PATH = "$D1 -> P102 has title -> E35 Title -> DOP7 stringValue -> T"
 
 

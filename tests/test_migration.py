@@ -525,6 +525,43 @@ def test_references_shaped_like_the_scheme_decode_to_their_own_record(
     assert decode_node(graph.base_iri, own_document) == ("shared", "e31", "1")
 
 
+def _assert_each_node_class_follows_from_its_iri(graph, schema):
+    """A shared node's role is its class; any other node's role, up to a '.',
+    is its class in lower case.  The IRI alone names the class, so no two
+    records can claim one IRI with two classes."""
+    assert len({c.identifier.lower() for c in schema.classes}) == len(schema.classes)
+    for iri, class_id in graph.node_index.items():
+        reference, role, _ = decode_node(graph.base_iri, iri)
+        if (reference, role) != ("shared", class_id):
+            assert role.split(".")[0] == class_id.lower(), iri
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=40),
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
+    strict=st.booleans(),
+)
+def test_a_node_class_follows_from_its_iri(
+    schema, registry, rules, seed, size, dates, bogus, strict
+):
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
+    graph = migrate_tree(tree, rules, schema, registry, strict=strict).graph
+    _assert_each_node_class_follows_from_its_iri(graph, schema)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_node_class_follows_from_its_iri_for_references_shaped_like_the_scheme(
+    schema, registry, rules, strict
+):
+    tree = resolve_inheritance(parse_corpus(_corpus(*_SCHEME_SHAPED_REFERENCES)))
+    graph = migrate_tree(tree, rules, schema, registry, strict=strict).graph
+    _assert_each_node_class_follows_from_its_iri(graph, schema)
+
+
 def _assert_a_run_merges_its_parts(tree, part_of, rules, schema, registry, strict=False):
     """Migrating the records of ``tree`` apart, the i-th (in sorted order) in
     part ``part_of[i]``, gives what one run over them all gives."""
@@ -927,18 +964,20 @@ def test_every_builtin_selector_has_an_adapter(rules):
 
 
 def test_unknown_selector_warns_and_emits_nothing(schema, registry):
-    ruleset = parse_mdl(
-        "RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n"
+    # With captures and without: an unknown selector is not one that never fires.
+    for rule in (
         "RULE 2: $D1 -> Mystery{M} =>\n  $D1 -> P2 has type -> E55 Type{=M}\n",
-        schema,
-    )
-    outcome = migrate_record(make_record("PT/X", elements={"1.4": "Fonds"}), ruleset, schema, registry)
-    assert [p.line() for p in outcome.problems] == [
-        "PT/X\twarning\trule 2: no engine adapter for selector 'Mystery'; rule skipped"
-    ]
-    (entry,) = [e for e in outcome.trace if e.rule_no == 2]
-    assert (entry.application, entry.triples, entry.note) == (None, 0, "unknown selector")
-    assert not rows_of(outcome.graph, "P2")
+        "RULE 2: $D1 -> Mystery =>\n  $D1 -> P2 has type -> E55 Type\n",
+    ):
+        ruleset = parse_mdl("RULE 1: ISAD{D1} =>\n  E31 Document{=D1}\n\n" + rule, schema)
+        record = make_record("PT/X", elements={"1.4": "Fonds"})
+        outcome = migrate_record(record, ruleset, schema, registry)
+        assert [p.line() for p in outcome.problems] == [
+            "PT/X\twarning\trule 2: no engine adapter for selector 'Mystery'; rule skipped"
+        ]
+        (entry,) = [e for e in outcome.trace if e.rule_no == 2]
+        assert (entry.application, entry.triples, entry.note) == (None, 0, "unknown selector")
+        assert not rows_of(outcome.graph, "P2")
 
 
 def test_selector_without_captures_is_skipped_quietly(schema, registry):
