@@ -3,17 +3,32 @@
 Rule choice that the mapping language cannot express lives here: title rules
 are picked by title type, date rules by date shape (interval vs single
 instant), dimension rules by entry kind, and the description-date rule runs
-once per date type.  Each rule is compiled once per run into a plan of plain
-tuples holding all it needs from the schema, and the adapter that yields its
-firings is bound then; a per-record emitter walks the plans and writes rows
-straight into the run's one graph.  Node identity is deterministic (the
-README's "IRI scheme" lists the rules): the plans and each record's context
-hold prefixes built by ``graph.record_prefix`` and ``graph.shared_prefix``,
-and every node the engine names is claimed through ``Graph.register_node``,
-the one check that an IRI keeps one class.  A claim that succeeded holds
-while its node stays in the node map, so a shared node is claimed once per
-run, and again only after a refused record's undoing removed it; every other
-claim is made each time its node is named.
+once per date type.
+
+When a run starts, each rule is compiled into its kernel: one generated
+Python function, ``fire(ctx, app)``, that writes one firing's rows straight
+into the run's one graph and returns their count.  The generator decides
+then what a walk of the rule's paths would decide at each step (each node
+step's lookup order, each path's skip test, each row, each carrier check),
+so the kernel is straight-line code with its variables in locals.  Input
+text never becomes source: the source holds only the template's text and
+generated names, and every class id, role, IRI prefix, property IRI,
+literal term, variable name, the rule number and the base IRI reach the
+function as values bound to names ``k0``, ``k1``, ...  Each distinct source
+is compiled once per process (``_factory``, an ``lru_cache``), so a run only
+generates text and binds its graph's dicts, its shared-node memo and
+``Graph.register_node`` into a fresh kernel.  A kernel's code has the file
+name ``<archonto rule N>``, so a traceback through it names its rule.  The
+adapter that yields a rule's firings is bound when it is compiled too.
+
+Node identity is deterministic (the README's "IRI scheme" lists the rules):
+the kernels and each record's context hold prefixes built by
+``graph.record_prefix`` and ``graph.shared_prefix``, and every node the
+engine names is claimed through ``Graph.register_node``, the one check that
+an IRI keeps one class.  A claim that succeeded holds while its node stays
+in the node map, so a shared node is claimed once per run, and again only
+after a refused record's undoing removed it; every other claim is made each
+time its node is named.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -26,7 +41,7 @@ import calendar
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -109,9 +124,10 @@ _NO_VALUES: Mapping[str, str] = MappingProxyType({})
 
 
 class Application(NamedTuple):
-    """One firing of a rule: its capture values, and the terms that name the
-    nodes of some classes.  A blank value or term marks an absent optional
-    part: every path that reads it is skipped."""
+    """One firing of a rule: its capture values, keyed by some of its
+    selector's capture names, and the terms that name the nodes of some
+    classes.  A blank value or term marks an absent optional part: every
+    path that reads it is skipped."""
 
     key: str
     captures: Mapping[str, str] = _NO_VALUES
@@ -130,7 +146,7 @@ _LITERAL, _DEREF, _EMIT = BindMode.ASSIGN_LITERAL, BindMode.DEREF, BindMode.EMIT
 _DATAOBJECT = SourceOntology.DATAOBJECT
 
 
-# What the emitter needs to find or mint the node of one node step.
+# What a kernel needs to find or mint the node of one node step.
 class _Step(NamedTuple):
     kind: BindMode | None
     var: str | None  # the bound variable, or the literal term
@@ -139,22 +155,14 @@ class _Step(NamedTuple):
     alt_role: str  # encoded role of a value node that another rule owns
     shared: str | None  # IRI prefix of the individuals of a class under E55
     singleton: bool
-    rule_no: int
 
 
-# A rule's plan is (rule, paths, whether it is an ISAD rule, whose assignments
-# become the record's anchors, the adapter that yields its applications to a
-# record, and the trace entry of a record it does not fire on).  A path is
-# (start step, hops, the captures and the classes whose blank value or term
-# skips it).  A hop is (predicate IRI, step, datatype of an emitted literal,
-# strict mode's refusal less what it got, and (L2DO IRI, DataObject step) for
-# the carrier of a literal).
-_Adapter = Callable[["MigrationContext", MdlRule], Sequence[Application]]
-_RulePlan = tuple[MdlRule, tuple, bool, _Adapter, TraceEntry]
-
-
-def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
-    """Look up once what every firing of ``rule`` into ``graph`` needs from its schema."""
+def _paths(rule: MdlRule, graph: Graph) -> tuple:
+    """Look up once what every firing of ``rule`` into ``graph`` needs from its
+    schema.  A path is (start step, hops, the captures and the classes whose
+    blank value or term skips it).  A hop is (predicate IRI, step, datatype of
+    an emitted literal, strict mode's refusal less what it got, and (L2DO IRI,
+    DataObject step) for the carrier of a literal)."""
     schema, property_iris = graph.schema, graph._terms.property_iris
 
     def step(path_step: PathStep) -> _Step:
@@ -165,7 +173,7 @@ def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
         type_like = class_id and schema.is_subclass(class_id, TYPE_ROOT)
         shared = shared_prefix(graph.base_iri, class_id) if type_like else None
         return _Step(kind, var, class_id, _encode(role), _encode(f"{role}.{rule.rule_no}"),
-                     shared, class_id in SINGLETON_CLASSES, rule.rule_no)
+                     shared, class_id in SINGLETON_CLASSES)
 
     def hop(edge: PathStep, node: PathStep) -> tuple:
         prop, target = schema.property_def(edge.ident), step(node)
@@ -186,15 +194,7 @@ def _compile_rule(rule: MdlRule, graph: Graph) -> _RulePlan:
         classes = tuple(s.ident for s in nodes if s.ident is not None)
         hops = tuple(hop(edge, node) for edge, node in zip(path[1::2], path[2::2]))
         paths.append((step(path[0]), hops, reads, classes))
-    adapter = _adapter(rule)
-    note = "unknown selector" if adapter is _unknown_selector else "element blank; skipped"
-    skipped = TraceEntry(rule.rule_no, None, 0, note)
-    return rule, tuple(paths), rule.selector.name == "ISAD", adapter, skipped
-
-
-def _compile(rules: RuleSet, graph: Graph) -> tuple[_RulePlan, ...]:
-    """The plans of a rule set, in application order, for one run's graph."""
-    return tuple(_compile_rule(rule, graph) for rule in rules.application_order)
+    return tuple(paths)
 
 
 def range_mismatches(rules: RuleSet, schema: OntologySchema) -> list[str]:
@@ -202,11 +202,12 @@ def range_mismatches(rules: RuleSet, schema: OntologySchema) -> list[str]:
     a node on a literal range, by rule number.  Strict migration refuses a
     record that fires such a hop; otherwise its rows are written and
     validation reports them."""
+    graph = Graph(schema)
     found = [
         (rule.rule_no,
          f"rule {rule.rule_no}: {mismatch}a {'literal' if step.kind is _EMIT else 'node'}")
-        for rule, paths, *_ in _compile(rules, Graph(schema))
-        for _, hops, _, _ in paths
+        for rule in rules.application_order
+        for _, hops, _, _ in _paths(rule, graph)
         for _, step, _, mismatch, _ in hops
         if mismatch is not None
     ]
@@ -234,12 +235,12 @@ class _Run:
 
     graph: Graph
     plans: tuple[_RulePlan, ...]
-    shared: dict[tuple[str, str], str] = field(default_factory=dict)
+    shared: dict[tuple[str, str], str]
 
     @classmethod
     def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str) -> _Run:
-        graph = Graph(schema, base_iri)
-        return cls(graph, _compile(rules, graph))
+        graph, shared = Graph(schema, base_iri), {}
+        return cls(graph, _compile(rules, graph, shared), shared)
 
 
 @dataclass
@@ -270,96 +271,307 @@ def _role(class_id: str) -> str:
 _DOCUMENT_ROLE = _encode(_role(DOCUMENT_CLASS))
 
 
-def _node(ctx: MigrationContext, step: _Step, term: str | None, key: str) -> str:
-    """The IRI of the node of ``step`` that application ``key`` names by ``term``.  No
-    term: a structural node, once per record for a singleton class and once
-    per application otherwise.  A term of a class under E55 Type: a node
-    shared corpus-wide, checked against the vocabulary in strict mode.  Any
-    other term: a value node, owned by the first rule that mints the term;
-    another rule gets the role ``<class>.<rule>`` and a node of its own."""
-    if term is None:
-        iri = ctx.prefix + step.role + ("/1" if step.singleton else "/" + _encode(key))
-    else:
-        term = term.strip()
+# -- rule kernels ----------------------------------------------------------------
+
+# A rule's plan is (rule, its kernel, the adapter that yields its applications
+# to a record, and the trace entry of a record it does not fire on).
+_Kernel = Callable[["MigrationContext", Application], int]
+_Adapter = Callable[["MigrationContext", MdlRule], Sequence[Application]]
+_RulePlan = tuple[MdlRule, _Kernel, _Adapter, TraceEntry]
+
+
+# What a kernel knows of a variable at a point of its source: bound in this
+# firing, perhaps bound (its local may be None), or (absent) not yet looked up.
+_BOUND, _PERHAPS = "bound", "perhaps"
+
+# What a kernel reads of its run, bound when the run starts.
+_RUN_NAMES = ("register", "nodes", "rows", "memo", "is_subclass", "base")
+
+
+# Locals a kernel reads from its record's context or its application, made
+# at its top only if its body reads them.
+_KERNEL_LOCALS = (
+    ("prefix", "ctx.prefix"),
+    ("anchors", "ctx.anchors"),
+    ("owners", "ctx.value_owners"),
+    ("strict", "ctx.strict"),
+    ("ekey", "enc(key)"),
+)
+
+
+# A firing's test for a blank capture or class term, made once at its top;
+# the empty class-term map is not searched.
+_BLANK_CAPTURE, _BLANK_TERM = "'' in captures.values()", "terms and '' in terms.values()"
+_BLANK_TESTS = (_BLANK_CAPTURE, _BLANK_TERM)
+
+
+class _KernelSource:
+    """The source of one rule's firing function, ``fire(ctx, app)``, which
+    does for the rule's paths what a walk of them would decide step by step.
+
+    The source holds only this template's text and generated names: each
+    value taken from the rule, the schema or the base IRI (class ids, roles,
+    IRI prefixes and predicate IRIs, literal terms, variable names, the rule
+    number, row counts) is a name ``k<i>`` in the function's namespace
+    (``values``).  A variable lives in a local ``v<i>``, and the lookup of a
+    name is cut to the places it can be found at that point of the source:
+    the selector's captures are the only names an application can carry."""
+
+    def __init__(self, rule: MdlRule, paths: tuple) -> None:
+        self.values: dict[str, object] = {}
+        self._names: dict[tuple[type, object], str] = {}
+        self._rule = self.k(rule.rule_no)
+        self._captures = frozenset(rule.selector.captures)
+        self._locals: dict[str, str] = {}
+        self._state: dict[str, str] = {}
+        self._needs: set[str] = set()
+        self._blank: set[str] = set()
+        self._temps = 0
+        self._body: list[str] = []
+        for path in paths:
+            self._path(*path)
+        if rule.selector.name == "ISAD":
+            self._anchor(paths)
+        total = self.k(sum(len(hops) for _, hops, _, _ in paths))
+        head = [f"def kernel({', '.join((*self.values, *_RUN_NAMES))}):",
+                "    def fire(ctx, app):", "        key, captures, terms = app"]
+        head += [f"        {name} = {value}" for name, value in _KERNEL_LOCALS
+                 if name in self._needs]
+        if self._locals:
+            head.append(f"        {' = '.join(self._locals.values())} = None")
+        head.append(f"        count = {total}")
+        if self._blank:
+            head.append(f"        blank = {' or '.join(t for t in _BLANK_TESTS if t in self._blank)}")
+        self.text = "\n".join(head + self._body + ["        return count", "    return fire", ""])
+
+    def k(self, value: object) -> str:
+        name = self._names.get((type(value), value))
+        if name is None:
+            name = self._names[type(value), value] = f"k{len(self._names)}"
+            self.values[name] = value
+        return name
+
+    def _line(self, depth: int, text: str) -> None:
+        self._body.append("    " * (depth + 1) + text)
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"n{self._temps}"
+
+    def _path(self, start: _Step, hops: tuple, reads: tuple, classes: tuple) -> None:
+        """A path whose blank capture or class term can skip it runs under the
+        skip test, and leaves what it binds only perhaps bound."""
+        blank = [v for v in dict.fromkeys(reads) if v in self._captures]
+        tests = [f"captures.get({self.k(v)}) == ''" for v in blank]
+        if blank:
+            self._blank.add(_BLANK_CAPTURE)
+        if classes:
+            self._blank.add(_BLANK_TERM)
+        tests += [f"terms.get({self.k(c)}) == ''" for c in dict.fromkeys(classes)]
+        depth, before = 1, dict(self._state)
+        if tests:
+            test = tests[0] if len(tests) == 1 else f"({' or '.join(tests)})"
+            self._line(1, f"if blank and {test}:")
+            self._line(2, f"count -= {self.k(len(hops))}")
+            self._line(1, "else:")
+            depth = 2
+        lines = len(self._body)
+        subject = self._node_local(start, depth)
+        for hop in hops:
+            subject = self._hop(depth, subject, *hop)
+        if len(self._body) == lines:  # a bound variable alone
+            self._line(depth, "pass")
+        if tests:
+            for var, state in self._state.items():
+                if state is not before.get(var):
+                    self._state[var] = _PERHAPS
+
+    def _hop(self, depth: int, subject: str, predicate: str, step: _Step, datatype: str,
+             mismatch: str | None, carrier: tuple | None) -> str:
+        k = self.k
+        if step.kind is not _EMIT:
+            target = self._node_local(step, depth)
+            if mismatch is not None:
+                self._needs.add("strict")
+                self._line(depth, "if strict:")
+                self._line(depth + 1, f"raise MigrationError({k(mismatch + 'node ')} + {target})")
+            self._line(depth, f"rows[{subject}, {k(predicate)}, 0, {target}, ''] = None")
+            return target
+        var = k(step.var)
+        self._line(depth, f"if {var} not in captures:")
+        self._line(depth + 1, f"raise UnboundVariableError({var})")
+        self._line(depth, f"text = captures[{var}]")
+        if mismatch is not None:
+            self._needs.add("strict")
+            self._line(depth, "if strict:")
+            self._line(depth + 1, f"raise MigrationError({k(mismatch + 'literal ')} + repr(text))")
+        row = f"{k(predicate)}, 1, text, {k(datatype)}] = None"
+        if carrier is None:
+            self._line(depth, f"rows[{subject}, {row}")
+            return subject
+        link, node = carrier
+        self._line(depth, f"if is_subclass(nodes[{subject}], {k(node.class_id)}):")
+        self._line(depth + 1, f"rows[{subject}, {row}")
+        self._line(depth, "else:")
+        target = self._structural(node, depth + 1, self._temp())
+        self._line(depth + 1, f"rows[{subject}, {k(link)}, 0, {target}, ''] = None")
+        self._line(depth + 1, f"rows[{target}, {row}")
+        self._line(depth + 1, "count += 1")
+        return subject
+
+    def _node_local(self, step: _Step, depth: int) -> str:
+        """The local that holds the IRI of a node step once the lines written
+        here have run."""
+        if step.kind is None:
+            return self._class_term(step, depth, self._temp())
+        if step.kind is _LITERAL:
+            term, literal = self.k(step.class_id), self.k(step.var)
+            stripped = self.k(step.var.strip())
+            self._line(depth, f"term = terms.get({term}, {literal}).strip() if terms else {stripped}")
+            return self._valued(step, depth, self._temp())
+        return self._variable(step, depth)
+
+    def _variable(self, step: _Step, depth: int) -> str:
+        """A variable: bound in this firing, then a capture, then an anchor,
+        then bound here (``{=V}``) or refused (``$V``).  A dereferenced
+        capture is not bound; an anchor found is, which changes nothing,
+        as the anchors do not change during a firing."""
+        k, var = self.k, step.var
+        local = self._locals.setdefault(var, f"v{len(self._locals)}")
+        state = self._state.get(var)
+        if state is _BOUND:
+            return local
+        self._needs.add("anchors")
+        name = k(var)
+        if step.kind is _DEREF and var in self._captures:
+            target, keyword = self._temp(), "if"
+            if state is _PERHAPS:
+                self._line(depth, f"if {local} is not None:")
+                self._line(depth + 1, f"{target} = {local}")
+                keyword = "elif"
+            self._line(depth, f"{keyword} {name} in captures:")
+            document = f"record_prefix(base, captures[{name}]) + {k(step.role + '/1')}"
+            self._line(depth + 1, f"{target} = register({document}, {k(DOCUMENT_CLASS)})")
+            self._line(depth, "else:")
+            self._line(depth + 1, f"{target} = {local} = anchors.get({name})")
+            self._line(depth + 1, f"if {local} is None:")
+            self._line(depth + 2, f"raise UnboundVariableError({name})")
+            self._state[var] = _PERHAPS
+            return target
+        if state is _PERHAPS:
+            self._line(depth, f"if {local} is None:")
+            depth += 1
+        if step.kind is _DEREF:
+            self._line(depth, f"{local} = anchors.get({name})")
+            self._line(depth, f"if {local} is None:")
+            self._line(depth + 1, f"raise UnboundVariableError({name})")
+        else:
+            if var in self._captures:
+                self._line(depth, f"if {name} in captures:")
+                self._line(depth + 1, f"term = captures[{name}].strip()")
+                self._valued(step, depth + 1, local)
+                self._line(depth, "else:")
+                depth += 1
+            self._line(depth, f"{local} = anchors.get({name})")
+            self._line(depth, f"if {local} is None:")
+            self._class_term(step, depth + 1, local)
+        self._state[var] = _BOUND
+        return local
+
+    def _class_term(self, step: _Step, depth: int, target: str) -> str:
+        """A node named by the application's class term, if it has one."""
+        self._line(depth, f"term = terms.get({self.k(step.class_id)}) if terms else None")
+        self._line(depth, "if term is None:")
+        self._structural(step, depth + 1, target)
+        self._line(depth, "else:")
+        self._line(depth + 1, "term = term.strip()")
+        self._valued(step, depth + 1, target)
+        return target
+
+    def _structural(self, step: _Step, depth: int, target: str) -> str:
+        """No term: once per record for a singleton class, else once per application."""
+        k = self.k
+        self._needs.add("prefix")
+        if step.singleton:
+            iri = f"prefix + {k(step.role + '/1')}"
+        else:
+            self._needs.add("ekey")
+            iri = f"prefix + {k(step.role + '/')} + ekey"
+        self._line(depth, f"{target} = register({iri}, {k(step.class_id)})")
+        return target
+
+    def _valued(self, step: _Step, depth: int, target: str) -> str:
+        """The node of the stripped ``term``: under E55 shared corpus-wide and
+        claimed once per run, else a value node of the rule that owns the term."""
+        k, class_id = self.k, self.k(step.class_id)
         if step.shared is not None:
-            claim = step.shared, term
-            iri = ctx.run.shared.get(claim)
-            if iri not in ctx.graph._nodes:
-                if ctx.strict and ctx.registry.contains(step.class_id, term) is False:
-                    raise MigrationError(
-                        f"term {term!r} is not in the vocabulary bound to {step.class_id}"
-                    )
-                iri = ctx.graph.register_node(step.shared + _encode(term), step.class_id)
-                ctx.run.shared[claim] = iri
-            return iri
-        owner = ctx.value_owners.setdefault((step.class_id, term), step.rule_no)
-        role = step.role if owner == step.rule_no else step.alt_role
-        iri = ctx.prefix + role + "/" + _encode(term)
-    return ctx.graph.register_node(iri, step.class_id)
+            shared = k(step.shared)
+            self._line(depth, f"{target} = memo.get(({shared}, term))")
+            self._line(depth, f"if {target} not in nodes:")
+            self._line(depth + 1, f"{target} = claim(ctx, {shared}, {class_id}, term)")
+            return target
+        self._needs.update(("prefix", "owners"))
+        own, other = k(step.role + "/"), k(step.alt_role + "/")
+        owner = f"owners.setdefault(({class_id}, term), {self._rule})"
+        self._line(depth, f"role = {own} if {owner} == {self._rule} else {other}")
+        self._line(depth, f"{target} = register(prefix + role + enc(term), {class_id})")
+        return target
+
+    def _anchor(self, paths: tuple) -> None:
+        """The document rule's bindings become the record's anchors."""
+        bound = [s.var for start, hops, _, _ in paths for s in (start, *(h[1] for h in hops))
+                 if s.kind is BindMode.ASSIGN]
+        for var in dict.fromkeys(bound):
+            state, local, line = self._state.get(var), self._locals[var], 1
+            if state is _PERHAPS:
+                self._line(1, f"if {local} is not None:")
+                line = 2
+            if state is not None:
+                self._needs.add("anchors")
+                self._line(line, f"anchors[{self.k(var)}] = {local}")
 
 
-def _resolve(ctx: MigrationContext, step: _Step, app: Application, assigned: dict) -> str:
-    """The node IRI of a step that is not an emission.  A variable is looked up
-    in the nodes this firing assigned, then in the captures, then in the
-    document rule's anchors."""
-    kind, var = step.kind, step.var
-    if kind is None or kind is _LITERAL:
-        return _node(ctx, step, app.class_terms.get(step.class_id, var), app.key)
-    node = assigned.get(var)
-    if node is not None:
-        return node
-    captures = app.captures
-    if var in captures:
-        if kind is _DEREF:
-            # Text dereferences to the document of the record it names (a parent).
-            iri = record_prefix(ctx.graph.base_iri, captures[var]) + step.role + "/1"
-            return ctx.graph.register_node(iri, DOCUMENT_CLASS)
-        node = assigned[var] = _node(ctx, step, captures[var], app.key)
-        return node
-    node = ctx.anchors.get(var)
-    if node is not None:
-        return node
-    if kind is _DEREF:
-        raise UnboundVariableError(var)
-    node = assigned[var] = _node(ctx, step, app.class_terms.get(step.class_id), app.key)
-    return node
+def _claim(ctx: MigrationContext, prefix: str, class_id: str, term: str) -> str:
+    """Claim the shared node of ``term`` under ``prefix``, after strict mode's
+    vocabulary check, and remember the claim for the run."""
+    if ctx.strict and ctx.registry.contains(class_id, term) is False:
+        raise MigrationError(f"term {term!r} is not in the vocabulary bound to {class_id}")
+    iri = ctx.graph.register_node(prefix + _encode(term), class_id)
+    ctx.run.shared[prefix, term] = iri
+    return iri
 
 
-def _emit(ctx: MigrationContext, paths: tuple, document: bool, app: Application) -> int:
-    """Write one firing into the run's graph; returns the rows written.  A
-    path is its start node, then ``(edge, node)`` hops: the parser makes steps
-    alternate, puts a node at both ends and an emission only last."""
-    captures, terms, rows, strict = app.captures, app.class_terms, ctx.graph._triples, ctx.strict
-    nodes, is_subclass = ctx.graph._nodes, ctx.graph.schema.is_subclass
-    if "" in captures.values() or "" in terms.values():
-        paths = [path for path in paths
-                 if "" not in map(captures.get, path[2]) and "" not in map(terms.get, path[3])]
-    assigned: dict[str, str] = {}
-    count = 0
-    for start, hops, _, _ in paths:
-        subject = _resolve(ctx, start, app, assigned)
-        for predicate, step, datatype, mismatch, carrier in hops:
-            count += 1
-            if step.kind is not _EMIT:
-                target = _resolve(ctx, step, app, assigned)
-                if strict and mismatch is not None:
-                    raise MigrationError(f"{mismatch}node {target}")
-                rows[subject, predicate, 0, target, ""] = None
-                subject = target
-                continue
-            if step.var not in captures:
-                raise UnboundVariableError(step.var)
-            text = captures[step.var]
-            if strict and mismatch is not None:
-                raise MigrationError(f"{mismatch}literal {text!r}")
-            if carrier is not None and not is_subclass(nodes[subject], carrier[1].class_id):
-                node = _node(ctx, carrier[1], None, app.key)
-                rows[subject, carrier[0], 0, node, ""] = None
-                subject, count = node, count + 1
-            rows[subject, predicate, 1, text, datatype] = None
-    if document:
-        ctx.anchors.update(assigned)
-    return count
+@lru_cache(maxsize=256)
+def _factory(source: str, filename: str) -> Callable[..., _Kernel]:
+    """Compile each distinct kernel source once per process.  The function it
+    defines takes a run's values, and returns the kernel bound to them."""
+    namespace = {"claim": _claim, "enc": _encode, "record_prefix": record_prefix,
+                 "MigrationError": MigrationError, "UnboundVariableError": UnboundVariableError}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _kernel(rule: MdlRule, graph: Graph, memo: dict) -> _Kernel:
+    """The firing function of ``rule`` bound to one run's graph and shared-node
+    memo; a traceback through it names the rule as ``<archonto rule N>``."""
+    source = _KernelSource(rule, _paths(rule, graph))
+    bind = _factory(source.text, f"<archonto rule {rule.rule_no}>")
+    return bind(**source.values, register=graph.register_node, nodes=graph._nodes,
+                rows=graph._triples, memo=memo, is_subclass=graph.schema.is_subclass,
+                base=graph.base_iri)
+
+
+def _compile_rule(rule: MdlRule, graph: Graph, memo: dict) -> _RulePlan:
+    """The plan of ``rule`` for one run: its kernel, its adapter, and the trace
+    entry of a record it does not fire on."""
+    adapter = _adapter(rule)
+    note = "unknown selector" if adapter is _unknown_selector else "element blank; skipped"
+    return rule, _kernel(rule, graph, memo), adapter, TraceEntry(rule.rule_no, None, 0, note)
+
+
+def _compile(rules: RuleSet, graph: Graph, memo: dict) -> tuple[_RulePlan, ...]:
+    """The plans of a rule set, in application order, for one run's graph."""
+    return tuple(_compile_rule(rule, graph, memo) for rule in rules.application_order)
 
 
 # -- selector adapters ---------------------------------------------------------
@@ -537,14 +749,14 @@ def migrate_record(
         run = _Run.start(rules, schema, base_iri)
     ctx = MigrationContext(record, run, registry, strict)
     trace = ctx.trace
-    for rule, paths, document, adapter, skipped in run.plans:
+    for rule, fire, adapter, skipped in run.plans:
         apps = adapter(ctx, rule)
         if not apps:
             trace.append(skipped)
             continue
         for app in apps:
             try:
-                count = _emit(ctx, paths, document, app)
+                count = fire(ctx, app)
             except (MigrationError, GraphError) as exc:
                 raise MigrationError(f"rule {rule.rule_no} ({app.key}): {exc}") from exc
             trace.append(TraceEntry(rule.rule_no, app.key, count))

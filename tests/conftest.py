@@ -16,6 +16,8 @@ from archonto import (
     builtin_vocabularies,
     parse_corpus,
 )
+from archonto.mdl import render_mdl
+from archonto.migration import _ADAPTERS
 from archonto.records import DEFAULT_INHERITABLE, IsadRecord, RecordTree, is_blank
 
 
@@ -218,22 +220,52 @@ def naive_inheritance(tree: RecordTree, keys) -> dict[str, dict[str, tuple]]:
 
 # -- random MDL rules ------------------------------------------------------------
 
-_SELECTOR_NAMES = ("Element", "Data Field", "Some Value", "Field")
+# Selectors the engine has an adapter for, with the captures their
+# applications fill (a creator's name and role; the production date's
+# interval ends, or its single date), then the document selector and names
+# the engine does not know.
+_SELECTOR_CAPTURES = {name: (1,) for name in _ADAPTERS} | {
+    "Creator": (2, 1), "Production Date": (2, 1), "ISAD": (1, 0)
+}
+_UNKNOWN_SELECTORS = ("Element", "Data Field", "Some Value", "Field")
 _LITERALS = ("Reference Code", "Value A", "nine 9", "x-y", "Outro valor")
 _VAR_POOL = tuple(f"V{i}" for i in range(1, 10))
 
 
+# Rules 1 and 2, rule 2 with an ARE5 literal of quotes, a backslash, braces,
+# a hash, a percent sign, a variable reference and a Python call: rule text
+# that must stay data.
+HOSTILE_LITERAL = 'Ref "x" \\ {y} # 50% $D1 __import__("os").system("echo hi")'
+HOSTILE_RULES = (
+    "RULE 1: ISAD{D1} =>\n"
+    "  E31 Document{=D1};\n"
+    "  $D1 -> P128 is carried by -> E22 Human-Made Object{=HMO1};\n"
+    "  $D1 -> P67 refers to -> E33 Linguistic Object{=LO1}\n"
+    "\n"
+    "RULE 2: $D1 -> Description Level{DL} =>\n"
+    "  $D1 -> P1 is identified by -> E42 Identifier{=DL} -> P2 has type -> "
+    f"ARE5 Identifier Type{{='{HOSTILE_LITERAL}'}}\n"
+)
+
+
 def random_ruleset_text(rng: random.Random, schema, rule_count: int) -> str:
-    """Generate syntactically valid MDL text (alternation and hygiene respected)."""
+    """Generate syntactically valid MDL text (alternation and hygiene respected).
+    Most selectors are ones the engine fires, with the number of captures its
+    adapter fills, so the rules reach the engine; a few are unknown names.
+    Half the sets start with the built-in document rule."""
     class_ids = sorted(c.identifier for c in schema.classes)
     prop_ids = sorted(p.identifier for p in schema.properties)
     blocks = []
-    for rule_no in range(1, rule_count + 1):
-        captures = rng.sample(_VAR_POOL, rng.randint(0, 2))
+    if rng.random() < 0.5:  # the built-in document rule, which binds the anchors
+        blocks.append(render_mdl(builtin_rules().subset(1), schema).rstrip("\n"))
+    for rule_no in range(len(blocks) + 1, rule_count + 1):
+        if rng.random() < 0.1:
+            name = rng.choice(_UNKNOWN_SELECTORS) + f" {rng.randint(1, 9)}"
+            captures = rng.sample(_VAR_POOL, rng.randint(0, 2))
+        else:
+            name = rng.choice(sorted(_SELECTOR_CAPTURES))
+            captures = rng.sample(_VAR_POOL, rng.choice(_SELECTOR_CAPTURES[name]))
         defined = set(captures) | {"D1", "HMO1", "LO1"}
-        name = rng.choice(_SELECTOR_NAMES)
-        if rng.random() < 0.5:
-            name += f" {rng.randint(1, 9)}"
         selector = name
         if captures:
             selector += "{" + ", ".join(captures) + "}"
@@ -247,7 +279,7 @@ def random_ruleset_text(rng: random.Random, schema, rule_count: int) -> str:
                 segment += f" {schema.class_def(class_id).label}"
             roll = rng.random()
             if roll < 0.3:
-                var = rng.choice(_VAR_POOL)
+                var = rng.choice(_VAR_POOL + ("D1", "HMO1", "LO1"))
                 segment += "{=" + var + "}"
                 defined.add(var)
             elif roll < 0.45:

@@ -1,26 +1,33 @@
 """Command-line behaviour: exit codes, determinism, file outputs."""
 
 import codecs
+import hashlib
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 
 import archonto
-from archonto import cli
+from archonto import cli, migration
 from archonto.cli import main
 from archonto.graph import Graph
 from archonto.mdl import builtin_rules, parse_mdl, render_mdl
 from archonto.ontology import builtin_schema
 from archonto.records import parse_corpus
-from archonto.vocabulary import builtin_vocabularies, load_nesting, load_vocabularies
+from archonto.vocabulary import (
+    VocabularyRegistry,
+    builtin_vocabularies,
+    load_nesting,
+    load_vocabularies,
+)
 
-from conftest import corpus_text, synthetic_corpus
+from conftest import HOSTILE_RULES, corpus_text, synthetic_corpus
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample" / "corpus.jsonl"
 
@@ -336,6 +343,54 @@ def test_rules_file_override(tmp_path, corpus_file):
     text = out.read_text(encoding="utf-8")
     assert "ARP12" in text
     assert "P102" not in text  # title rules not in the override file
+
+
+def test_rule_literals_that_read_as_code_stay_data(tmp_path, capfd):
+    rules_path = tmp_path / "rules.mdl"
+    rules_path.write_text(HOSTILE_RULES, encoding="utf-8")
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text('{"1.1": "PT/1", "1.4": "Fonds"}\n', encoding="utf-8")
+    assert main(["rules", "--check", str(rules_path)]) == 0
+    out = tmp_path / "graph.nt"
+    capfd.readouterr()
+    assert main(["migrate", "--in", str(corpus), "--rules", str(rules_path), "--out", str(out)]) == 0
+    assert capfd.readouterr() == ("", "")
+    node = (
+        "<https://example.org/archonto/shared/ARE5/Ref%20%22x%22%20%5C%20%7By%7D%20%23%2050%25"
+        "%20%24D1%20__import__%28%22os%22%29.system%28%22echo%20hi%22%29>"
+    )
+    data = out.read_bytes()
+    assert f"{node} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> " \
+        "<https://example.org/archonto/ontology/ARE5_Identifier_Type> .\n".encode() in data
+    # The bytes an interpreting engine wrote for this rule file.
+    assert hashlib.sha256(data).hexdigest() == (
+        "c289ca931190d1c7affe4ad628cab5dfdb2192e83d6b40e55ec17cc6d4d45ca2"
+    )
+
+
+def test_a_programming_error_in_an_adapter_propagates_through_main(
+    tmp_path, corpus_file, monkeypatch
+):
+    def broken(ctx, rule):
+        raise KeyError("adapter bug")
+
+    monkeypatch.setitem(migration._ADAPTERS, "Reference Code", broken)
+    with pytest.raises(KeyError, match="adapter bug"):
+        main(["migrate", "--in", str(corpus_file), "--out", str(tmp_path / "graph.nt")])
+
+
+def test_a_programming_error_in_a_kernel_propagates_through_main_naming_its_rule(
+    tmp_path, corpus_file, monkeypatch
+):
+    def broken(self, class_id, term):
+        raise KeyError("registry bug")
+
+    # Strict mode asks the registry when rule 2 first claims the shared level node.
+    monkeypatch.setattr(VocabularyRegistry, "contains", broken)
+    with pytest.raises(KeyError, match="registry bug") as raised:
+        main(["migrate", "--strict", "--in", str(corpus_file), "--out", str(tmp_path / "g.nt")])
+    files = [frame.f_code.co_filename for frame, _ in traceback.walk_tb(raised.tb)]
+    assert "<archonto rule 2>" in files
 
 
 def test_migrate_stdout(corpus_file, capsysbinary):

@@ -1,17 +1,20 @@
 """Rule engine behaviour: node identity, rule choice, fallback, tree driver."""
 
 import heapq
+import io
 import itertools
 import json
+import keyword
 import random
 import re
+import tokenize
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archonto import migration
-from archonto.graph import GraphError, decode_node
+from archonto.graph import Graph, GraphError, decode_node
 from archonto.mdl import parse_mdl, render_mdl
 from archonto.migration import (
     DateTextError,
@@ -28,10 +31,12 @@ from archonto.validation import validate_datetime, validate_graph
 
 from conftest import (
     DATE_DEFECTS,
+    HOSTILE_RULES,
     SUPPORT_DEFECTS,
     corpus_text,
     make_record,
     objects,
+    random_ruleset_text,
     row,
     rows_of,
     synthetic_corpus,
@@ -1046,6 +1051,21 @@ def test_every_path_reading_a_blank_value_is_skipped(schema, registry, rules):
     assert by_entry == [("1", "P91"), ("2", "P3"), ("2", "P90"), ("2", "P91")]
 
 
+def test_a_variable_bound_only_on_a_skipped_path_stays_unbound(schema, registry, rules):
+    ruleset = _builtin_rules_with(
+        schema, rules,
+        ("E54 Dimension{=DIM1};\n  $DIM1 -> P91 has unit", "E54 Dimension{=DIM1} -> P91 has unit"),
+    )
+    tree = parse_corpus(_corpus({"1.1": "A", "dimensions": [{"value": "3", "unit": "Gram"}]},
+                                {"1.1": "B", "dimensions": [{"value": "3"}]}))
+    result = migrate_tree(tree, ruleset, schema, registry)
+    # B's blank unit skips the path that binds DIM1, so the next one refuses B.
+    assert result.report_lines() == [
+        "B\terror\trule 9 (1): variable DIM1 is unbound (was the document rule applied first?)"
+    ]
+    assert [s.rsplit("/", 3)[-3] for s, *_ in rows_of(result.graph, "P90")] == ["A"]
+
+
 def test_a_capture_named_like_a_class_does_not_hide_the_class_term(schema, registry, rules):
     ruleset = _builtin_rules_with(
         schema, rules,
@@ -1076,3 +1096,71 @@ def test_a_capture_is_found_before_an_anchor_of_the_same_name(schema, registry, 
     assert rows_of(graph, "P165") == [
         row(graph, graph.base_iri + "PT%2FA%2FB/e31/1", "P165", graph.base_iri + "PT%2FA/e31/1")
     ]
+
+
+# -- random rule sets through the engine -------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=1, max_value=40),
+    defects=st.booleans(),
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
+    blanks=st.sets(st.integers(min_value=0, max_value=39), max_size=8),
+    strict=st.booleans(),
+)
+def test_random_rule_sets_migrate_the_same_in_any_record_order(
+    schema, registry, rng, seed, size, defects, dates, bogus, blanks, strict
+):
+    ruleset = parse_mdl(random_ruleset_text(rng, schema, rng.randint(2, 5)), schema)
+    entries = synthetic_corpus(random.Random(seed), size)
+    if defects:
+        with_defects(entries, dates, bogus)
+        # Blank captures and class terms, which skip the paths that read them.
+        for index in blanks & set(range(size)):
+            entries[index]["creators"] = [{"name": "Lino"}]
+            entries[index]["dimensions"] = [{"unit": "Gram"}, {"value": "7", "kind": "extension"}]
+    shuffled = entries[:]
+    rng.shuffle(shuffled)
+    outputs = []
+    for order in (entries, shuffled):
+        tree = resolve_inheritance(parse_corpus(corpus_text(order)))
+        result = migrate_tree(tree, ruleset, schema, registry, strict=strict)
+        outputs.append((result.graph.serialize(), result.report_lines()))
+    assert outputs[0] == outputs[1]
+    data, lines = outputs[0]
+    assert Graph.from_ntriples(data, schema).serialize() == data
+    refused = [line.split("\t", 2) for line in lines if line.split("\t")[1] == "error"]
+    assert len({reference for reference, _, _ in refused}) == len(refused)
+    for _, _, message in refused:
+        assert re.fullmatch(r"rule \d+ \([^)]*\): .+", message, re.S), message
+
+
+# Every name a kernel's template writes, besides Python's keywords and the
+# generated names k<i> (values), v<i> (variables) and n<i> (nodes).
+_TEMPLATE_NAMES = {
+    "kernel", "fire", "ctx", "app", "key", "captures", "terms", "prefix", "anchors", "owners",
+    "value_owners", "strict", "ekey", "enc", "count", "blank", "values", "get", "strip",
+    "setdefault", "term", "text", "role", "repr", "register", "nodes", "rows", "memo",
+    "is_subclass", "base", "claim", "record_prefix", "MigrationError", "UnboundVariableError",
+}
+
+
+def test_kernel_source_holds_only_template_text_and_generated_names(schema, rules):
+    graph = Graph(schema, "https://x.org/'fire'/")
+    for rule in (*rules.rules, *parse_mdl(HOSTILE_RULES, schema).rules):
+        source = migration._KernelSource(rule, migration._paths(rule, graph)).text
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert (keyword.iskeyword(token.string) or token.string in _TEMPLATE_NAMES
+                        or re.fullmatch(r"[knv][0-9]+", token.string)), token
+            elif token.type == tokenize.STRING:
+                assert token.string == "''", token
+            elif token.type == tokenize.NUMBER:
+                assert token.string in ("0", "1"), token
+            else:
+                assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.INDENT,
+                                      tokenize.DEDENT, tokenize.NL, tokenize.ENDMARKER), token
