@@ -19,7 +19,9 @@ is compiled once per process (``_factory``, an ``lru_cache``), so a run only
 generates text and binds its graph's dicts, its shared-node memo and
 ``Graph.register_node`` into a fresh kernel.  A kernel's code has the file
 name ``<archonto rule N>``, so a traceback through it names its rule.  The
-adapter that yields a rule's firings is bound when it is compiled too.
+adapter that yields a rule's firings as plain ``(key, captures, terms)``
+tuples, made at import, is bound then too.  A record's rule trace is made
+only when ``RecordMigration.trace`` is read: ``migrate_tree`` makes none.
 
 Node identity is deterministic (the README's "IRI scheme" lists the rules):
 the kernels and each record's context hold prefixes built by
@@ -40,16 +42,15 @@ from __future__ import annotations
 import calendar
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .graph import DEFAULT_BASE_IRI, Graph, GraphError, record_prefix, shared_prefix
-from .graph import _encode
+from .graph import DEFAULT_BASE_IRI, Graph, GraphError, _encode, record_prefix, shared_prefix
 from .mdl import BindMode, MdlRule, PathStep, RuleSet, StepKind
 from .ontology import LITERAL_RANGES, XSD_STRING, OntologySchema, SourceOntology
-from .records import PARENT_FIELD, IsadRecord, RecordTree
+from .records import IsadRecord, RecordTree
 from .validation import validate_datetime
 from .vocabulary import VocabularyRegistry
 
@@ -61,17 +62,15 @@ TYPE_ROOT = "E55"
 DOCUMENT_CLASS = "E31"
 LINK_PROPERTY = "L2DO"
 
-# Non-blank textual elements copied verbatim onto the document node.
-ISAD_FALLBACK_MAP: tuple[tuple[str, str], ...] = (
-    ("1.1", "ISAD3"), ("1.2", "ISAD1"), ("1.3", "ISAD5"), ("1.4", "ISAD2"), ("1.5", "ISAD6"),
-    ("2.2", "ISAD7"), ("2.3", "ISAD8"), ("2.4", "ISAD26"),
-    ("3.1", "ISAD9"), ("3.3", "ISAD27"), ("3.4", "ISAD19"),
-    ("4.1", "ISAD10"), ("4.2", "ISAD24"), ("4.3", "ISAD14"), ("4.4", "ISAD20"),
-    ("5.2", "ISAD16"), ("5.3", "ISAD15"), ("5.4", "ISAD17"), ("6.1", "ISAD18"), ("7.3", "ISAD21"),
-    ("title_type", "ISAD4"), ("physical_location", "ISAD11"), ("previous_location", "ISAD12"),
-    ("original_numbering", "ISAD13"), ("description_creation_date", "ISAD21"),
-    ("description_last_modification", "ISAD22"),
-)
+# Element -> property of the non-blank texts copied verbatim onto the document.
+ISAD_FALLBACK_MAP: dict[str, str] = {
+    "1.1": "ISAD3", "1.2": "ISAD1", "1.3": "ISAD5", "1.4": "ISAD2", "1.5": "ISAD6", "2.2": "ISAD7",
+    "2.3": "ISAD8", "2.4": "ISAD26", "3.1": "ISAD9", "3.3": "ISAD27", "3.4": "ISAD19",
+    "4.1": "ISAD10", "4.2": "ISAD24", "4.3": "ISAD14", "4.4": "ISAD20", "5.2": "ISAD16",
+    "5.3": "ISAD15", "5.4": "ISAD17", "6.1": "ISAD18", "7.3": "ISAD21", "title_type": "ISAD4",
+    "physical_location": "ISAD11", "previous_location": "ISAD12", "original_numbering": "ISAD13",
+    "description_creation_date": "ISAD21", "description_last_modification": "ISAD22",
+}
 
 
 class MigrationError(ValueError):
@@ -122,16 +121,9 @@ def widen_date_text(text: str, position: str) -> str:
 
 _NO_VALUES: Mapping[str, str] = MappingProxyType({})
 
-
-class Application(NamedTuple):
-    """One firing of a rule: its capture values, keyed by some of its
-    selector's capture names, and the terms that name the nodes of some
-    classes.  A blank value or term marks an absent optional part: every
-    path that reads it is skipped."""
-
-    key: str
-    captures: Mapping[str, str] = _NO_VALUES
-    class_terms: Mapping[str, str] = _NO_VALUES
+# One firing of a rule: (key, capture values by some capture names, terms that
+# name the nodes of some classes); a blank one marks a part whose paths skip.
+Application = tuple[str, Mapping[str, str], Mapping[str, str]]
 
 
 class TraceEntry(NamedTuple):
@@ -240,25 +232,22 @@ class _Run:
     @classmethod
     def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str) -> _Run:
         graph, shared = Graph(schema, base_iri), {}
-        return cls(graph, _compile(rules, graph, shared), shared)
+        plans = tuple(_compile_rule(rule, graph, shared) for rule in rules.application_order)
+        return cls(graph, plans, shared)
 
 
-@dataclass
 class MigrationContext:
-    """Per-record state threaded through rule applications."""
+    """Per-record state threaded through rule applications: the anchors (variable
+    -> node IRI), the value-node owners ((class, term) -> rule number), problems."""
 
-    record: IsadRecord
-    run: _Run
-    registry: VocabularyRegistry
-    strict: bool = False
-    anchors: dict[str, str] = field(default_factory=dict)
-    value_owners: dict[tuple[str, str], int] = field(default_factory=dict)
-    trace: list[TraceEntry] = field(default_factory=list)
-    problems: list[RecordProblem] = field(default_factory=list)
+    __slots__ = ("record", "run", "registry", "strict", "prefix", "anchors", "value_owners",
+                 "problems")
 
-    def __post_init__(self) -> None:
-        self.graph = self.run.graph
-        self.prefix = record_prefix(self.graph.base_iri, self.record.reference_code)
+    def __init__(self, record: IsadRecord, run: _Run, registry: VocabularyRegistry,
+                 strict: bool = False) -> None:
+        self.record, self.run, self.registry, self.strict = record, run, registry, strict
+        self.prefix = record_prefix(run.graph.base_iri, record.reference_code)
+        self.anchors, self.value_owners, self.problems = {}, {}, []
 
     def warn(self, message: str) -> None:
         self.problems.append(RecordProblem(self.record.reference_code, "warning", message))
@@ -274,10 +263,10 @@ _DOCUMENT_ROLE = _encode(_role(DOCUMENT_CLASS))
 # -- rule kernels ----------------------------------------------------------------
 
 # A rule's plan is (rule, its kernel, the adapter that yields its applications
-# to a record, and the trace entry of a record it does not fire on).
+# to a record).
 _Kernel = Callable[["MigrationContext", Application], int]
 _Adapter = Callable[["MigrationContext", MdlRule], Sequence[Application]]
-_RulePlan = tuple[MdlRule, _Kernel, _Adapter, TraceEntry]
+_RulePlan = tuple[MdlRule, _Kernel, _Adapter]
 
 
 # What a kernel knows of a variable at a point of its source: bound in this
@@ -536,8 +525,9 @@ def _claim(ctx: MigrationContext, prefix: str, class_id: str, term: str) -> str:
     vocabulary check, and remember the claim for the run."""
     if ctx.strict and ctx.registry.contains(class_id, term) is False:
         raise MigrationError(f"term {term!r} is not in the vocabulary bound to {class_id}")
-    iri = ctx.graph.register_node(prefix + _encode(term), class_id)
-    ctx.run.shared[prefix, term] = iri
+    run = ctx.run
+    iri = run.graph.register_node(prefix + _encode(term), class_id)
+    run.shared[prefix, term] = iri
     return iri
 
 
@@ -562,23 +552,17 @@ def _kernel(rule: MdlRule, graph: Graph, memo: dict) -> _Kernel:
 
 
 def _compile_rule(rule: MdlRule, graph: Graph, memo: dict) -> _RulePlan:
-    """The plan of ``rule`` for one run: its kernel, its adapter, and the trace
-    entry of a record it does not fire on."""
-    adapter = _adapter(rule)
-    note = "unknown selector" if adapter is _unknown_selector else "element blank; skipped"
-    return rule, _kernel(rule, graph, memo), adapter, TraceEntry(rule.rule_no, None, 0, note)
-
-
-def _compile(rules: RuleSet, graph: Graph, memo: dict) -> tuple[_RulePlan, ...]:
-    """The plans of a rule set, in application order, for one run's graph."""
-    return tuple(_compile_rule(rule, graph, memo) for rule in rules.application_order)
+    """The plan of ``rule`` for one run: its kernel and its adapter."""
+    return rule, _kernel(rule, graph, memo), _adapter(rule)
 
 
 # -- selector adapters ---------------------------------------------------------
 
 
 def _widen(ctx: MigrationContext, text: str, position: str, element: str | None) -> str | None:
-    """The widened date text, or None; the warning names ``element``, if given."""
+    """The widened date text, or None (blank text too); a warning names ``element``, if given."""
+    if not text:
+        return None
     try:
         return widen_date_text(text, position)
     except DateTextError:
@@ -587,113 +571,131 @@ def _widen(ctx: MigrationContext, text: str, position: str, element: str | None)
         return None
 
 
-def _date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
-    interval = (("production_date_start", "start"), ("production_date_end", "end"))
-    if len(rule.selector.captures) == 2:
-        key, fields = "interval", interval
-    else:
-        key, fields = "instant", (("production_date_single", "single"),)
-    texts = [ctx.record.text(element) for element, _ in fields]
+def _text(elements: Mapping[str, object], element: str) -> str:
+    value = elements.get(element)
+    return value.strip() if isinstance(value, str) else ""
+
+
+_INTERVAL = (("production_date_start", "start"), ("production_date_end", "end"))
+_INSTANT = (("production_date_single", "single"),)
+
+
+def _date_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+    elements, captures = ctx.record.elements, rule.selector.captures
+    key, fields = ("interval", _INTERVAL) if len(captures) == 2 else ("instant", _INSTANT)
+    texts = [_text(elements, element) for element, _ in fields]
     if not all(texts):
-        return []
-    positions = [position for _, position in fields]
-    widened = [_widen(ctx, text, p, "production date") for text, p in zip(texts, positions)]
+        return ()
+    widened = [_widen(ctx, text, p, "production date") for text, (_, p) in zip(texts, fields)]
     if None in widened:
-        return []
+        return ()
     # One Production has one time-span, and an interval that is written (both
     # ends widen) wins over an instant.
-    if key == "instant" and all(_widen(ctx, ctx.record.text(e), p, None) for e, p in interval):
+    if key == "instant" and all(_widen(ctx, _text(elements, e), p, None) for e, p in _INTERVAL):
         ctx.warn(f"production date: single date {texts[0]!r} ignored for the interval")
-        return []
-    return [Application(key, dict(zip(rule.selector.captures, widened)))]
+        return ()
+    return ((key, dict(zip(captures, widened)), _NO_VALUES),)
 
 
 # Description dates: application key, element, warning label, class terms
 # (the modification date names its date type in place of the rule's literal).
 _DESCRIPTION_DATES = (
-    ("creation", "description_creation_date", "description creation date", {}),
+    ("creation", "description_creation_date", "description creation date", _NO_VALUES),
     ("modification", "description_last_modification", "description last modification",
-     {"ARE6": "Last Modification"}),
+     MappingProxyType({"ARE6": "Last Modification"})),
 )
 
 
 def _description_date_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
-    apps = []
+    elements, apps = ctx.record.elements, []
     for key, element, label, class_terms in _DESCRIPTION_DATES:
-        text = ctx.record.text(element)
-        widened = _widen(ctx, text, "single", label) if text else None
+        widened = _widen(ctx, _text(elements, element), "single", label)
         if widened is not None:
-            apps.append(Application(key, {rule.selector.captures[0]: widened}, class_terms))
+            apps.append((key, {rule.selector.captures[0]: widened}, class_terms))
     return apps
 
 
-def _measure_applications(ctx: MigrationContext, rule: MdlRule, *, kind: str) -> list[Application]:
-    capture = rule.selector.captures[0]
-    entries = ctx.record.value("dimensions") or []
-    entries = [e for e in entries if e.get("kind", "dimension") == kind]
-    apps = []
-    for index, entry in enumerate(entries, start=1):
-        raw_value = entry.get("value")
-        value = str(raw_value).strip() if raw_value is not None else ""
-        unit = (entry.get("unit") or "").strip()
-        if value or unit:
-            apps.append(Application(str(index), {capture: value}, {"E58": unit}))
-    return apps
+def _measure_adapter(kind: str) -> _Adapter:
+    def applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+        entries = ctx.record.elements.get("dimensions")
+        if not entries:
+            return ()
+        capture, apps = rule.selector.captures[0], []
+        entries = [e for e in entries if e.get("kind", "dimension") == kind]
+        for index, entry in enumerate(entries, start=1):
+            raw_value = entry.get("value")
+            value = str(raw_value).strip() if raw_value is not None else ""
+            unit = (entry.get("unit") or "").strip()
+            if value or unit:
+                apps.append((str(index), {capture: value}, {"E58": unit}))
+        return apps
+    return applications
 
 
-def _term_list_applications(ctx: MigrationContext, rule: MdlRule, *, element: str) -> list:
-    capture = rule.selector.captures[0]
-    terms = [term.strip() for term in ctx.record.value(element) or []]
-    return [Application(str(i), {capture: term}) for i, term in enumerate(terms, start=1) if term]
+def _term_list_adapter(element: str) -> _Adapter:
+    def applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+        terms = ctx.record.elements.get(element)
+        if not terms:
+            return ()
+        capture, terms = rule.selector.captures[0], [term.strip() for term in terms]
+        return [(str(i), {capture: t}, _NO_VALUES) for i, t in enumerate(terms, start=1) if t]
+    return applications
 
 
-def _element_applications(
-    ctx: MigrationContext, rule: MdlRule, *, element: str, title_type: str | None = None
-) -> list[Application]:
+def _element_adapter(element: str, title_type: str | None = None) -> _Adapter:
     """One application for a non-blank scalar element; the title rules also
     require the record's title type (an unset type counts as ``absent``)."""
-    record = ctx.record
-    if title_type is not None and (record.text("title_type") or "absent") != title_type:
-        return []
-    value = record.parent_reference if element == PARENT_FIELD else record.text(element)
-    return [Application("1", {rule.selector.captures[0]: value})] if value else []
+    def applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+        elements = ctx.record.elements
+        if title_type is not None and (_text(elements, "title_type") or "absent") != title_type:
+            return ()
+        value = elements.get(element)
+        if isinstance(value, str) and (value := value.strip()):
+            return (("1", {rule.selector.captures[0]: value}, _NO_VALUES),)
+        return ()
+    return applications
 
 
-def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> list[Application]:
-    apps = []
-    for index, entry in enumerate(ctx.record.value("creators") or [], start=1):
+def _parent_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+    parent = ctx.record.parent_reference
+    return (("1", {rule.selector.captures[0]: parent}, _NO_VALUES),) if parent else ()
+
+
+def _creator_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
+    captures, apps = rule.selector.captures, []
+    for index, entry in enumerate(ctx.record.elements.get("creators") or (), start=1):
         name = (entry.get("name") or "").strip()
         role = (entry.get("role") or "").strip()
         if not name:
             ctx.warn(f"creator entry {index} has no name; skipped")
             continue
-        apps.append(Application(str(index), dict(zip(rule.selector.captures, (name, role)))))
+        apps.append((str(index), dict(zip(captures, (name, role))), _NO_VALUES))
     return apps
 
 
-# Selector name -> adapter yielding a rule's applications to one record; a
-# rule's plan binds its selector's adapter (see `_adapter`).
+# Selector name -> adapter yielding a rule's applications to one record, read
+# from its element map (a closure, if parametrised); see `_adapter`.
 _ADAPTERS: dict[str, _Adapter] = {
-    "Description Level": partial(_element_applications, element="1.4"),
-    "Reference Code": partial(_element_applications, element="1.1"),
-    "Title": partial(_element_applications, element="1.2", title_type="absent"),
-    "Formal Title": partial(_element_applications, element="1.2", title_type="formal"),
-    "Supplied Title": partial(_element_applications, element="1.2", title_type="supplied"),
+    "Description Level": _element_adapter("1.4"),
+    "Reference Code": _element_adapter("1.1"),
+    "Title": _element_adapter("1.2", "absent"),
+    "Formal Title": _element_adapter("1.2", "formal"),
+    "Supplied Title": _element_adapter("1.2", "supplied"),
     "Production Date": _date_applications,
-    "Dimension": partial(_measure_applications, kind="dimension"),
-    "Extension": partial(_measure_applications, kind="extension"),
-    "Support": partial(_term_list_applications, element="supports"),
-    "Language": partial(_term_list_applications, element="languages"),
-    "Physical Location": partial(_element_applications, element="physical_location"),
-    "Original Numbering": partial(_element_applications, element="original_numbering"),
-    "Previous Location": partial(_element_applications, element="previous_location"),
+    "Dimension": _measure_adapter("dimension"),
+    "Extension": _measure_adapter("extension"),
+    "Support": _term_list_adapter("supports"),
+    "Language": _term_list_adapter("languages"),
+    "Physical Location": _element_adapter("physical_location"),
+    "Original Numbering": _element_adapter("original_numbering"),
+    "Previous Location": _element_adapter("previous_location"),
     "Creation Date": _description_date_applications,
-    "Parent Record": partial(_element_applications, element=PARENT_FIELD),
+    "Parent Record": _parent_applications,
     "Creator": _creator_applications,
 }
 
 
-_ISAD_APPLICATIONS = (Application("1"),)
+_ISAD_APPLICATIONS = (("1", _NO_VALUES, _NO_VALUES),)
 
 
 def _isad_applications(ctx: MigrationContext, rule: MdlRule) -> Sequence[Application]:
@@ -726,21 +728,31 @@ def _adapter(rule: MdlRule) -> _Adapter:
 
 @dataclass
 class RecordMigration:
+    """One record's outcome; its rule trace is made when it is read, from each
+    plan's applications, each followed by the row counts of its firings."""
+
     graph: Graph
-    trace: tuple[TraceEntry, ...]
     problems: tuple[RecordProblem, ...]
+    _plans: tuple[_RulePlan, ...]
+    _fired: list
+
+    @property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        """One entry per firing, in firing order, and one per rule that did not fire."""
+        entries, fired = [], iter(self._fired)
+        for rule, _, adapter in self._plans:
+            apps = next(fired)
+            if not apps:
+                unknown = adapter is _unknown_selector
+                note = "unknown selector" if unknown else "element blank; skipped"
+                entries.append(TraceEntry(rule.rule_no, None, 0, note))
+            entries.extend(TraceEntry(rule.rule_no, app[0], next(fired)) for app in apps)
+        return tuple(entries)
 
 
-def migrate_record(
-    record: IsadRecord,
-    rules: RuleSet,
-    schema: OntologySchema,
-    registry: VocabularyRegistry,
-    *,
-    base_iri: str = DEFAULT_BASE_IRI,
-    strict: bool = False,
-    run: _Run | None = None,
-) -> RecordMigration:
+def migrate_record(record: IsadRecord, rules: RuleSet, schema: OntologySchema,
+                   registry: VocabularyRegistry, *, base_iri: str = DEFAULT_BASE_IRI,
+                   strict: bool = False, run: _Run | None = None) -> RecordMigration:
     """Apply the rule set to one (already resolved) record; a rule's migration
     or graph error is raised as ``MigrationError("rule N (key): reason")``, and
     an empty reference code as ``GraphError`` before any rule fires.
@@ -748,29 +760,26 @@ def migrate_record(
     if run is None:
         run = _Run.start(rules, schema, base_iri)
     ctx = MigrationContext(record, run, registry, strict)
-    trace = ctx.trace
-    for rule, fire, adapter, skipped in run.plans:
+    fired: list = []
+    for rule, fire, adapter in run.plans:
         apps = adapter(ctx, rule)
-        if not apps:
-            trace.append(skipped)
-            continue
+        fired.append(apps)
         for app in apps:
             try:
-                count = fire(ctx, app)
+                fired.append(fire(ctx, app))
             except (MigrationError, GraphError) as exc:
-                raise MigrationError(f"rule {rule.rule_no} ({app.key}): {exc}") from exc
-            trace.append(TraceEntry(rule.rule_no, app.key, count))
-    return RecordMigration(run.graph, tuple(ctx.trace), tuple(ctx.problems))
+                raise MigrationError(f"rule {rule.rule_no} ({app[0]}): {exc}") from exc
+    return RecordMigration(run.graph, tuple(ctx.problems), run.plans, fired)
 
 
 def attach_isad_fallback(record: IsadRecord, graph: Graph) -> Graph:
-    """Copy every mapped non-blank textual element verbatim onto the document."""
+    """Copy each mapped non-blank textual element the record holds verbatim onto the document."""
     iri = record_prefix(graph.base_iri, record.reference_code) + _DOCUMENT_ROLE + "/1"
     document = graph.register_node(iri, DOCUMENT_CLASS)
-    property_iris, rows, elements = graph._terms.property_iris, graph._triples, record.elements
-    for element, property_id in ISAD_FALLBACK_MAP:
-        value = elements.get(element)
-        text = value.strip() if isinstance(value, str) else ""
+    property_iris, rows = graph._terms.property_iris, graph._triples
+    for element, value in record.elements.items():
+        property_id = ISAD_FALLBACK_MAP.get(element)
+        text = value.strip() if property_id is not None and isinstance(value, str) else ""
         if text and not (element == "title_type" and text == "absent"):
             rows[document, property_iris[property_id], 1, value, XSD_STRING] = None
     return graph
@@ -790,16 +799,9 @@ class MigrationResult:
         return [problem.line() for problem in self.problems]
 
 
-def migrate_tree(
-    tree: RecordTree,
-    rules: RuleSet,
-    schema: OntologySchema,
-    registry: VocabularyRegistry,
-    *,
-    base_iri: str = DEFAULT_BASE_IRI,
-    strict: bool = False,
-    fail_fast: bool = False,
-) -> MigrationResult:
+def migrate_tree(tree: RecordTree, rules: RuleSet, schema: OntologySchema,
+                 registry: VocabularyRegistry, *, base_iri: str = DEFAULT_BASE_IRI,
+                 strict: bool = False, fail_fast: bool = False) -> MigrationResult:
     """Migrate every record of a resolved tree into one deterministic graph.
     A record that raises is undone, and adds only one ``error`` problem; with
     ``fail_fast`` it stops the run."""
@@ -810,9 +812,8 @@ def migrate_tree(
         record = tree.records[reference]
         marks = len(graph._nodes), len(graph._triples)
         try:
-            outcome = migrate_record(
-                record, rules, schema, registry, base_iri=base_iri, strict=strict, run=run
-            )
+            outcome = migrate_record(record, rules, schema, registry, base_iri=base_iri,
+                                     strict=strict, run=run)
             attach_isad_fallback(record, graph)
         except (MigrationError, GraphError) as exc:
             # A record only adds to both insertion-ordered dicts: pop back to the marks.

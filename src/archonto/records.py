@@ -102,6 +102,9 @@ class Provenance:
         return self.source is not None
 
 
+_OWN = Provenance()  # frozen: one object serves every own value
+
+
 def is_blank(value: object) -> bool:
     if value is None:
         return True
@@ -120,13 +123,6 @@ class IsadRecord:
     parent_reference: str | None = None
     elements: dict[str, object] = field(default_factory=dict)
     provenance: dict[str, Provenance] = field(default_factory=dict)
-
-    def value(self, key: str) -> object:
-        return self.elements.get(key)
-
-    def text(self, key: str) -> str:
-        value = self.elements.get(key)
-        return value.strip() if isinstance(value, str) else ""
 
 
 @dataclass(frozen=True)
@@ -304,7 +300,9 @@ def resolve_inheritance(
     Own (non-blank) values are never overwritten; each resolved element gets a
     provenance flag.  The operation is idempotent: elements whose provenance
     is already recorded are left untouched.  One top-down walk resolves each
-    record after its parent, whose resolved value is the nearest ancestor's.
+    record after its parent, whose resolved value is the nearest ancestor's,
+    reading not each inheritable key but the record's non-blank elements and
+    its parent's provenance, which holds a key whose value is not blank.
     """
     keys = frozenset(DEFAULT_INHERITABLE if inheritable is None else inheritable)
     if "1.1" in keys:
@@ -312,7 +310,6 @@ def resolve_inheritance(
     unknown = sorted(keys - (ALLOWED_FIELDS - {PARENT_FIELD}))
     if unknown:
         raise CorpusError(f"cannot inherit unknown element id {', '.join(map(repr, unknown))}")
-    ordered_keys = sorted(keys)
     resolved: dict[str, IsadRecord] = {}
     stack: list[tuple[str, IsadRecord | None]] = [(ref, None) for ref in tree.roots]
     while stack:
@@ -320,14 +317,16 @@ def resolve_inheritance(
         record = tree.records[reference]
         elements = dict(record.elements)
         provenance = dict(record.provenance)
-        for key in ordered_keys:
-            if key in provenance:
-                continue
-            if not is_blank(elements.get(key)):
-                provenance[key] = Provenance()
-            elif parent is not None and not is_blank(parent.elements.get(key)):
+        gained = {key: _OWN for key, value in elements.items()
+                  if key in keys and key not in provenance and not is_blank(value)}
+        if parent is not None:
+            for key, source in parent.provenance.items():
+                if key in keys and key not in provenance and key not in gained:
+                    gained[key] = source if source.source else Provenance(parent.reference_code)
+        for key in sorted(gained):
+            source = provenance[key] = gained[key]
+            if source is not _OWN:
                 elements[key] = parent.elements[key]
-                provenance[key] = Provenance(parent.provenance[key].source or parent.reference_code)
         record = resolved[reference] = IsadRecord(
             record.reference_code, record.parent_reference, elements, provenance
         )

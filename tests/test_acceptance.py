@@ -12,6 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archonto import builtin_rules, builtin_schema
 from archonto.cli import main
 from archonto.graph import DEFAULT_BASE_IRI, Graph, _encode
 from archonto.mdl import BindMode, StepKind, parse_mdl, render_mdl
@@ -579,32 +580,84 @@ def _run_cli(argv: list[str]) -> tuple[int, bytes, bytes]:
     return status, out.buffer.getvalue(), err.buffer.getvalue()
 
 
-@settings(max_examples=100, deadline=None)
-@given(text=_hostile_corpora(), base_iri=_BASE_IRIS)
-def test_hostile_corpus_through_the_cli_exits_cleanly(schema, text, base_iri):
+def _assert_exits_cleanly(schema, corpus: Path, options: list[str], base_iri=None) -> set[int]:
     """Each command exits 0 or 1 with output that our own readers take back,
-    or exits 2 with one error line and no output file; nothing else."""
-    base = [] if base_iri is None else ["--base-iri", base_iri]
-    outputs = {}
-    with tempfile.TemporaryDirectory() as workdir:
-        corpus = Path(workdir, "corpus.jsonl")
-        corpus.write_text(text, encoding="ascii")
-        for name, command in _CLI_COMMANDS.items():
-            out = Path(workdir, name)
-            status, stdout, stderr = _run_cli([*command, str(corpus), *base, "--out", str(out)])
-            assert stdout == b""
-            if status == 2:
-                assert re.fullmatch(rb"error: [^\n]*\n", stderr), stderr
-                assert not out.exists()
-            else:
-                assert status in (0, 1)
-                outputs[name] = out.read_bytes()
-                outputs[name].decode("utf-8")
+    or exits 2 with one error line and no output file; nothing else.  The
+    exit statuses seen are returned."""
+    outputs, statuses = {}, set()
+    for name, command in _CLI_COMMANDS.items():
+        out = corpus.with_name(name)
+        status, stdout, stderr = _run_cli([*command, str(corpus), *options, "--out", str(out)])
+        statuses.add(status)
+        assert stdout == b""
+        if status == 2:
+            assert re.fullmatch(rb"error: [^\n]*\n", stderr), stderr
+            assert not out.exists()
+        else:
+            assert status in (0, 1)
+            outputs[name] = out.read_bytes()
+            outputs[name].decode("utf-8")
     if "ntriples" in outputs:
         ntriples = outputs["ntriples"]
         read = Graph.from_ntriples(ntriples, schema, base_iri or DEFAULT_BASE_IRI)
         assert read.serialize() == ntriples
         assert _expand_turtle(outputs["turtle"]) == ntriples
+    return statuses
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_hostile_corpora(), base_iri=_BASE_IRIS)
+def test_hostile_corpus_through_the_cli_exits_cleanly(schema, text, base_iri):
+    base = [] if base_iri is None else ["--base-iri", base_iri]
+    with tempfile.TemporaryDirectory() as workdir:
+        corpus = Path(workdir, "corpus.jsonl")
+        corpus.write_text(text, encoding="ascii")
+        _assert_exits_cleanly(schema, corpus, base, base_iri)
+
+
+_BUILTIN_MDL = render_mdl(builtin_rules(), builtin_schema())
+_MDL_TOKENS = re.compile(r"\s+|\w+|[^\w\s]")
+_SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "sample" / "corpus.jsonl"
+
+
+@st.composite
+def _mutated_rule_files(draw) -> str:
+    """The built-in rules as `rules --dump` writes them, with one to three
+    lines, or tokens within a line (words, punctuation, runs of blanks),
+    dropped, repeated or swapped."""
+    lines = _BUILTIN_MDL.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(lines) - 1))
+        tokens = draw(st.booleans())
+        items = (_MDL_TOKENS.findall(lines[index]) or [""]) if tokens else lines
+        first, second = (draw(st.integers(0, len(items) - 1)) for _ in range(2))
+        edit = draw(st.sampled_from(("drop", "repeat", "swap")))
+        if edit == "drop" and len(items) > 1:
+            del items[first]
+        elif edit == "repeat":
+            items.insert(second, items[first])
+        else:
+            items[first], items[second] = items[second], items[first]
+        if tokens:
+            lines[index] = "".join(items)
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rules=_mutated_rule_files())
+def test_mutated_rule_file_through_the_cli_exits_cleanly(schema, rules):
+    """A --rules file is accepted, or refused with exit 2 and one error line,
+    and `rules --check` accepts exactly the files that migrate accepts."""
+    with tempfile.TemporaryDirectory() as workdir:
+        rule_file, corpus = Path(workdir, "rules.mdl"), Path(workdir, "corpus.jsonl")
+        rule_file.write_text(rules, encoding="utf-8")
+        corpus.write_bytes(_SAMPLE_CORPUS.read_bytes())
+        statuses = _assert_exits_cleanly(schema, corpus, ["--rules", str(rule_file)])
+        checked, stdout, stderr = _run_cli(["rules", "--check", str(rule_file)])
+    assert stdout == b"" and checked in (0, 2)
+    if checked == 2:
+        assert re.fullmatch(rb"error: [^\n]*\n", stderr), stderr
+    assert (checked == 0) == (2 not in statuses)
 
 
 def test_turtle_of_a_foreign_graph_expands_to_its_ntriples(schema):

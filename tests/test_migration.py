@@ -409,6 +409,28 @@ def test_not_started_elements_get_fallback_only(schema, registry, rules):
     assert added == {"ISAD27", "ISAD19", "ISAD10", "ISAD24", "ISAD3"}
 
 
+def test_fallback_writes_one_verbatim_row_per_non_blank_mapped_element(schema):
+    written = {  # element -> (property, value), each value as the record holds it
+        "1.1": ("ISAD3", "PT/F"), "1.2": ("ISAD1", "  Título  "), "1.3": ("ISAD5", "1700-1833"),
+        "2.3": ("ISAD8", "Custódia\nanterior"), "5.4": ("ISAD17", "Publicação"),
+        "7.3": ("ISAD21", "2001-02-03"), "description_creation_date": ("ISAD21", "2004"),
+        "physical_location": ("ISAD11", " Armário 3"),
+        "description_last_modification": ("ISAD22", "2020-01-01"),
+    }
+    record = make_record("PT/F", elements={
+        **{element: value for element, (_, value) in written.items()},
+        "title_type": "absent", "1.4": "   ", "2.2": "", "3.1": "\t", "1.5": 12,
+        "original_numbering": ["17"], "2.1": "Unmapped creator name",
+        "languages": ["Latin"], "creators": [{"name": "N"}],
+    })
+    graph = attach_isad_fallback(record, Graph(schema))
+    document = graph.base_iri + "PT%2FF/e31/1"
+    assert dict(graph.node_index) == {document: "E31"}
+    expected = {row(graph, document, p, value, XSD_STRING) for p, value in written.values()}
+    assert len(expected) == len(written) and graph.triples == expected
+    assert len(graph) == len(written)
+
+
 # -- tree driver ---------------------------------------------------------------
 
 

@@ -11,7 +11,10 @@ from archonto.cli import main
 from archonto.records import (
     CorpusError,
     DEFAULT_INHERITABLE,
+    IsadRecord,
     Provenance,
+    RecordTree,
+    is_blank,
     parse_corpus,
     resolve_inheritance,
 )
@@ -405,3 +408,76 @@ def test_each_field_refusal_names_its_line_and_exits_2(tmp_path, capsys, record,
     assert main(["migrate", "--in", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: line 2: {message}\n"
     assert not out.exists()
+
+
+def _per_key_inheritance(tree: RecordTree, keys) -> dict[str, IsadRecord]:
+    """The per-key walk: every record tests every inheritable key, in sorted
+    order, against its own value and then its resolved parent's."""
+    resolved: dict[str, IsadRecord] = {}
+    stack = [(ref, None) for ref in tree.roots]
+    while stack:
+        reference, parent = stack.pop()
+        record = tree.records[reference]
+        elements, provenance = dict(record.elements), dict(record.provenance)
+        for key in sorted(keys):
+            if key in provenance:
+                continue
+            if not is_blank(elements.get(key)):
+                provenance[key] = Provenance()
+            elif parent is not None and not is_blank(parent.elements.get(key)):
+                elements[key] = parent.elements[key]
+                provenance[key] = Provenance(parent.provenance[key].source or parent.reference_code)
+        record = resolved[reference] = IsadRecord(
+            record.reference_code, record.parent_reference, elements, provenance
+        )
+        stack.extend((child, record) for child in tree.children[reference])
+    return {ref: resolved[ref] for ref in tree.records}
+
+
+# Inheritable keys of every kind: elements, a scalar subfield, list subfields.
+_INHERITED_KEYS = ("1.2", "1.4", "2.2", "3.1", "4.3", "physical_location", "languages",
+                   "supports", "dimensions", "creators")
+_LIST_VALUES = {
+    "languages": ([], ["Latin"], ["  "], ["Latin", "Portuguese"]),
+    "supports": ([], ["Paper"]),
+    "dimensions": ([], [{"value": 3, "unit": "Gram"}]),
+    "creators": ([], [{"name": "N"}]),
+}
+_SCALAR_VALUES = ("value", "   ", "", "\t")
+
+
+@st.composite
+def _inheritance_forests(draw) -> RecordTree:
+    """1-12 records, each linked to an earlier one or to none, holding blank,
+    whitespace-only, empty-list and non-blank values in random key order."""
+    lines = []
+    for index in range(draw(st.integers(1, 12))):
+        entry: dict = {"1.1": f"R{index}"}
+        parent = draw(st.sampled_from([None, *range(index)]))
+        if parent is not None:
+            entry["parent"] = f"R{parent}"
+        for key in draw(st.permutations(_INHERITED_KEYS))[: draw(st.integers(0, 6))]:
+            value = draw(st.sampled_from(_LIST_VALUES.get(key, _SCALAR_VALUES)))
+            entry[key] = value + f" {index}" if value == "value" else value
+        lines.append(json.dumps(entry))
+    return parse_corpus("\n".join(lines))
+
+
+def _ordered(tree_records: dict[str, IsadRecord]) -> list:
+    return [(ref, list(r.elements.items()), list(r.provenance.items()))
+            for ref, r in tree_records.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree=_inheritance_forests(),
+    first=st.sets(st.sampled_from(_INHERITED_KEYS)),
+    second=st.sets(st.sampled_from(_INHERITED_KEYS)),
+)
+def test_inheritance_equals_the_per_key_walk_key_order_included(tree, first, second):
+    once = resolve_inheritance(tree, first)
+    assert _ordered(once.records) == _ordered(_per_key_inheritance(tree, first))
+    # Re-resolving with another set keeps what the first set recorded.
+    twice = resolve_inheritance(once, second)
+    assert _ordered(twice.records) == _ordered(_per_key_inheritance(once, second))
+    assert _ordered(resolve_inheritance(once, first).records) == _ordered(once.records)
