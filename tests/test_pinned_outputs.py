@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 from archonto.cli import main
+from archonto.mdl import parse_mdl
+from archonto.migration import migrate_tree
+from archonto.records import parse_corpus, resolve_inheritance
 
-from conftest import corpus_text, synthetic_corpus
+from conftest import corpus_text, random_ruleset_text, synthetic_corpus, with_defects
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample" / "corpus.jsonl"
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -157,3 +160,41 @@ def test_dump_output_bytes_are_pinned(tmp_path, command):
     out = tmp_path / "dump.txt"
     assert main([command, "--dump", "--out", str(out)]) == 0
     assert _sha256(out) == DUMP_PINS[command]
+
+
+def _random_corpus(defects: bool) -> str:
+    """A synthetic corpus; with defects, an unusable or shadowed single date in
+    every tenth record, an out-of-vocabulary support in every tenth, and a
+    blank measure unit and a blank creator role in every seventh."""
+    entries = synthetic_corpus(random.Random(3), 120)
+    if defects:
+        dates = {index: ("circa 1650", "1720")[index % 2] for index in range(1, 120, 10)}
+        with_defects(entries, dates, set(range(5, 120, 10)))
+        for entry in entries[::7]:
+            entry["dimensions"] = [{"value": "12", "unit": " "}, {"value": "3", "unit": "Gram"}]
+            entry["creators"] = [{"name": "Lino", "role": ""}]
+    return corpus_text(entries)
+
+
+# Rule sets beyond the built-in ones, `random_ruleset_text` of seeds 0-99, on
+# one corpus clean and with defects: (corpus, strict) -> SHA-256 of the
+# N-Triples and the problem report of every rule set, in seed order.
+RANDOM_RULE_PINS = {
+    ("clean", False): "c9a2675b63647259bfbb6a8788befd525cf7f856e6fcb68f509dd8d55cf30b5f",
+    ("clean", True): "ebe97c5972c96d640c5601e1c544fc7e9abf755f77ab5fe15dd9f21d07a5fd79",
+    ("defects", False): "ac701604d8597dfcacb437d8bc90a5ae016c8c689c55cc940994046348d7613f",
+    ("defects", True): "8d5b7ced07cea9d07b553d1d8b6ec5655386bb1a50b3ed328dab8521f55b1056",
+}
+
+
+@pytest.mark.parametrize("corpus,strict", sorted(RANDOM_RULE_PINS))
+def test_random_rule_set_output_bytes_are_pinned(schema, registry, corpus, strict):
+    tree = resolve_inheritance(parse_corpus(_random_corpus(corpus == "defects")))
+    digest = hashlib.sha256()
+    for seed in range(100):
+        rng = random.Random(seed)
+        ruleset = parse_mdl(random_ruleset_text(rng, schema, rng.randint(2, 6)), schema)
+        result = migrate_tree(tree, ruleset, schema, registry, strict=strict)
+        digest.update(result.graph.serialize())
+        digest.update("".join(line + "\n" for line in result.report_lines()).encode("utf-8"))
+    assert digest.hexdigest() == RANDOM_RULE_PINS[corpus, strict]
