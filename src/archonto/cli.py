@@ -132,6 +132,11 @@ def _sink(path: Path | None) -> contextlib.AbstractContextManager[BinaryIO]:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
+    # One regular file as both outputs would keep only the one renamed last.
+    same = args.out and args.report and os.path.realpath(args.out) == os.path.realpath(args.report)
+    if same and (os.path.isfile(args.out) or not os.path.exists(args.out)):
+        _diag(f"error: --out and --report name the same file: {args.report}")
+        return EXIT_INPUT_ERROR
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_sink(args.out))
         report_file = None if args.report is None else stack.enter_context(_output_file(args.report))

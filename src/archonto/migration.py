@@ -5,23 +5,25 @@ are picked by title type, date rules by date shape (interval vs single
 instant), dimension rules by entry kind, and the description-date rule runs
 once per date type.
 
-When a run starts, each rule is compiled into its kernel: one generated
-Python function, ``fire(ctx, app)``, that writes one firing's rows straight
-into the run's one graph and returns their count.  The generator decides
-then what a walk of the rule's paths would decide at each step (each node
-step's lookup order, each path's skip test, each row, each carrier check),
-so the kernel is straight-line code with its variables in locals.  Input
-text never becomes source: the source holds only the template's text and
+When a run starts (``_Run.start``), each rule gets its plan: the rule, its
+kernel and the adapter that yields its firings as plain ``(key, captures,
+terms)`` tuples.  A kernel is one generated Python function, ``fire(ctx,
+app)``, that writes one firing's rows straight into the run's one graph and
+returns their count.  Every kernel opens with the same head (its record's
+prefix, anchors and value owners, and whether a capture or a class term is
+blank), then each path's skip test, node lookups, rows and carrier checks as
+straight-line code.  A variable lives in a local that starts as None, and
+each use of it is one lookup, made while the local is None.  Input text
+never becomes source: the source holds only the template's text and
 generated names, and every class id, role, IRI prefix, property IRI,
 literal term, variable name, the rule number and the base IRI reach the
 function as values bound to names ``k0``, ``k1``, ...  Each distinct source
 is compiled once per process (``_factory``, an ``lru_cache``), so a run only
 generates text and binds its graph's dicts, its shared-node memo and
 ``Graph.register_node`` into a fresh kernel.  A kernel's code has the file
-name ``<archonto rule N>``, so a traceback through it names its rule.  The
-adapter that yields a rule's firings as plain ``(key, captures, terms)``
-tuples, made at import, is bound then too.  A record's rule trace is made
-only when ``RecordMigration.trace`` is read: ``migrate_tree`` makes none.
+name ``<archonto rule N>``, so a traceback through it names its rule.  A
+record's rule trace is made only when ``RecordMigration.trace`` is read:
+``migrate_tree`` makes none.
 
 Node identity is deterministic (the README's "IRI scheme" lists the rules):
 the kernels and each record's context hold prefixes built by
@@ -232,7 +234,8 @@ class _Run:
     @classmethod
     def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str) -> _Run:
         graph, shared = Graph(schema, base_iri), {}
-        plans = tuple(_compile_rule(rule, graph, shared) for rule in rules.application_order)
+        plans = tuple((rule, _kernel(rule, graph, shared), _adapter(rule))
+                      for rule in rules.application_order)
         return cls(graph, plans, shared)
 
 
@@ -269,29 +272,17 @@ _Adapter = Callable[["MigrationContext", MdlRule], Sequence[Application]]
 _RulePlan = tuple[MdlRule, _Kernel, _Adapter]
 
 
-# What a kernel knows of a variable at a point of its source: bound in this
-# firing, perhaps bound (its local may be None), or (absent) not yet looked up.
-_BOUND, _PERHAPS = "bound", "perhaps"
-
 # What a kernel reads of its run, bound when the run starts.
 _RUN_NAMES = ("register", "nodes", "rows", "memo", "is_subclass", "base")
 
-
-# Locals a kernel reads from its record's context or its application, made
-# at its top only if its body reads them.
-_KERNEL_LOCALS = (
-    ("prefix", "ctx.prefix"),
-    ("anchors", "ctx.anchors"),
-    ("owners", "ctx.value_owners"),
-    ("strict", "ctx.strict"),
-    ("ekey", "enc(key)"),
+# The head of every firing: its application, what it reads of its record's
+# context, and whether a capture or a class term is blank (the empty
+# class-term map is not searched).
+_HEAD = (
+    "        key, captures, terms = app",
+    "        prefix, anchors, owners = ctx.prefix, ctx.anchors, ctx.value_owners",
+    "        blank = '' in captures.values() or terms and '' in terms.values()",
 )
-
-
-# A firing's test for a blank capture or class term, made once at its top;
-# the empty class-term map is not searched.
-_BLANK_CAPTURE, _BLANK_TERM = "'' in captures.values()", "terms and '' in terms.values()"
-_BLANK_TESTS = (_BLANK_CAPTURE, _BLANK_TERM)
 
 
 class _KernelSource:
@@ -302,9 +293,10 @@ class _KernelSource:
     value taken from the rule, the schema or the base IRI (class ids, roles,
     IRI prefixes and predicate IRIs, literal terms, variable names, the rule
     number, row counts) is a name ``k<i>`` in the function's namespace
-    (``values``).  A variable lives in a local ``v<i>``, and the lookup of a
-    name is cut to the places it can be found at that point of the source:
-    the selector's captures are the only names an application can carry."""
+    (``values``).  A variable lives in a local ``v<i>``, None at the top of
+    the firing, and each use of it is looked up while the local is None; only
+    the selector's captures are looked for among an application's captures,
+    as those are the only names an application can carry."""
 
     def __init__(self, rule: MdlRule, paths: tuple) -> None:
         self.values: dict[str, object] = {}
@@ -312,9 +304,6 @@ class _KernelSource:
         self._rule = self.k(rule.rule_no)
         self._captures = frozenset(rule.selector.captures)
         self._locals: dict[str, str] = {}
-        self._state: dict[str, str] = {}
-        self._needs: set[str] = set()
-        self._blank: set[str] = set()
         self._temps = 0
         self._body: list[str] = []
         for path in paths:
@@ -322,15 +311,11 @@ class _KernelSource:
         if rule.selector.name == "ISAD":
             self._anchor(paths)
         total = self.k(sum(len(hops) for _, hops, _, _ in paths))
-        head = [f"def kernel({', '.join((*self.values, *_RUN_NAMES))}):",
-                "    def fire(ctx, app):", "        key, captures, terms = app"]
-        head += [f"        {name} = {value}" for name, value in _KERNEL_LOCALS
-                 if name in self._needs]
+        head = [f"def kernel({', '.join((*self.values, *_RUN_NAMES))}):", "    def fire(ctx, app):",
+                *_HEAD]
         if self._locals:
             head.append(f"        {' = '.join(self._locals.values())} = None")
         head.append(f"        count = {total}")
-        if self._blank:
-            head.append(f"        blank = {' or '.join(t for t in _BLANK_TESTS if t in self._blank)}")
         self.text = "\n".join(head + self._body + ["        return count", "    return fire", ""])
 
     def k(self, value: object) -> str:
@@ -348,32 +333,20 @@ class _KernelSource:
         return f"n{self._temps}"
 
     def _path(self, start: _Step, hops: tuple, reads: tuple, classes: tuple) -> None:
-        """A path whose blank capture or class term can skip it runs under the
-        skip test, and leaves what it binds only perhaps bound."""
-        blank = [v for v in dict.fromkeys(reads) if v in self._captures]
-        tests = [f"captures.get({self.k(v)}) == ''" for v in blank]
-        if blank:
-            self._blank.add(_BLANK_CAPTURE)
-        if classes:
-            self._blank.add(_BLANK_TERM)
+        """A path whose blank capture or class term can skip it runs under the skip test."""
+        tests = [f"captures.get({self.k(v)}) == ''" for v in dict.fromkeys(reads)
+                 if v in self._captures]
         tests += [f"terms.get({self.k(c)}) == ''" for c in dict.fromkeys(classes)]
-        depth, before = 1, dict(self._state)
+        depth = 1
         if tests:
             test = tests[0] if len(tests) == 1 else f"({' or '.join(tests)})"
             self._line(1, f"if blank and {test}:")
             self._line(2, f"count -= {self.k(len(hops))}")
             self._line(1, "else:")
             depth = 2
-        lines = len(self._body)
         subject = self._node_local(start, depth)
         for hop in hops:
             subject = self._hop(depth, subject, *hop)
-        if len(self._body) == lines:  # a bound variable alone
-            self._line(depth, "pass")
-        if tests:
-            for var, state in self._state.items():
-                if state is not before.get(var):
-                    self._state[var] = _PERHAPS
 
     def _hop(self, depth: int, subject: str, predicate: str, step: _Step, datatype: str,
              mismatch: str | None, carrier: tuple | None) -> str:
@@ -381,8 +354,7 @@ class _KernelSource:
         if step.kind is not _EMIT:
             target = self._node_local(step, depth)
             if mismatch is not None:
-                self._needs.add("strict")
-                self._line(depth, "if strict:")
+                self._line(depth, "if ctx.strict:")
                 self._line(depth + 1, f"raise MigrationError({k(mismatch + 'node ')} + {target})")
             self._line(depth, f"rows[{subject}, {k(predicate)}, 0, {target}, ''] = None")
             return target
@@ -391,8 +363,7 @@ class _KernelSource:
         self._line(depth + 1, f"raise UnboundVariableError({var})")
         self._line(depth, f"text = captures[{var}]")
         if mismatch is not None:
-            self._needs.add("strict")
-            self._line(depth, "if strict:")
+            self._line(depth, "if ctx.strict:")
             self._line(depth + 1, f"raise MigrationError({k(mismatch + 'literal ')} + repr(text))")
         row = f"{k(predicate)}, 1, text, {k(datatype)}] = None"
         if carrier is None:
@@ -421,50 +392,38 @@ class _KernelSource:
         return self._variable(step, depth)
 
     def _variable(self, step: _Step, depth: int) -> str:
-        """A variable: bound in this firing, then a capture, then an anchor,
-        then bound here (``{=V}``) or refused (``$V``).  A dereferenced
-        capture is not bound; an anchor found is, which changes nothing,
-        as the anchors do not change during a firing."""
+        """A variable, looked up while its local is None: a capture, then an
+        anchor, then bound here (``{=V}``) or refused (``$V``).  A dereferenced
+        capture is not kept in the local; an anchor found is, which changes
+        nothing, as the anchors do not change during a firing."""
         k, var = self.k, step.var
-        local = self._locals.setdefault(var, f"v{len(self._locals)}")
-        state = self._state.get(var)
-        if state is _BOUND:
-            return local
-        self._needs.add("anchors")
-        name = k(var)
+        local, name = self._locals.setdefault(var, f"v{len(self._locals)}"), k(var)
         if step.kind is _DEREF and var in self._captures:
-            target, keyword = self._temp(), "if"
-            if state is _PERHAPS:
-                self._line(depth, f"if {local} is not None:")
-                self._line(depth + 1, f"{target} = {local}")
-                keyword = "elif"
-            self._line(depth, f"{keyword} {name} in captures:")
+            target = self._temp()
+            self._line(depth, f"if {local} is not None:")
+            self._line(depth + 1, f"{target} = {local}")
+            self._line(depth, f"elif {name} in captures:")
             document = f"record_prefix(base, captures[{name}]) + {k(step.role + '/1')}"
             self._line(depth + 1, f"{target} = register({document}, {k(DOCUMENT_CLASS)})")
             self._line(depth, "else:")
             self._line(depth + 1, f"{target} = {local} = anchors.get({name})")
             self._line(depth + 1, f"if {local} is None:")
             self._line(depth + 2, f"raise UnboundVariableError({name})")
-            self._state[var] = _PERHAPS
             return target
-        if state is _PERHAPS:
-            self._line(depth, f"if {local} is None:")
+        self._line(depth, f"if {local} is None:")
+        depth += 1
+        if step.kind is not _DEREF and var in self._captures:
+            self._line(depth, f"if {name} in captures:")
+            self._line(depth + 1, f"term = captures[{name}].strip()")
+            self._valued(step, depth + 1, local)
+            self._line(depth, "else:")
             depth += 1
+        self._line(depth, f"{local} = anchors.get({name})")
+        self._line(depth, f"if {local} is None:")
         if step.kind is _DEREF:
-            self._line(depth, f"{local} = anchors.get({name})")
-            self._line(depth, f"if {local} is None:")
             self._line(depth + 1, f"raise UnboundVariableError({name})")
         else:
-            if var in self._captures:
-                self._line(depth, f"if {name} in captures:")
-                self._line(depth + 1, f"term = captures[{name}].strip()")
-                self._valued(step, depth + 1, local)
-                self._line(depth, "else:")
-                depth += 1
-            self._line(depth, f"{local} = anchors.get({name})")
-            self._line(depth, f"if {local} is None:")
             self._class_term(step, depth + 1, local)
-        self._state[var] = _BOUND
         return local
 
     def _class_term(self, step: _Step, depth: int, target: str) -> str:
@@ -480,13 +439,8 @@ class _KernelSource:
     def _structural(self, step: _Step, depth: int, target: str) -> str:
         """No term: once per record for a singleton class, else once per application."""
         k = self.k
-        self._needs.add("prefix")
-        if step.singleton:
-            iri = f"prefix + {k(step.role + '/1')}"
-        else:
-            self._needs.add("ekey")
-            iri = f"prefix + {k(step.role + '/')} + ekey"
-        self._line(depth, f"{target} = register({iri}, {k(step.class_id)})")
+        suffix = k(step.role + "/1") if step.singleton else f"{k(step.role + '/')} + enc(key)"
+        self._line(depth, f"{target} = register(prefix + {suffix}, {k(step.class_id)})")
         return target
 
     def _valued(self, step: _Step, depth: int, target: str) -> str:
@@ -499,7 +453,6 @@ class _KernelSource:
             self._line(depth, f"if {target} not in nodes:")
             self._line(depth + 1, f"{target} = claim(ctx, {shared}, {class_id}, term)")
             return target
-        self._needs.update(("prefix", "owners"))
         own, other = k(step.role + "/"), k(step.alt_role + "/")
         owner = f"owners.setdefault(({class_id}, term), {self._rule})"
         self._line(depth, f"role = {own} if {owner} == {self._rule} else {other}")
@@ -511,13 +464,8 @@ class _KernelSource:
         bound = [s.var for start, hops, _, _ in paths for s in (start, *(h[1] for h in hops))
                  if s.kind is BindMode.ASSIGN]
         for var in dict.fromkeys(bound):
-            state, local, line = self._state.get(var), self._locals[var], 1
-            if state is _PERHAPS:
-                self._line(1, f"if {local} is not None:")
-                line = 2
-            if state is not None:
-                self._needs.add("anchors")
-                self._line(line, f"anchors[{self.k(var)}] = {local}")
+            self._line(1, f"if {self._locals[var]} is not None:")
+            self._line(2, f"anchors[{self.k(var)}] = {self._locals[var]}")
 
 
 def _claim(ctx: MigrationContext, prefix: str, class_id: str, term: str) -> str:
@@ -549,11 +497,6 @@ def _kernel(rule: MdlRule, graph: Graph, memo: dict) -> _Kernel:
     return bind(**source.values, register=graph.register_node, nodes=graph._nodes,
                 rows=graph._triples, memo=memo, is_subclass=graph.schema.is_subclass,
                 base=graph.base_iri)
-
-
-def _compile_rule(rule: MdlRule, graph: Graph, memo: dict) -> _RulePlan:
-    """The plan of ``rule`` for one run: its kernel and its adapter."""
-    return rule, _kernel(rule, graph, memo), _adapter(rule)
 
 
 # -- selector adapters ---------------------------------------------------------

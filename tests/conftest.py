@@ -16,6 +16,7 @@ from archonto import (
     builtin_vocabularies,
     parse_corpus,
 )
+from archonto.graph import CRM_NAMESPACE, RDF_TYPE, XSD_NAMESPACE
 from archonto.mdl import render_mdl
 from archonto.migration import _ADAPTERS
 from archonto.records import DEFAULT_INHERITABLE, IsadRecord, RecordTree, is_blank
@@ -331,6 +332,128 @@ def lines_one_at_a_time(data: bytes | str, error):
         except UnicodeDecodeError as exc:
             raise error(f"invalid UTF-8 byte 0x{raw[exc.start]:02X}", number) from None
         yield number, text
+
+
+# -- N-Triples documents, well-formed and faulty ------------------------------------
+
+# N-Triples separates terms by space and tab only; other Unicode spaces are
+# not whitespace to it.
+STATEMENT = (
+    "<https://example.org/archonto/PT%2FX/e31/1>{sep}"
+    "<https://example.org/archonto/ontology/ISAD1_has_title>{sep}"
+    '"x" .'
+)
+
+
+DOC = "<https://example.org/archonto/PT/e31/1>"
+TYPE_LINE = (
+    f"{DOC} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://www.cidoc-crm.org/cidoc-crm/E31_Document> ."
+)
+
+
+_BASE = "https://example.org/archonto/"
+_NODE_IRIS = st.sampled_from([
+    _BASE + "PT/e31/1", _BASE + "PT/e22/1", _BASE + "PT%2FA/e31/1", "https://other.example/é",
+    "urn:x:\U0001F600",
+])
+_PREDICATE_IRIS = st.sampled_from([
+    _BASE + "ontology/ISAD18_has_notes", CRM_NAMESPACE + "P128_carries", "P3", "https://other.example/p",
+])
+# A datatype's IRI as a class is a foreign class, not the datatype's tag.
+_CLASS_IRIS = st.sampled_from([
+    CRM_NAMESPACE + "E31_Document", CRM_NAMESPACE + "E22_Human-Made_Object", "https://other.example/C",
+    XSD_NAMESPACE + "string",
+])
+# Literal text: plain and multi-byte characters and the escapes N-Triples
+# has; then, in a faulty document, escapes it does not have and a raw quote
+# or CR, which end the statement badly.
+_PIECES = ["a", " ", "é", "\U0001F600", "\u2028", "\\n", '\\"', "\\\\", "\\u00E9", "\\U0001F600", "\t"]
+_BAD_PIECES = ["\\x41", "\\uD800", "\\", '"', "\r"]
+_PADS = ["", " ", "\t", "\r", " \t\r"]
+_SEPS = [" ", "\t", " \t "]
+# A Unicode space that is not N-Triples whitespace, in faulty documents.
+_BAD_SPACES = ["\u2003"]
+# Characters an IRIREF may not hold, put into an IRI of a faulty document; a
+# lone surrogate only in str input, since UTF-8 bytes cannot hold one.
+_BAD_IRI_CHARS = [*'{}|^`\\<"', " ", "\t", "\x01"]
+_SURROGATES = ["\ud800", "\udfff"]
+
+
+@st.composite
+def _ntriples_lines(draw, faulty: bool, text: bool) -> str:
+    kinds = ["node", "literal", "literal", "type", "type", "comment", "blank"] + ["bad", "open"] * faulty
+    kind = draw(st.sampled_from(kinds))
+    literals = st.lists(st.sampled_from(_PIECES + _BAD_PIECES * faulty), max_size=6).map("".join)
+    pad = st.sampled_from(_PADS + _BAD_SPACES * faulty)
+    sep = draw(st.sampled_from(_SEPS + _BAD_SPACES * faulty))
+    bad_chars = _BAD_IRI_CHARS + _SURROGATES * text
+
+    def iri(pool, close: str = ">") -> str:
+        value = draw(pool)
+        if faulty and draw(st.integers(0, 5)) == 0:
+            cut = draw(st.integers(0, len(value)))
+            value = value[:cut] + draw(st.sampled_from(bad_chars)) + value[cut:]
+        return f"<{value}{close}"
+
+    def statement(kind: str, close: str = ">") -> str:
+        subject = iri(_NODE_IRIS)
+        if kind == "type":
+            if faulty and draw(st.booleans()):
+                obj = '"E31"' + (f"^^{iri(st.just(XSD_NAMESPACE + 'string'))}" if draw(st.booleans()) else "")
+            else:
+                obj = iri(_CLASS_IRIS, close)
+            return f"{subject}{sep}<{RDF_TYPE}>{sep}{obj}"
+        if kind == "node":
+            obj = iri(_NODE_IRIS, close)
+        else:
+            datatype = draw(st.sampled_from(["", XSD_NAMESPACE + "dateTime", XSD_NAMESPACE + "string",
+                                             "https://other.example/dt"]))
+            obj = f'"{draw(literals)}"' + (f"^^{iri(st.just(datatype), close)}" if datatype else "")
+        return f"{subject}{sep}{iri(_PREDICATE_IRIS)}{sep}{obj}"
+
+    if kind == "comment":
+        body = "# " + draw(literals)
+    elif kind == "blank":
+        body = ""
+    elif kind == "bad":
+        body = draw(st.sampled_from(["not a statement", "<a> <b> .", "<a> <b> <c>", "<a b> <c> <d> ."]))
+    elif kind == "open":
+        # An IRI left open at the end of its line, before a valid statement
+        # whose '>' could close it if a match ran on past the LF.
+        shape = draw(st.sampled_from(["subject", "predicate", "node", "type", "literal"]))
+        if shape == "subject":
+            opened = f"<{draw(_NODE_IRIS)}"
+        elif shape == "predicate":
+            opened = f"{iri(_NODE_IRIS)}{sep}<{draw(_PREDICATE_IRIS)}"
+        else:
+            opened = statement(shape, close="")
+        body = opened + "\n" + draw(st.sampled_from([TYPE_LINE, STATEMENT.format(sep=" ")]))
+    else:
+        end = f"{sep}." if kind == "type" else f"{draw(st.sampled_from(['', ' ']))}."
+        body = statement(kind) + end
+    return draw(pad) + body + draw(pad)
+
+
+@st.composite
+def ntriples_documents(draw) -> bytes | str:
+    """Statements, comments and blank lines, CRLF or LF, with or without a
+    last LF; a faulty document may also hold bad lines, escapes and bytes,
+    IRIs that hold a character an IRI may not, and IRIs left open."""
+    faulty, text = draw(st.booleans()), draw(st.booleans())
+    lines = draw(st.lists(_ntriples_lines(faulty, text), max_size=12))
+    document = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if lines and draw(st.booleans()):
+        document = document.removesuffix("\n")
+    if text:
+        return document
+    data = document.encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if faulty and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[cut:]
+    return data
 
 
 # -- graph rows by property id -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Acceptance criteria, one test per criterion with an explicit pass line."""
 
+import codecs
 import contextlib
 import io
 import json
@@ -35,6 +36,7 @@ from conftest import (
     corpus_text,
     make_record,
     naive_inheritance,
+    ntriples_documents,
     objects,
     random_forest_tree,
     random_ruleset_text,
@@ -580,12 +582,13 @@ def _run_cli(argv: list[str]) -> tuple[int, bytes, bytes]:
     return status, out.buffer.getvalue(), err.buffer.getvalue()
 
 
-def _assert_exits_cleanly(schema, corpus: Path, options: list[str], base_iri=None) -> set[int]:
+def _assert_exits_cleanly(schema, corpus: Path, options: list[str], base_iri=None,
+                          commands=_CLI_COMMANDS) -> set[int]:
     """Each command exits 0 or 1 with output that our own readers take back,
     or exits 2 with one error line and no output file; nothing else.  The
     exit statuses seen are returned."""
     outputs, statuses = {}, set()
-    for name, command in _CLI_COMMANDS.items():
+    for name, command in commands.items():
         out = corpus.with_name(name)
         status, stdout, stderr = _run_cli([*command, str(corpus), *options, "--out", str(out)])
         statuses.add(status)
@@ -615,9 +618,73 @@ def test_hostile_corpus_through_the_cli_exits_cleanly(schema, text, base_iri):
         _assert_exits_cleanly(schema, corpus, base, base_iri)
 
 
+_SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "sample" / "corpus.jsonl"
+
+# Lines of --vocab and --nesting files: good ones (an unknown class binds a
+# vocabulary of its own), blank and comment lines; in a faulty file also a tab
+# in a term, a NUL, unknown levels, missing fields and repeats, which give
+# duplicate terms.  Nesting lines also give cycles and self-edges.
+_VOCAB_LINES = (
+    ["ARE1\tFonds", "ARE1\tSerie", "ARE1\tItem", "E57\tPaper", "E99\tTerm", "", " \t ", "# a\tb"],
+    ["E57\tPa\tper", "E56\tLat\x00in", "ARE1\t", "\tFonds", "ARE1 Fonds"],
+)
+_NESTING_LINES = (
+    ["Fonds\tSerie", "Serie\tItem", "Serie\tFonds", "Item\tFonds", "Fonds\tFonds", "", "# a\tb"],
+    ["Fonds\tBogus", "Bogus\tItem", "Fonds\tSe\trie", "Fonds Serie", "Fonds\t\x00Serie"],
+)
+
+
+@st.composite
+def _hostile_tables(draw, lines: tuple[list[str], list[str]]) -> bytes:
+    """Up to eight lines, each ended by LF, CRLF or a lone CR, perhaps after a
+    BOM; a faulty file may repeat a line, hold bad lines and be cut by a byte
+    that is not UTF-8."""
+    good, bad = lines
+    faulty = draw(st.booleans())
+    chosen = draw(st.lists(st.sampled_from(good + bad * faulty), max_size=8, unique=not faulty))
+    data = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in chosen).encode()
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if faulty and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[cut:]
+    return data
+
+
+# A vocabulary without ARE1 leaves a nesting file no levels to name.
+@settings(max_examples=100, deadline=None)
+@given(vocab=st.none() | st.just(b"E57\tPaper\n") | _hostile_tables(_VOCAB_LINES),
+       nesting=st.none() | _hostile_tables(_NESTING_LINES))
+def test_hostile_vocabulary_and_nesting_files_through_the_cli_exit_cleanly(schema, vocab, nesting):
+    with tempfile.TemporaryDirectory() as workdir:
+        corpus, options = Path(workdir, "corpus.jsonl"), []
+        corpus.write_bytes(_SAMPLE_CORPUS.read_bytes())
+        for option, data in (("--vocab", vocab), ("--nesting", nesting)):
+            if data is not None:
+                table = Path(workdir, option.strip("-") + ".tsv")
+                table.write_bytes(data)
+                options += [option, str(table)]
+        _assert_exits_cleanly(schema, corpus, options)
+
+
+_GRAPH_COMMANDS = {
+    f"{command}-{form}": [command, "--format", form, "--in"]
+    for command, forms in (("validate", ("text", "tsv")), ("stats", ("table", "tsv")))
+    for form in forms
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=ntriples_documents())
+def test_hostile_graph_through_validate_and_stats_exits_cleanly(schema, data):
+    with tempfile.TemporaryDirectory() as workdir:
+        graph = Path(workdir, "graph.nt")
+        graph.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
+        _assert_exits_cleanly(schema, graph, [], commands=_GRAPH_COMMANDS)
+
+
 _BUILTIN_MDL = render_mdl(builtin_rules(), builtin_schema())
 _MDL_TOKENS = re.compile(r"\s+|\w+|[^\w\s]")
-_SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "sample" / "corpus.jsonl"
 
 
 @st.composite

@@ -485,6 +485,25 @@ def test_failed_migrate_leaves_no_file_and_a_good_one_only_its_outputs(tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("link", [False, True])
+def test_migrate_refuses_one_file_as_both_graph_and_report(tmp_path, capsys, link):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"1.1": "PT/1", "1.4": "Fonds", "production_date_single": "circa 1650"}\n',
+                      encoding="utf-8")
+    out = tmp_path / "out.txt"
+    report = out
+    if link:
+        report = tmp_path / "report.txt"
+        report.symlink_to(out)
+    files = sorted(tmp_path.iterdir())
+    for source in (corpus, tmp_path / "missing.jsonl"):  # refused before the input is read
+        assert main(["migrate", "--in", str(source), "--out", str(out), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out and --report name the same file: {report}\n"
+        assert sorted(tmp_path.iterdir()) == files
+    assert main(["migrate", "--in", str(corpus), "--out", os.devnull, "--report", os.devnull]) == 0
+
+
 @pytest.mark.parametrize("ensure_ascii", [True, False])
 def test_line_separator_in_element_survives_migrate_and_validate(tmp_path, ensure_ascii):
     entry = {"1.1": "PT/F", "1.2": "Fundo", "title_type": "supplied", "1.4": "Fonds",

@@ -1,6 +1,5 @@
 """Node minting, triple semantics and deterministic serialization."""
 
-import codecs
 import gc
 import io
 import random
@@ -37,7 +36,16 @@ from archonto.migration import migrate_tree
 from archonto.ontology import XSD_DATETIME, XSD_STRING, UnknownPropertyError, builtin_schema
 from archonto.records import parse_corpus, resolve_inheritance
 
-from conftest import corpus_text, lines_one_at_a_time, row, synthetic_corpus
+from conftest import (
+    DOC,
+    STATEMENT,
+    TYPE_LINE,
+    corpus_text,
+    lines_one_at_a_time,
+    ntriples_documents,
+    row,
+    synthetic_corpus,
+)
 
 
 @pytest.fixture()
@@ -304,24 +312,15 @@ def test_non_ascii_base_iri_round_trips():
     assert Graph.from_ntriples(data, schema, base).serialize("ntriples") == data
 
 
-# N-Triples separates terms by space and tab only; other Unicode spaces are
-# not whitespace to it.
-_STATEMENT = (
-    "<https://example.org/archonto/PT%2FX/e31/1>{sep}"
-    "<https://example.org/archonto/ontology/ISAD1_has_title>{sep}"
-    '"x" .'
-)
-
-
 @pytest.mark.parametrize("sep", [" ", "\t", " \t "])
 def test_space_and_tab_separate_terms_and_are_trimmed(sep):
-    line = f"{sep}{_STATEMENT.format(sep=sep)}{sep}\r\n"
+    line = f"{sep}{STATEMENT.format(sep=sep)}{sep}\r\n"
     assert len(Graph.from_ntriples(line, builtin_schema())) == 1
 
 
 def test_em_space_between_terms_rejected():
-    good = _STATEMENT.format(sep=" ")
-    bad = _STATEMENT.format(sep="\u2003")
+    good = STATEMENT.format(sep=" ")
+    bad = STATEMENT.format(sep="\u2003")
     with pytest.raises(NTriplesParseError) as exc:
         Graph.from_ntriples(f"{good}\n{bad}\n", builtin_schema())
     assert exc.value.line == 2
@@ -329,7 +328,7 @@ def test_em_space_between_terms_rejected():
 
 @pytest.mark.parametrize("where", ["start", "end"])
 def test_ideographic_space_at_line_end_rejected(where):
-    good = _STATEMENT.format(sep=" ")
+    good = STATEMENT.format(sep=" ")
     bad = "\u3000" + good if where == "start" else good + "\u3000"
     with pytest.raises(NTriplesParseError) as exc:
         Graph.from_ntriples(f"{good}\n{good}\n{bad}\n", builtin_schema())
@@ -475,16 +474,9 @@ def test_each_base_iri_has_its_own_term_iris():
 
 # -- RDF 1.1 N-Triples literal escapes and one class per node ---------------------
 
-_DOC = "<https://example.org/archonto/PT/e31/1>"
-_TYPE_LINE = (
-    f"{_DOC} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
-    "<http://www.cidoc-crm.org/cidoc-crm/E31_Document> ."
-)
-
-
 def _read_note(escaped: str) -> Graph:
-    note = f'{_DOC} <https://example.org/archonto/ontology/ISAD18_has_notes> "{escaped}" .'
-    return Graph.from_ntriples(f"{_TYPE_LINE}\n{note}\n", builtin_schema())
+    note = f'{DOC} <https://example.org/archonto/ontology/ISAD18_has_notes> "{escaped}" .'
+    return Graph.from_ntriples(f"{TYPE_LINE}\n{note}\n", builtin_schema())
 
 
 @pytest.mark.parametrize(
@@ -513,16 +505,16 @@ def test_reader_rejects_other_escapes_and_code_points(escaped):
 
 
 def test_second_type_line_with_another_class_is_a_parse_error():
-    other = _TYPE_LINE.replace("E31_Document", "E22_Human-Made_Object")
-    read = Graph.from_ntriples(f"{_TYPE_LINE}\n{_TYPE_LINE}\n", builtin_schema())
+    other = TYPE_LINE.replace("E31_Document", "E22_Human-Made_Object")
+    read = Graph.from_ntriples(f"{TYPE_LINE}\n{TYPE_LINE}\n", builtin_schema())
     assert list(read.node_index.values()) == ["E31"]
     with pytest.raises(NTriplesParseError, match=r"^line 3: .* another class") as exc:
-        Graph.from_ntriples(f"{_TYPE_LINE}\n\n{other}\n", builtin_schema())
+        Graph.from_ntriples(f"{TYPE_LINE}\n\n{other}\n", builtin_schema())
     assert exc.value.line == 3
 
 
 def test_first_fault_in_line_order_wins_over_a_later_bad_byte():
-    good = _STATEMENT.format(sep=" ").encode()
+    good = STATEMENT.format(sep=" ").encode()
     data = good + b"\nnot a statement\n# comment\n\n" + good.replace(b'"x"', b'"\xff"') + b"\n"
     with pytest.raises(NTriplesParseError) as exc:
         Graph.from_ntriples(data, builtin_schema())
@@ -531,10 +523,10 @@ def test_first_fault_in_line_order_wins_over_a_later_bad_byte():
 
 def test_foreign_terms_survive_read_remove_contains_and_write():
     base = "https://example.org/archonto/"
-    note = f'{_DOC} <{base}ontology/ISAD18_has_notes> "n" .'
-    foreign_literal = f'{_DOC} <https://other.example/p> "7"^^<https://other.example/dt> .'
-    untyped_edge = f"{_DOC} <https://other.example/q> <https://other.example/thing> ."
-    data = "\n".join((_TYPE_LINE, note, foreign_literal, untyped_edge)) + "\n"
+    note = f'{DOC} <{base}ontology/ISAD18_has_notes> "n" .'
+    foreign_literal = f'{DOC} <https://other.example/p> "7"^^<https://other.example/dt> .'
+    untyped_edge = f"{DOC} <https://other.example/q> <https://other.example/thing> ."
+    data = "\n".join((TYPE_LINE, note, foreign_literal, untyped_edge)) + "\n"
     graph = Graph.from_ntriples(data, builtin_schema())
     assert graph.serialize() == data.encode()
 
@@ -554,7 +546,7 @@ def test_foreign_terms_survive_read_remove_contains_and_write():
     assert literal not in graph.triples and edge in graph.triples and len(graph) == 2
     sink = io.BytesIO()
     graph.write(sink)
-    assert sink.getvalue() == "\n".join((_TYPE_LINE, note, untyped_edge)).encode() + b"\n"
+    assert sink.getvalue() == "\n".join((TYPE_LINE, note, untyped_edge)).encode() + b"\n"
 
 
 def test_value_classes_have_slots(graph):
@@ -616,118 +608,14 @@ def _outcome(read):
         return exc.line, str(exc)
 
 
-_BASE = "https://example.org/archonto/"
-_NODE_IRIS = st.sampled_from([
-    _BASE + "PT/e31/1", _BASE + "PT/e22/1", _BASE + "PT%2FA/e31/1", "https://other.example/é",
-    "urn:x:\U0001F600",
-])
-_PREDICATE_IRIS = st.sampled_from([
-    _BASE + "ontology/ISAD18_has_notes", CRM_NAMESPACE + "P128_carries", "P3", "https://other.example/p",
-])
-# A datatype's IRI as a class is a foreign class, not the datatype's tag.
-_CLASS_IRIS = st.sampled_from([
-    CRM_NAMESPACE + "E31_Document", CRM_NAMESPACE + "E22_Human-Made_Object", "https://other.example/C",
-    XSD_NAMESPACE + "string",
-])
-# Literal text: plain and multi-byte characters and the escapes N-Triples
-# has; then, in a faulty document, escapes it does not have and a raw quote
-# or CR, which end the statement badly.
-_PIECES = ["a", " ", "é", "\U0001F600", "\u2028", "\\n", '\\"', "\\\\", "\\u00E9", "\\U0001F600", "\t"]
-_BAD_PIECES = ["\\x41", "\\uD800", "\\", '"', "\r"]
-_PADS = ["", " ", "\t", "\r", " \t\r"]
-_SEPS = [" ", "\t", " \t "]
-# A Unicode space that is not N-Triples whitespace, in faulty documents.
-_BAD_SPACES = ["\u2003"]
-# Characters an IRIREF may not hold, put into an IRI of a faulty document; a
-# lone surrogate only in str input, since UTF-8 bytes cannot hold one.
-_BAD_IRI_CHARS = [*'{}|^`\\<"', " ", "\t", "\x01"]
-_SURROGATES = ["\ud800", "\udfff"]
-
-
-@st.composite
-def _ntriples_lines(draw, faulty: bool, text: bool) -> str:
-    kinds = ["node", "literal", "literal", "type", "type", "comment", "blank"] + ["bad", "open"] * faulty
-    kind = draw(st.sampled_from(kinds))
-    literals = st.lists(st.sampled_from(_PIECES + _BAD_PIECES * faulty), max_size=6).map("".join)
-    pad = st.sampled_from(_PADS + _BAD_SPACES * faulty)
-    sep = draw(st.sampled_from(_SEPS + _BAD_SPACES * faulty))
-    bad_chars = _BAD_IRI_CHARS + _SURROGATES * text
-
-    def iri(pool, close: str = ">") -> str:
-        value = draw(pool)
-        if faulty and draw(st.integers(0, 5)) == 0:
-            cut = draw(st.integers(0, len(value)))
-            value = value[:cut] + draw(st.sampled_from(bad_chars)) + value[cut:]
-        return f"<{value}{close}"
-
-    def statement(kind: str, close: str = ">") -> str:
-        subject = iri(_NODE_IRIS)
-        if kind == "type":
-            if faulty and draw(st.booleans()):
-                obj = '"E31"' + (f"^^{iri(st.just(XSD_NAMESPACE + 'string'))}" if draw(st.booleans()) else "")
-            else:
-                obj = iri(_CLASS_IRIS, close)
-            return f"{subject}{sep}<{RDF_TYPE}>{sep}{obj}"
-        if kind == "node":
-            obj = iri(_NODE_IRIS, close)
-        else:
-            datatype = draw(st.sampled_from(["", XSD_NAMESPACE + "dateTime", XSD_NAMESPACE + "string",
-                                             "https://other.example/dt"]))
-            obj = f'"{draw(literals)}"' + (f"^^{iri(st.just(datatype), close)}" if datatype else "")
-        return f"{subject}{sep}{iri(_PREDICATE_IRIS)}{sep}{obj}"
-
-    if kind == "comment":
-        body = "# " + draw(literals)
-    elif kind == "blank":
-        body = ""
-    elif kind == "bad":
-        body = draw(st.sampled_from(["not a statement", "<a> <b> .", "<a> <b> <c>", "<a b> <c> <d> ."]))
-    elif kind == "open":
-        # An IRI left open at the end of its line, before a valid statement
-        # whose '>' could close it if a match ran on past the LF.
-        shape = draw(st.sampled_from(["subject", "predicate", "node", "type", "literal"]))
-        if shape == "subject":
-            opened = f"<{draw(_NODE_IRIS)}"
-        elif shape == "predicate":
-            opened = f"{iri(_NODE_IRIS)}{sep}<{draw(_PREDICATE_IRIS)}"
-        else:
-            opened = statement(shape, close="")
-        body = opened + "\n" + draw(st.sampled_from([_TYPE_LINE, _STATEMENT.format(sep=" ")]))
-    else:
-        end = f"{sep}." if kind == "type" else f"{draw(st.sampled_from(['', ' ']))}."
-        body = statement(kind) + end
-    return draw(pad) + body + draw(pad)
-
-
-@st.composite
-def _ntriples_documents(draw) -> bytes | str:
-    """Statements, comments and blank lines, CRLF or LF, with or without a
-    last LF; a faulty document may also hold bad lines, escapes and bytes,
-    IRIs that hold a character an IRI may not, and IRIs left open."""
-    faulty, text = draw(st.booleans()), draw(st.booleans())
-    lines = draw(st.lists(_ntriples_lines(faulty, text), max_size=12))
-    document = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
-    if lines and draw(st.booleans()):
-        document = document.removesuffix("\n")
-    if text:
-        return document
-    data = document.encode("utf-8")
-    if draw(st.booleans()):
-        data = codecs.BOM_UTF8 + data
-    if faulty and draw(st.booleans()):
-        cut = draw(st.integers(0, len(data)))
-        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[cut:]
-    return data
-
-
 @settings(max_examples=400, deadline=None)
-@given(data=_ntriples_documents(), size=st.integers(1, 64))
-@example(data=f"{_TYPE_LINE}\r\n\n# c\n{_TYPE_LINE}\n".encode(), size=1)
+@given(data=ntriples_documents(), size=st.integers(1, 64))
+@example(data=f"{TYPE_LINE}\r\n\n# c\n{TYPE_LINE}\n".encode(), size=1)
 @example(data=b"# a\n\n\xff\n", size=64)
 # An IRI left open on the last line of a block, and inside one.
-@example(data=f"{_TYPE_LINE}\n<https://x/a\n{_TYPE_LINE}\n".encode(), size=1)
-@example(data=f"{_TYPE_LINE}\n{_DOC} <{RDF_TYPE}> <https://x/C\n{_TYPE_LINE}\n", size=1)
-@example(data=f"{_TYPE_LINE}\n<https://x/a\n{_TYPE_LINE}\n", size=64)
+@example(data=f"{TYPE_LINE}\n<https://x/a\n{TYPE_LINE}\n".encode(), size=1)
+@example(data=f"{TYPE_LINE}\n{DOC} <{RDF_TYPE}> <https://x/C\n{TYPE_LINE}\n", size=1)
+@example(data=f"{TYPE_LINE}\n<https://x/a\n{TYPE_LINE}\n", size=64)
 def test_block_reader_matches_the_line_at_a_time_reader(data, size):
     schema = builtin_schema()
     expected = _outcome(lambda: _read_line_at_a_time(data, schema))
@@ -751,16 +639,16 @@ def test_block_reader_matches_the_line_at_a_time_reader(data, size):
     "opened",
     [
         "<https://x/a",
-        f"{_DOC} <https://x/p",
-        f"{_DOC} <https://x/p> <https://x/a",
-        f'{_DOC} <https://x/p> "x"^^<https://x/dt',
-        f"{_DOC} <{RDF_TYPE}> <https://x/C",
+        f"{DOC} <https://x/p",
+        f"{DOC} <https://x/p> <https://x/a",
+        f'{DOC} <https://x/p> "x"^^<https://x/dt',
+        f"{DOC} <{RDF_TYPE}> <https://x/C",
     ],
     ids=["subject", "predicate", "object", "datatype", "class"],
 )
 def test_an_iri_left_open_is_refused_at_its_own_line(opened, data_type):
     # The next line's '>' must not close the IRI: no statement spans lines.
-    good = _STATEMENT.format(sep=" ")
+    good = STATEMENT.format(sep=" ")
     data = f"{good}\n{opened}\n{good}\n"
     with pytest.raises(NTriplesParseError) as exc:
         Graph.from_ntriples(data if data_type is str else data.encode(), builtin_schema())
@@ -770,10 +658,10 @@ def test_an_iri_left_open_is_refused_at_its_own_line(opened, data_type):
 @pytest.mark.parametrize(
     "line",
     [
-        f'{_DOC} <{RDF_TYPE}> "E31"^^<https://x/d{{t> .',
-        _TYPE_LINE.replace("E31_Document", "E22_{Human-Made_Object"),
-        f'{_DOC} <https://x/p> "\\x41"^^<https://x/d{{t> .',
-        f'{_DOC} <https://x/p{{> "\\x41" .',
+        f'{DOC} <{RDF_TYPE}> "E31"^^<https://x/d{{t> .',
+        TYPE_LINE.replace("E31_Document", "E22_{Human-Made_Object"),
+        f'{DOC} <https://x/p> "\\x41"^^<https://x/d{{t> .',
+        f'{DOC} <https://x/p{{> "\\x41" .',
         f'<https://x/s{{> <{RDF_TYPE}> "E31" .',
     ],
     ids=["type-literal", "retype", "escape", "escape-predicate", "type-literal-subject"],
@@ -781,7 +669,7 @@ def test_an_iri_left_open_is_refused_at_its_own_line(opened, data_type):
 def test_a_bad_iri_is_the_fault_of_its_line(line):
     # Each line also holds another fault that the reader would raise on its own.
     with pytest.raises(NTriplesParseError) as exc:
-        Graph.from_ntriples(f"{_TYPE_LINE}\n{line}\n", builtin_schema())
+        Graph.from_ntriples(f"{TYPE_LINE}\n{line}\n", builtin_schema())
     assert str(exc.value) == "line 2: not a valid N-Triples statement"
 
 

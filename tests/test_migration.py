@@ -963,13 +963,13 @@ def test_reordered_rule_file_applies_document_rule_first(schema, registry):
 
 def test_rules_are_compiled_once_per_run(schema, registry, rules, monkeypatch):
     compiled = []
-    real = migration._compile_rule
+    real = migration._kernel
 
     def counted(rule, *args):
         compiled.append(rule.rule_no)
         return real(rule, *args)
 
-    monkeypatch.setattr(migration, "_compile_rule", counted)
+    monkeypatch.setattr(migration, "_kernel", counted)
     tree = parse_corpus(corpus_text(synthetic_corpus(random.Random(5), 200)))
     result = migrate_tree(resolve_inheritance(tree), rules, schema, registry)
     assert not result.has_errors and len(result.graph) > 200 * len(rules.rules)
