@@ -15,35 +15,16 @@ from dataclasses import dataclass, field
 
 from . import utf8
 
-# The 26 description elements, by area.
-ELEMENT_NAMES = {
-    "1.1": "Reference code",
-    "1.2": "Title",
-    "1.3": "Dates",
-    "1.4": "Level of description",
-    "1.5": "Extent and medium",
-    "2.1": "Name of creator",
-    "2.2": "Administrative/biographical history",
-    "2.3": "Archival history",
-    "2.4": "Immediate source of acquisition or transfer",
-    "3.1": "Scope and content",
-    "3.2": "Appraisal, destruction and scheduling",
-    "3.3": "Accruals",
-    "3.4": "System of arrangement",
-    "4.1": "Conditions governing access",
-    "4.2": "Conditions governing reproduction",
-    "4.3": "Language/scripts of material",
-    "4.4": "Physical characteristics and technical requirements",
-    "4.5": "Finding aids",
-    "5.1": "Existence and location of originals",
-    "5.2": "Existence and location of copies",
-    "5.3": "Related units of description",
-    "5.4": "Publication note",
-    "6.1": "Note",
-    "7.1": "Archivist's note",
-    "7.2": "Rules or conventions",
-    "7.3": "Date of description",
-}
+# The 26 description elements, one area a line (their names: README's corpus format).
+ELEMENT_IDS = (
+    "1.1", "1.2", "1.3", "1.4", "1.5",
+    "2.1", "2.2", "2.3", "2.4",
+    "3.1", "3.2", "3.3", "3.4",
+    "4.1", "4.2", "4.3", "4.4", "4.5",
+    "5.1", "5.2", "5.3", "5.4",
+    "6.1",
+    "7.1", "7.2", "7.3",
+)
 
 # Atomised sub-fields carrying rule-ready values, in the order they are checked.
 SCALAR_SUBFIELDS = (
@@ -60,17 +41,14 @@ SCALAR_SUBFIELDS = (
 LIST_SUBFIELDS = frozenset({"dimensions", "supports", "languages", "creators"})
 PARENT_FIELD = "parent"
 
-ALLOWED_FIELDS = (
-    frozenset(ELEMENT_NAMES) | frozenset(SCALAR_SUBFIELDS) | LIST_SUBFIELDS | {PARENT_FIELD}
-)
-
-# The fields that hold text when present, with the refusal of each, in the
-# order they are checked.
-_TEXT_FIELDS = (
+# Each allowed field: its rank in the refusal order and, for a field that
+# holds text, its refusal of any other value (the lists are checked apart).
+_FIELDS = {key: (rank, refusal) for rank, (key, refusal) in enumerate((
     (PARENT_FIELD, "parent must be a reference code string"),
-    *((key, f"element {key} must be a string") for key in ELEMENT_NAMES),
+    *((key, f"element {key} must be a string") for key in ELEMENT_IDS),
     *((key, f"field {key} must be a string") for key in SCALAR_SUBFIELDS),
-)
+    *((key, None) for key in sorted(LIST_SUBFIELDS)),
+))}
 
 TITLE_TYPES = frozenset({"formal", "supplied", "absent"})
 DIMENSION_KINDS = frozenset({"dimension", "extension"})
@@ -174,14 +152,20 @@ def _has_surrogate(value: object) -> bool:
     return False
 
 
-def _check_entry(obj: dict, line: int) -> None:
-    for key in obj:
-        if key not in ALLOWED_FIELDS:
+def _check_entry(obj: dict, line: int) -> bool:
+    """Refuse a record's first shape fault in README's order; say whether a field is null."""
+    fault, null = None, False
+    for key, value in obj.items():
+        field = _FIELDS.get(key)
+        if field is None:
             raise CorpusError(f"unknown element id {key!r}", line)
-    for key, refusal in _TEXT_FIELDS:
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            raise CorpusError(refusal, line)
+        if not isinstance(value, str):
+            if value is None:
+                null = True
+            elif field[1] and (fault is None or field < fault):
+                fault = field
+    if fault:
+        raise CorpusError(fault[1], line)
     title_type = obj.get("title_type")
     if title_type and title_type not in TITLE_TYPES:
         raise CorpusError(
@@ -189,9 +173,7 @@ def _check_entry(obj: dict, line: int) -> None:
         )
     for key in ("supports", "languages"):
         items = obj.get(key)
-        if items is None:
-            continue
-        if not isinstance(items, list) or any(not isinstance(i, str) for i in items):
+        if items is not None and not (isinstance(items, list) and all(isinstance(i, str) for i in items)):
             raise CorpusError(f"field {key} must be a list of strings", line)
     dimensions = obj.get("dimensions")
     if dimensions is not None:
@@ -220,20 +202,27 @@ def _check_entry(obj: dict, line: int) -> None:
             for key in ("name", "role"):
                 if key in entry and entry[key] is not None and not isinstance(entry[key], str):
                     raise CorpusError(f"creator {key} must be text", line)
+    return null
 
 
 def parse_corpus(data: bytes | str) -> RecordTree:
     """Parse a JSON Lines corpus into a validated record forest."""
     records: dict[str, IsadRecord] = {}
     lines_by_ref: dict[str, int] = {}
+    scan, text = _DECODER.scan_once, isinstance(data, str)
     for number, raw in utf8.lines(data, CorpusError):
         line = raw.strip()
         if not line:
             continue
         try:
-            if line.startswith("\ufeff"):  # the check json.loads makes before decoding
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-            obj = _DECODER.decode(line)
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:
+                end = None
+            if end != len(line):  # a refusal, which decode raises as json.loads would
+                if line.startswith("\ufeff"):  # the check json.loads makes before decoding
+                    raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                obj = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"invalid JSON ({exc.msg})", number) from None
         except ValueError as exc:  # _finite's refusal, or an int too long to convert
@@ -242,20 +231,19 @@ def parse_corpus(data: bytes | str) -> RecordTree:
             raise CorpusError("JSON nested too deeply", number) from None
         if not isinstance(obj, dict):
             raise CorpusError("record must be a JSON object", number)
-        # Only a \u escape, or a raw surrogate in str input, puts one in a value.
-        if "\\u" in line or _SURROGATE_RE.search(line):
+        # A lone surrogate comes from a \u escape, or raw in str input: UTF-8 bytes hold none.
+        if "\\u" in line or text and _SURROGATE_RE.search(line):
             for key, value in obj.items():
                 if _has_surrogate(key) or _has_surrogate(value):
                     raise CorpusError(f"element {key!r} holds a lone surrogate", number)
-        _check_entry(obj, number)
+        null = _check_entry(obj, number)
         reference = (obj.get("1.1") or "").strip()
         if not reference:
             raise CorpusError("element 1.1 (reference code) is required", number)
         if reference in records:
             raise CorpusError(f"duplicate reference code {reference!r}", number)
-        parent = obj.get(PARENT_FIELD)
-        parent = parent.strip() if isinstance(parent, str) and parent.strip() else None
-        elements = {k: v for k, v in obj.items() if k != PARENT_FIELD and v is not None}
+        parent = (obj.pop(PARENT_FIELD, None) or "").strip() or None
+        elements = {k: v for k, v in obj.items() if v is not None} if null else obj
         records[reference] = IsadRecord(reference, parent, elements)
         lines_by_ref[reference] = number
 
@@ -301,34 +289,40 @@ def resolve_inheritance(
     provenance flag.  The operation is idempotent: elements whose provenance
     is already recorded are left untouched.  One top-down walk resolves each
     record after its parent, whose resolved value is the nearest ancestor's,
-    reading not each inheritable key but the record's non-blank elements and
-    its parent's provenance, which holds a key whose value is not blank.
+    reading not each inheritable key but the record's inheritable elements and
+    its parent's provenance, which holds a key whose value is not blank.  The
+    result shares with ``tree``, which it never alters, what it does not change:
+    a record that gains no provenance, or the elements of one that inherits none.
     """
     keys = frozenset(DEFAULT_INHERITABLE if inheritable is None else inheritable)
     if "1.1" in keys:
         raise CorpusError("element 1.1 (reference code) is per-unit and can never inherit")
-    unknown = sorted(keys - (ALLOWED_FIELDS - {PARENT_FIELD}))
+    unknown = sorted(keys - (_FIELDS.keys() - {PARENT_FIELD}))
     if unknown:
         raise CorpusError(f"cannot inherit unknown element id {', '.join(map(repr, unknown))}")
     resolved: dict[str, IsadRecord] = {}
-    stack: list[tuple[str, IsadRecord | None]] = [(ref, None) for ref in tree.roots]
+    stack: list[tuple] = [(ref, None, None) for ref in tree.roots]
     while stack:
-        reference, parent = stack.pop()
+        reference, parent, via_parent = stack.pop()  # via_parent is Provenance(parent)
         record = tree.records[reference]
-        elements = dict(record.elements)
-        provenance = dict(record.provenance)
-        gained = {key: _OWN for key, value in elements.items()
-                  if key in keys and key not in provenance and not is_blank(value)}
+        elements, provenance = record.elements, record.provenance
+        gained = {key: _OWN for key in keys.intersection(elements)
+                  if key not in provenance and not is_blank(elements[key])}
         if parent is not None:
             for key, source in parent.provenance.items():
                 if key in keys and key not in provenance and key not in gained:
-                    gained[key] = source if source.source else Provenance(parent.reference_code)
-        for key in sorted(gained):
-            source = provenance[key] = gained[key]
-            if source is not _OWN:
-                elements[key] = parent.elements[key]
-        record = resolved[reference] = IsadRecord(
-            record.reference_code, record.parent_reference, elements, provenance
-        )
-        stack.extend((child, record) for child in tree.children[reference])
+                    gained[key] = source if source.source else via_parent
+        if gained:
+            provenance = dict(provenance)
+            for key in sorted(gained):
+                source = provenance[key] = gained[key]
+                if source is not _OWN:  # the first inherited value copies the elements
+                    if elements is record.elements:
+                        elements = dict(elements)
+                    elements[key] = parent.elements[key]
+            record = IsadRecord(record.reference_code, record.parent_reference, elements, provenance)
+        resolved[reference] = record
+        if tree.children[reference]:
+            via = Provenance(reference)
+            stack.extend((child, record, via) for child in tree.children[reference])
     return RecordTree({ref: resolved[ref] for ref in tree.records}, dict(tree.children), tree.roots)

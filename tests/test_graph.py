@@ -5,6 +5,7 @@ import io
 import random
 import re
 from unittest import mock
+from urllib.parse import quote
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from archonto.graph import (
     NodeClassConflict,
     NTriplesParseError,
     _IRI_EXCLUDED,
+    _encode,
     _unescape_literal,
     decode_node,
     record_prefix,
@@ -366,6 +368,21 @@ def test_any_segment_encodes_and_round_trips(term, reference, role, discriminato
     graph.add_triple(doc, "P2", node)
     data = graph.serialize("ntriples")
     assert Graph.from_ntriples(data, schema).serialize("ntriples") == data
+
+
+# ASCII that quote() keeps, escapes, or must not mistake for an escape.
+_ASCII_PIECES = st.sampled_from(
+    ["%", "%2F", "/", "~", " ", "-", ".", "_", "\x00", "\x1f", "\x7f", "a", "Z", "9"]
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_ASCII_PIECES | st.text(max_size=3), max_size=8).map("".join))
+@example("PT/TT/JIM 1")
+@example("Antão, 50% ~/é\u3000\U0001F4DC")
+def test_encode_is_quote_with_nothing_safe(segment):
+    assert _encode.__wrapped__(segment) == quote(segment, safe="")
+    assert _encode(segment) == quote(segment, safe="")
 
 
 def _escape_per_character(text):

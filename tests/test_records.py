@@ -1,5 +1,6 @@
 """Corpus parsing, forest invariants and multilevel inheritance."""
 
+import copy
 import json
 import random
 
@@ -14,6 +15,7 @@ from archonto.records import (
     IsadRecord,
     Provenance,
     RecordTree,
+    SCALAR_SUBFIELDS,
     is_blank,
     parse_corpus,
     resolve_inheritance,
@@ -410,6 +412,162 @@ def test_each_field_refusal_names_its_line_and_exits_2(tmp_path, capsys, record,
     assert not out.exists()
 
 
+# What each field may hold and, for records with shape faults, what it may
+# not.  A null drops a field; a list's fault may sit at any depth its check reads.
+_NOT_TEXT = (7, 1.5, True, [], {}, ["x"])
+_TEXT_OK = ("x", "", "  ", None)
+_GOOD = {
+    "title_type": ("formal", "supplied", "absent", "", None),
+    "supports": ([], ["Paper"], None),
+    "languages": (["Latin", "Greek"], None),
+    "dimensions": ([], [{"value": 3, "unit": "Gram"}], [{"kind": "extension", "value": "2 m"}],
+                   [{"value": None, "unit": None}, {}], None),
+    "creators": ([{"name": "N", "role": "Producer"}], [{"name": None}], [{}], None),
+}
+_BAD = {
+    "title_type": ("fancy", " formal", *_NOT_TEXT),
+    "supports": ("Paper", 3, {}, ["Paper", 7], [None]),
+    "languages": ("Latin", ["Latin", []]),
+    "dimensions": (1, {}, ["1 cm"], [{"kind": "girth"}], [{"kind": []}], [{"value": True}],
+                   [{"value": []}], [{"unit": 2}], [{"value": 1}, {"unit": []}]),
+    "creators": ({}, "N", ["N"], [{"name": 7}], [{"role": []}], [{"name": "N", "role": 1}]),
+}
+_TEXT_KEYS = ("1.2", "1.3", "1.4", "2.2", "3.1", "5.4", "7.3", "production_date_end",
+              "physical_location", "description_last_modification")
+_UNKNOWN_KEYS = ("9.9", "1.10", "Parent", "")
+
+# The 26 element ids by area (5, 4, 4, 5, 4, 1 and 3 elements), in order.
+_ELEMENT_IDS = [f"{area}.{n}" for area, size in enumerate((5, 4, 4, 5, 4, 1, 3), 1)
+                for n in range(1, size + 1)]
+_TEXT_ORDER = (
+    ("parent", "parent must be a reference code string"),
+    *((key, f"element {key} must be a string") for key in _ELEMENT_IDS),
+    *((key, f"field {key} must be a string") for key in SCALAR_SUBFIELDS),
+)
+_ALLOWED = {key for key, _ in _TEXT_ORDER} | set(_GOOD)
+
+
+def _first_refusal(entry: dict) -> str | None:
+    """A record's first shape fault, looked up field by field in the fixed
+    order: unknown keys in line order, the text fields, the title type's
+    value, supports and languages, dimensions, then creators."""
+    for key in entry:
+        if key not in _ALLOWED:
+            return f"unknown element id {key!r}"
+    for key, refusal in _TEXT_ORDER:
+        if entry.get(key) is not None and not isinstance(entry[key], str):
+            return refusal
+    if entry.get("title_type") and entry["title_type"] not in ("formal", "supplied", "absent"):
+        return ("title_type must be one of ['absent', 'formal', 'supplied'], "
+                f"got {entry['title_type']!r}")
+    for key in ("supports", "languages"):
+        items = entry.get(key)
+        if items is not None and not (
+            isinstance(items, list) and all(isinstance(i, str) for i in items)
+        ):
+            return f"field {key} must be a list of strings"
+    if entry.get("dimensions") is not None:
+        if not isinstance(entry["dimensions"], list):
+            return "field dimensions must be a list"
+        for item in entry["dimensions"]:
+            if not isinstance(item, dict):
+                return "dimension entries must be objects"
+            if item.get("kind", "dimension") not in ("dimension", "extension"):
+                return f"dimension kind must be dimension|extension, got {item['kind']!r}"
+            if item.get("value") is not None and type(item["value"]) not in (str, int, float):
+                return "dimension value must be text or a number"
+            if item.get("unit") is not None and not isinstance(item["unit"], str):
+                return "dimension unit must be text"
+    if entry.get("creators") is not None:
+        if not isinstance(entry["creators"], list):
+            return "field creators must be a list"
+        for item in entry["creators"]:
+            if not isinstance(item, dict):
+                return "creator entries must be objects"
+            for key in ("name", "role"):
+                if item.get(key) is not None and not isinstance(item[key], str):
+                    return f"creator {key} must be text"
+    return None
+
+
+@st.composite
+def _faulty_corpora(draw) -> list[dict]:
+    """1-6 records, each linked to an earlier one or to none, with valid
+    fields, nulls and 0-3 faulty fields, all keys in random order."""
+    entries = []
+    for index in range(draw(st.integers(1, 6))):
+        entry = {"1.1": f"R{index}"}
+        for key in draw(st.sets(st.sampled_from((*_TEXT_KEYS, *_GOOD)), max_size=5)):
+            entry[key] = draw(st.sampled_from(_GOOD.get(key, _TEXT_OK)))
+        links = [f" R{i} " for i in range(index)]
+        parent = draw(st.sampled_from([None, "", "  ", "no link", *links]))
+        if parent != "no link":
+            entry["parent"] = parent
+        for _ in range(draw(st.integers(0, 3))):
+            fault = draw(st.sampled_from(("unknown", "parent", "text", *_BAD)))
+            if fault == "unknown":
+                entry[draw(st.sampled_from(_UNKNOWN_KEYS))] = "x"
+            elif fault in ("parent", "text"):
+                key = "parent" if fault == "parent" else draw(st.sampled_from(_TEXT_KEYS))
+                entry[key] = draw(st.sampled_from(_NOT_TEXT))
+            else:
+                entry[fault] = draw(st.sampled_from(_BAD[fault]))
+        entries.append({key: entry[key] for key in draw(st.permutations(list(entry)))})
+    return entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=_faulty_corpora(), as_bytes=st.booleans())
+def test_faulty_records_are_refused_or_parsed_as_the_field_by_field_walk(entries, as_bytes):
+    text = "\n".join(map(json.dumps, entries))
+    data = text.encode("utf-8") if as_bytes else text
+    refusals = [(n, r) for n, r in enumerate(map(_first_refusal, entries), 1) if r is not None]
+    if refusals:
+        line, refusal = refusals[0]
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(data)
+        assert (str(exc.value), exc.value.line) == (f"line {line}: {refusal}", line)
+        return
+    tree = parse_corpus(data)
+    assert [(ref, record.parent_reference, list(record.elements.items()))
+            for ref, record in tree.records.items()] == [
+        (entry["1.1"], (entry.get("parent") or "").strip() or None,
+         [(key, value) for key, value in entry.items() if key != "parent" and value is not None])
+        for entry in entries
+    ]
+
+
+_SURROGATE_REFUSALS = {
+    "escaped in text": ('"1.2": "bad \\ud800 title"', "1.2"),
+    "escaped in a key": ('"\\udfff": "x"', "\udfff"),
+    "escaped in a creator": ('"creators": [{"name": "N \\udc00"}]', "creators"),
+    "raw in text": ('"1.2": "bad \ud800 title"', "1.2"),
+    "raw in a dimension": ('"dimensions": [{"unit": "\udfff"}]', "dimensions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SURROGATE_REFUSALS))
+@pytest.mark.parametrize("as_bytes", [False, True])
+def test_lone_surrogate_is_refused_in_str_and_bytes(case, as_bytes):
+    field, element = _SURROGATE_REFUSALS[case]
+    text = '{"1.1": "A"}\n{"1.1": "B", ' + field + "}\n"
+    if as_bytes:  # a raw surrogate has no UTF-8 form: its bytes are refused first
+        data = text.encode("utf-8", "surrogatepass")
+        if case.startswith("raw"):
+            element = None
+    with pytest.raises(CorpusError) as exc:
+        parse_corpus(data if as_bytes else text)
+    message = (f"element {element!r} holds a lone surrogate" if element is not None
+               else "invalid UTF-8 byte 0xED")
+    assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
+
+
+@pytest.mark.parametrize("data", ['{"1.1": "A", "1.2": "\\ud83d\\udcdc scroll"}',
+                                  b'{"1.1": "A", "1.2": "\\ud83d\\udcdc scroll"}'])
+def test_escaped_surrogate_pair_is_one_character(data):
+    assert parse_corpus(data).record("A").elements["1.2"] == "\U0001F4DC scroll"
+
+
 def _per_key_inheritance(tree: RecordTree, keys) -> dict[str, IsadRecord]:
     """The per-key walk: every record tests every inheritable key, in sorted
     order, against its own value and then its resolved parent's."""
@@ -481,3 +639,15 @@ def test_inheritance_equals_the_per_key_walk_key_order_included(tree, first, sec
     twice = resolve_inheritance(once, second)
     assert _ordered(twice.records) == _ordered(_per_key_inheritance(once, second))
     assert _ordered(resolve_inheritance(once, first).records) == _ordered(once.records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_inheritance_forests(), keys=st.sets(st.sampled_from(_INHERITED_KEYS)))
+def test_inheritance_leaves_its_input_alone_and_copies_what_it_fills(tree, keys):
+    before = copy.deepcopy(tree)
+    resolved = resolve_inheritance(tree, keys)
+    assert _ordered(tree.records) == _ordered(before.records)
+    assert (tree.children, tree.roots) == (before.children, before.roots)
+    for reference, record in resolved.records.items():
+        if any(source.inherited for source in record.provenance.values()):
+            assert record.elements is not tree.records[reference].elements
