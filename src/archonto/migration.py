@@ -9,30 +9,31 @@ When a run starts (``_Run.start``), each rule gets its plan: the rule, its
 kernel and the adapter that yields its firings as plain ``(key, captures,
 terms)`` tuples.  A kernel is one generated Python function, ``fire(ctx,
 app)``, that writes one firing's rows straight into the run's one graph and
-returns their count.  Every kernel opens with the same head (its record's
-prefix, anchors and value owners, and whether a capture or a class term is
-blank), then each path's skip test, node lookups, rows and carrier checks as
-straight-line code.  A variable lives in a local that starts as None, and
+returns their count.  Every kernel opens with the same head (its
+application and its record's prefix, anchors and value owners), then each
+path's skip test, node lookups, rows and carrier checks as straight-line
+code.  A variable lives in a local that starts as None, and
 each use of it is one lookup, made while the local is None.  Input text
 never becomes source: the source holds only the template's text and
 generated names, and every class id, role, IRI prefix, property IRI,
 literal term, variable name, the rule number and the base IRI reach the
-function as values bound to names ``k0``, ``k1``, ...  Each distinct source
-is compiled once per process (``_factory``, an ``lru_cache``), so a run only
-generates text and binds its graph's dicts, its shared-node memo and
-``Graph.register_node`` into a fresh kernel.  A kernel's code has the file
-name ``<archonto rule N>``, so a traceback through it names its rule.  A
-record's rule trace is made only when ``RecordMigration.trace`` is read:
-``migrate_tree`` makes none.
+function as values bound to names ``k0``, ``k1``, ...  Strict mode holds for
+a whole run, so only a strict run's kernels hold its refusals; a record's
+context holds only the record.  Each distinct source is compiled once per
+process (``_factory``, an ``lru_cache``), so a run only generates text and
+binds its graph's dicts, its shared-node memo, ``Graph.register_node`` and,
+if strict, its vocabulary check into a fresh kernel, whose code has the file
+name ``<archonto rule N>``.  A record's rule trace is made only when
+``RecordMigration.trace`` is read: ``migrate_tree`` makes none.
 
 Node identity is deterministic (the README's "IRI scheme" lists the rules):
 the kernels and each record's context hold prefixes built by
 ``graph.record_prefix`` and ``graph.shared_prefix``, and every node the
 engine names is claimed through ``Graph.register_node``, the one check that
 an IRI keeps one class.  A claim that succeeded holds while its node stays
-in the node map, so a shared node is claimed once per run, and again only
-after a refused record's undoing removed it; every other claim is made each
-time its node is named.
+in the node map, so a shared node is claimed, and its claim remembered, by
+one statement once per run, and again only after a refused record's undoing
+removed it; every other claim is made each time its node is named.
 
 Literal emission follows the data-object pattern: when a data property's
 domain is a DataObject class and the current node is not, the engine inserts
@@ -223,33 +224,36 @@ class RecordProblem:
 
 @dataclass
 class _Run:
-    """One migration run: its graph, its rule plans, and what holds for all its
-    records.  ``shared`` maps (shared prefix, term) to the IRI of a claim that
-    succeeded, strict mode's check included, while the node map has the IRI."""
+    """One migration run: its graph and its rule plans, whose kernels hold
+    what holds for all its records (strict mode, the vocabularies and the
+    shared-node memo)."""
 
     graph: Graph
     plans: tuple[_RulePlan, ...]
-    shared: dict[tuple[str, str], str]
 
     @classmethod
-    def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str) -> _Run:
-        graph, shared = Graph(schema, base_iri), {}
-        plans = tuple((rule, _kernel(rule, graph, shared), _adapter(rule))
+    def start(cls, rules: RuleSet, schema: OntologySchema, base_iri: str,
+              registry: VocabularyRegistry, strict: bool) -> _Run:
+        graph = Graph(schema, base_iri)
+        values = dict(register=graph.register_node, nodes=graph._nodes, rows=graph._triples,
+                      memo={}, is_subclass=schema.is_subclass, base=graph.base_iri)
+        if strict:
+            values["contains"] = registry.contains
+        plans = tuple((rule, _kernel(rule, graph, values), _adapter(rule))
                       for rule in rules.application_order)
-        return cls(graph, plans, shared)
+        return cls(graph, plans)
 
 
 class MigrationContext:
-    """Per-record state threaded through rule applications: the anchors (variable
-    -> node IRI), the value-node owners ((class, term) -> rule number), problems."""
+    """Per-record state threaded through rule applications: the record's IRI
+    prefix, the anchors (variable -> node IRI), the value-node owners ((class,
+    term) -> rule number), problems."""
 
-    __slots__ = ("record", "run", "registry", "strict", "prefix", "anchors", "value_owners",
-                 "problems")
+    __slots__ = ("record", "prefix", "anchors", "value_owners", "problems")
 
-    def __init__(self, record: IsadRecord, run: _Run, registry: VocabularyRegistry,
-                 strict: bool = False) -> None:
-        self.record, self.run, self.registry, self.strict = record, run, registry, strict
-        self.prefix = record_prefix(run.graph.base_iri, record.reference_code)
+    def __init__(self, record: IsadRecord, base_iri: str) -> None:
+        self.record = record
+        self.prefix = record_prefix(base_iri, record.reference_code)
         self.anchors, self.value_owners, self.problems = {}, {}, []
 
     def warn(self, message: str) -> None:
@@ -275,13 +279,11 @@ _RulePlan = tuple[MdlRule, _Kernel, _Adapter]
 # What a kernel reads of its run, bound when the run starts.
 _RUN_NAMES = ("register", "nodes", "rows", "memo", "is_subclass", "base")
 
-# The head of every firing: its application, what it reads of its record's
-# context, and whether a capture or a class term is blank (the empty
-# class-term map is not searched).
+# The head of every firing: its application and what it reads of its
+# record's context.
 _HEAD = (
     "        key, captures, terms = app",
     "        prefix, anchors, owners = ctx.prefix, ctx.anchors, ctx.value_owners",
-    "        blank = '' in captures.values() or terms and '' in terms.values()",
 )
 
 
@@ -296,10 +298,12 @@ class _KernelSource:
     (``values``).  A variable lives in a local ``v<i>``, None at the top of
     the firing, and each use of it is looked up while the local is None; only
     the selector's captures are looked for among an application's captures,
-    as those are the only names an application can carry."""
+    as those are the only names an application can carry.  Only a strict
+    run's source holds strict mode's refusals."""
 
-    def __init__(self, rule: MdlRule, paths: tuple) -> None:
+    def __init__(self, rule: MdlRule, paths: tuple, strict: bool) -> None:
         self.values: dict[str, object] = {}
+        self._strict = strict
         self._names: dict[tuple[type, object], str] = {}
         self._rule = self.k(rule.rule_no)
         self._captures = frozenset(rule.selector.captures)
@@ -311,7 +315,8 @@ class _KernelSource:
         if rule.selector.name == "ISAD":
             self._anchor(paths)
         total = self.k(sum(len(hops) for _, hops, _, _ in paths))
-        head = [f"def kernel({', '.join((*self.values, *_RUN_NAMES))}):", "    def fire(ctx, app):",
+        run_names = (*_RUN_NAMES, "contains") if strict else _RUN_NAMES
+        head = [f"def kernel({', '.join((*self.values, *run_names))}):", "    def fire(ctx, app):",
                 *_HEAD]
         if self._locals:
             head.append(f"        {' = '.join(self._locals.values())} = None")
@@ -340,7 +345,7 @@ class _KernelSource:
         depth = 1
         if tests:
             test = tests[0] if len(tests) == 1 else f"({' or '.join(tests)})"
-            self._line(1, f"if blank and {test}:")
+            self._line(1, f"if {test}:")
             self._line(2, f"count -= {self.k(len(hops))}")
             self._line(1, "else:")
             depth = 2
@@ -353,18 +358,16 @@ class _KernelSource:
         k = self.k
         if step.kind is not _EMIT:
             target = self._node_local(step, depth)
-            if mismatch is not None:
-                self._line(depth, "if ctx.strict:")
-                self._line(depth + 1, f"raise MigrationError({k(mismatch + 'node ')} + {target})")
+            if mismatch is not None and self._strict:
+                self._line(depth, f"raise MigrationError({k(mismatch + 'node ')} + {target})")
             self._line(depth, f"rows[{subject}, {k(predicate)}, 0, {target}, ''] = None")
             return target
         var = k(step.var)
         self._line(depth, f"if {var} not in captures:")
         self._line(depth + 1, f"raise UnboundVariableError({var})")
         self._line(depth, f"text = captures[{var}]")
-        if mismatch is not None:
-            self._line(depth, "if ctx.strict:")
-            self._line(depth + 1, f"raise MigrationError({k(mismatch + 'literal ')} + repr(text))")
+        if mismatch is not None and self._strict:
+            self._line(depth, f"raise MigrationError({k(mismatch + 'literal ')} + repr(text))")
         row = f"{k(predicate)}, 1, text, {k(datatype)}] = None"
         if carrier is None:
             self._line(depth, f"rows[{subject}, {row}")
@@ -445,13 +448,19 @@ class _KernelSource:
 
     def _valued(self, step: _Step, depth: int, target: str) -> str:
         """The node of the stripped ``term``: under E55 shared corpus-wide and
-        claimed once per run, else a value node of the rule that owns the term."""
+        claimed once per run (after a strict run's vocabulary check), else a
+        value node of the rule that owns the term."""
         k, class_id = self.k, self.k(step.class_id)
         if step.shared is not None:
             shared = k(step.shared)
             self._line(depth, f"{target} = memo.get(({shared}, term))")
             self._line(depth, f"if {target} not in nodes:")
-            self._line(depth + 1, f"{target} = claim(ctx, {shared}, {class_id}, term)")
+            if self._strict:
+                refusal = f"{k('term ')} + repr(term) + {k(' is not in the vocabulary bound to ')}"
+                self._line(depth + 1, f"if contains({class_id}, term) is False:")
+                self._line(depth + 2, f"raise MigrationError({refusal} + {class_id})")
+            claim = f"memo[{shared}, term] = register({shared} + enc(term), {class_id})"
+            self._line(depth + 1, f"{target} = {claim}")
             return target
         own, other = k(step.role + "/"), k(step.alt_role + "/")
         owner = f"owners.setdefault(({class_id}, term), {self._rule})"
@@ -468,35 +477,23 @@ class _KernelSource:
             self._line(2, f"anchors[{self.k(var)}] = {self._locals[var]}")
 
 
-def _claim(ctx: MigrationContext, prefix: str, class_id: str, term: str) -> str:
-    """Claim the shared node of ``term`` under ``prefix``, after strict mode's
-    vocabulary check, and remember the claim for the run."""
-    if ctx.strict and ctx.registry.contains(class_id, term) is False:
-        raise MigrationError(f"term {term!r} is not in the vocabulary bound to {class_id}")
-    run = ctx.run
-    iri = run.graph.register_node(prefix + _encode(term), class_id)
-    run.shared[prefix, term] = iri
-    return iri
-
-
 @lru_cache(maxsize=256)
 def _factory(source: str, filename: str) -> Callable[..., _Kernel]:
     """Compile each distinct kernel source once per process.  The function it
     defines takes a run's values, and returns the kernel bound to them."""
-    namespace = {"claim": _claim, "enc": _encode, "record_prefix": record_prefix,
+    namespace = {"enc": _encode, "record_prefix": record_prefix,
                  "MigrationError": MigrationError, "UnboundVariableError": UnboundVariableError}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
 
 
-def _kernel(rule: MdlRule, graph: Graph, memo: dict) -> _Kernel:
-    """The firing function of ``rule`` bound to one run's graph and shared-node
-    memo; a traceback through it names the rule as ``<archonto rule N>``."""
-    source = _KernelSource(rule, _paths(rule, graph))
+def _kernel(rule: MdlRule, graph: Graph, run_values: dict[str, object]) -> _Kernel:
+    """The firing function of ``rule`` bound to one run's values, a strict
+    one if they hold the vocabulary check, ``contains``; a traceback through
+    it names the rule as ``<archonto rule N>``."""
+    source = _KernelSource(rule, _paths(rule, graph), "contains" in run_values)
     bind = _factory(source.text, f"<archonto rule {rule.rule_no}>")
-    return bind(**source.values, register=graph.register_node, nodes=graph._nodes,
-                rows=graph._triples, memo=memo, is_subclass=graph.schema.is_subclass,
-                base=graph.base_iri)
+    return bind(**source.values, **run_values)
 
 
 # -- selector adapters ---------------------------------------------------------
@@ -699,10 +696,11 @@ def migrate_record(record: IsadRecord, rules: RuleSet, schema: OntologySchema,
     """Apply the rule set to one (already resolved) record; a rule's migration
     or graph error is raised as ``MigrationError("rule N (key): reason")``, and
     an empty reference code as ``GraphError`` before any rule fires.
-    Without ``run`` (see :class:`_Run`), a run of this one record is made."""
+    Without ``run`` (see :class:`_Run`), a run of this one record is made;
+    a given run's base IRI, vocabularies and strictness hold."""
     if run is None:
-        run = _Run.start(rules, schema, base_iri)
-    ctx = MigrationContext(record, run, registry, strict)
+        run = _Run.start(rules, schema, base_iri, registry, strict)
+    ctx = MigrationContext(record, run.graph.base_iri)
     fired: list = []
     for rule, fire, adapter in run.plans:
         apps = adapter(ctx, rule)
@@ -748,15 +746,14 @@ def migrate_tree(tree: RecordTree, rules: RuleSet, schema: OntologySchema,
     """Migrate every record of a resolved tree into one deterministic graph.
     A record that raises is undone, and adds only one ``error`` problem; with
     ``fail_fast`` it stops the run."""
-    run = _Run.start(rules, schema, base_iri)
+    run = _Run.start(rules, schema, base_iri, registry, strict)
     graph = run.graph
     problems: list[RecordProblem] = []
     for reference in sorted(tree.records):
         record = tree.records[reference]
         marks = len(graph._nodes), len(graph._triples)
         try:
-            outcome = migrate_record(record, rules, schema, registry, base_iri=base_iri,
-                                     strict=strict, run=run)
+            outcome = migrate_record(record, rules, schema, registry, run=run)
             attach_isad_fallback(record, graph)
         except (MigrationError, GraphError) as exc:
             # A record only adds to both insertion-ordered dicts: pop back to the marks.

@@ -51,13 +51,12 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
         rows.sort(key=lambda row: (-row[2], row[1]))
         return tuple(rows)
 
+    properties = ranked(property_tally, schema.has_property, schema.property_def)
     totals: dict[str, int] = {}
-    for identifier, count in property_tally.items():
-        ontology = _ontology_of(schema.has_property, schema.property_def, identifier)
+    for ontology, _, count in properties:
         totals[ontology] = totals.get(ontology, 0) + count
     return UsageReport(
-        ranked(class_tally, schema.has_class, schema.class_def),
-        ranked(property_tally, schema.has_property, schema.property_def),
+        ranked(class_tally, schema.has_class, schema.class_def), properties,
         tuple(sorted(totals.items())),
     )
 

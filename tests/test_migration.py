@@ -42,6 +42,7 @@ from conftest import (
     synthetic_corpus,
     with_defects,
 )
+from reference_mdl import migrate_tree_reference
 
 
 def migrate(record, rules, schema, registry, rule_nos=None, strict=False):
@@ -1161,28 +1162,88 @@ def test_random_rule_sets_migrate_the_same_in_any_record_order(
         assert re.fullmatch(r"rule \d+ \([^)]*\): .+", message, re.S), message
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rules_seed=st.integers(min_value=0, max_value=2**32),
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=1, max_value=25),
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
+    blanks=st.sets(st.integers(min_value=0, max_value=24), max_size=6),
+    echoes=st.sets(st.integers(min_value=0, max_value=24), max_size=6),
+    strict=st.booleans(),
+)
+def test_rule_sets_migrate_as_their_paths_walked_step_by_step(
+    schema, registry, rules, rules_seed, seed, size, dates, bogus, blanks, echoes, strict
+):
+    """The generated kernels against tests/reference_mdl.py, which walks each
+    path of each rule one step at a time, for a random rule set (drawn from a
+    seed, for variety over shrinking) and the built-in rules.  A physical
+    location that repeats the reference code is an identifier of two rules."""
+    rng = random.Random(rules_seed)
+    random_rules = parse_mdl(random_ruleset_text(rng, schema, rng.randint(2, 5)), schema)
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    for index in blanks & set(range(size)):
+        entries[index]["creators"] = [{"name": "Lino"}]
+        entries[index]["dimensions"] = [{"unit": "Gram"}, {"value": "7", "kind": "extension"}]
+    for index in echoes & set(range(size)):
+        entries[index]["physical_location"] = entries[index]["1.1"]
+    tree = resolve_inheritance(parse_corpus(corpus_text(entries)))
+    for ruleset in (random_rules, rules):
+        result = migrate_tree(tree, ruleset, schema, registry, strict=strict)
+        graph, problems = migrate_tree_reference(tree, ruleset, schema, registry, strict=strict)
+        assert dict(result.graph.node_index) == graph._nodes
+        assert set(result.graph._triples) == set(graph._triples)
+        assert list(result.problems) == problems
+
+
 # Every name a kernel's template writes, besides Python's keywords and the
 # generated names k<i> (values), v<i> (variables) and n<i> (nodes).
 _TEMPLATE_NAMES = {
     "kernel", "fire", "ctx", "app", "key", "captures", "terms", "prefix", "anchors", "owners",
-    "value_owners", "strict", "ekey", "enc", "count", "blank", "values", "get", "strip",
-    "setdefault", "term", "text", "role", "repr", "register", "nodes", "rows", "memo",
-    "is_subclass", "base", "claim", "record_prefix", "MigrationError", "UnboundVariableError",
+    "value_owners", "enc", "count", "get", "strip", "setdefault", "term", "text", "role",
+    "repr", "register", "nodes", "rows", "memo", "is_subclass", "base", "contains",
+    "record_prefix", "MigrationError", "UnboundVariableError",
 }
 
 
-def test_kernel_source_holds_only_template_text_and_generated_names(schema, rules):
+def _kernel_sources(ruleset, schema, strict):
     graph = Graph(schema, "https://x.org/'fire'/")
-    for rule in (*rules.rules, *parse_mdl(HOSTILE_RULES, schema).rules):
-        source = migration._KernelSource(rule, migration._paths(rule, graph)).text
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type == tokenize.NAME:
-                assert (keyword.iskeyword(token.string) or token.string in _TEMPLATE_NAMES
-                        or re.fullmatch(r"[knv][0-9]+", token.string)), token
-            elif token.type == tokenize.STRING:
-                assert token.string == "''", token
-            elif token.type == tokenize.NUMBER:
-                assert token.string in ("0", "1"), token
-            else:
-                assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.INDENT,
-                                      tokenize.DEDENT, tokenize.NL, tokenize.ENDMARKER), token
+    return [migration._KernelSource(rule, migration._paths(rule, graph), strict).text
+            for rule in ruleset.rules]
+
+
+def test_kernel_source_holds_only_template_text_and_generated_names(schema, rules):
+    hostile = parse_mdl(HOSTILE_RULES, schema)
+    for ruleset, strict in itertools.product((rules, hostile), (False, True)):
+        for source in _kernel_sources(ruleset, schema, strict):
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type == tokenize.NAME:
+                    assert (keyword.iskeyword(token.string) or token.string in _TEMPLATE_NAMES
+                            or re.fullmatch(r"[knv][0-9]+", token.string)), token
+                elif token.type == tokenize.STRING:
+                    assert token.string == "''", token
+                elif token.type == tokenize.NUMBER:
+                    assert token.string in ("0", "1"), token
+                else:
+                    assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.INDENT,
+                                          tokenize.DEDENT, tokenize.NL, tokenize.ENDMARKER), token
+
+
+def test_only_strict_kernels_hold_strict_refusals(schema, rules):
+    """Strictness picks the statements the generator writes: a shared node's
+    vocabulary check (HOSTILE_RULES' ARE5 literal) and a range-kind refusal
+    (a title on P128) are in a strict run's source alone."""
+    hostile = parse_mdl(HOSTILE_RULES, schema)
+    title_on_p128 = _builtin_rules_with(
+        schema, rules, (_TITLE_PATH, "$D1 -> P128 is carried by -> T")).subset(4)
+    sources = {(ruleset, strict): "".join(_kernel_sources(ruleset, schema, strict))
+               for ruleset in (hostile, title_on_p128) for strict in (False, True)}
+    for (_, strict), source in sources.items():
+        assert ("contains" in source or "MigrationError" in source) is strict
+    assert "if contains(" in sources[hostile, True]
+    assert "raise MigrationError(" in sources[title_on_p128, True]
+    assert "contains(" not in sources[title_on_p128, True]
+    for strict in (False, True):
+        for source in _kernel_sources(rules, schema, strict):
+            assert "ctx.strict" not in source and "claim(" not in source
