@@ -198,3 +198,65 @@ def test_random_rule_set_output_bytes_are_pinned(schema, registry, corpus, stric
         digest.update(result.graph.serialize())
         digest.update("".join(line + "\n" for line in result.report_lines()).encode("utf-8"))
     assert digest.hexdigest() == RANDOM_RULE_PINS[corpus, strict]
+
+
+# A small foreign graph with one row of each kind the triple check judges: a
+# subject outside the domain, a literal on a node range, a node on a literal
+# range, an object class outside the range, a foreign and an untyped object,
+# a bad dateTime, an undeclared predicate, and P3 named by its bare id beside
+# its full IRI.  Literals hold braces and a percent sign, which a message
+# must carry as they are.
+_CRM, _ARCH = "http://www.cidoc-crm.org/cidoc-crm/", "https://example.org/archonto/"
+_TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+_DOC, _HMO = f"<{_ARCH}F/e31/1>", f"<{_ARCH}F/e22/1>"
+_SPAN, _OTHER = f"<{_ARCH}F/doe11/1>", "<https://other.example/x>"
+FOREIGN_GRAPH = "".join(line + " .\n" for line in (
+    f"{_DOC} {_TYPE} <{_CRM}E31_Document>",
+    f"{_HMO} {_TYPE} <{_CRM}E22_Human-Made_Object>",
+    f"{_SPAN} {_TYPE} <{_ARCH}ontology/DOE11_Interval>",
+    f"{_OTHER} {_TYPE} <https://other.example/C>",
+    f'{_HMO} <{_ARCH}ontology/ISAD1_has_title> "title"',
+    f'{_DOC} <{_CRM}P128_is_carried_by> "{{0}} 100%"',
+    f"{_DOC} <{_ARCH}ontology/ISAD1_has_title> {_HMO}",
+    f"{_DOC} <{_CRM}P128_is_carried_by> {_DOC}",
+    f"{_DOC} <{_CRM}P128_is_carried_by> {_OTHER}",
+    f"{_DOC} <{_CRM}P128_is_carried_by> <https://other.example/untyped>",
+    f'{_SPAN} <{_ARCH}ontology/DOP6_startDateValue> "{{1809}}-13-01T00:00:00"'
+    f"^^<http://www.w3.org/2001/XMLSchema#dateTime>",
+    f'{_DOC} <https://other.example/p> "v"',
+    f"{_HMO} <P3> {_DOC}",
+    f'{_DOC} <{_CRM}P3_has_note> "note"',
+))
+
+# name -> (arguments after the subcommand, exit status, SHA-256 of the --out file)
+FOREIGN_PINS = {
+    "validate-in-text": (
+        ["validate"],
+        1,
+        "614ea9bc414650fb9b62a53cd55cd81a17bcc63da29e6f617112675ab8796e12",
+    ),
+    "validate-in-tsv": (
+        ["validate", "--format", "tsv"],
+        1,
+        "1b822136acbe37775ccf6b00de973696dede12f5627b5663cbfb8ec3f9b8121d",
+    ),
+    "stats-in-table": (
+        ["stats"],
+        0,
+        "ed59dda92a455cce230e00706480641b15783d5e9c798876e203e145cf13caa7",
+    ),
+    "stats-in-tsv": (
+        ["stats", "--format", "tsv"],
+        0,
+        "4ce5e1f19caf78b7eda5aac1ba866d522e24e3a940531b20577184a4c47fd31b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_PINS))
+def test_foreign_graph_inspection_bytes_are_pinned(tmp_path, name):
+    argv, exit_pin, out_pin = FOREIGN_PINS[name]
+    graph, out = tmp_path / "g.nt", tmp_path / "out.txt"
+    graph.write_text(FOREIGN_GRAPH, encoding="utf-8")
+    code = main([*argv, "--in", str(graph), "--out", str(out)])
+    assert (code, _sha256(out)) == (exit_pin, out_pin)
