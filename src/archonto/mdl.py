@@ -127,12 +127,6 @@ class RuleSet:
         then the rest, each group in declaration order."""
         return tuple(sorted(self.rules, key=lambda rule: rule.selector.name != "ISAD"))
 
-    def rule(self, rule_no: int) -> MdlRule:
-        for rule in self.rules:
-            if rule.rule_no == rule_no:
-                return rule
-        raise KeyError(rule_no)
-
     def subset(self, *rule_nos: int) -> RuleSet:
         return RuleSet(tuple(rule for rule in self.rules if rule.rule_no in rule_nos))
 

@@ -352,14 +352,18 @@ class _KernelSource:
         subject = self._node_local(start, depth)
         for hop in hops:
             subject = self._hop(depth, subject, *hop)
+            if subject is None:
+                break
 
     def _hop(self, depth: int, subject: str, predicate: str, step: _Step, datatype: str,
-             mismatch: str | None, carrier: tuple | None) -> str:
+             mismatch: str | None, carrier: tuple | None) -> str | None:
+        """The next hop's subject, or None after a strict refusal, which ends the path."""
         k = self.k
         if step.kind is not _EMIT:
             target = self._node_local(step, depth)
             if mismatch is not None and self._strict:
                 self._line(depth, f"raise MigrationError({k(mismatch + 'node ')} + {target})")
+                return None
             self._line(depth, f"rows[{subject}, {k(predicate)}, 0, {target}, ''] = None")
             return target
         var = k(step.var)
@@ -368,6 +372,7 @@ class _KernelSource:
         self._line(depth, f"text = captures[{var}]")
         if mismatch is not None and self._strict:
             self._line(depth, f"raise MigrationError({k(mismatch + 'literal ')} + repr(text))")
+            return None
         row = f"{k(predicate)}, 1, text, {k(datatype)}] = None"
         if carrier is None:
             self._line(depth, f"rows[{subject}, {row}")
@@ -472,7 +477,7 @@ class _KernelSource:
         """The document rule's bindings become the record's anchors."""
         bound = [s.var for start, hops, _, _ in paths for s in (start, *(h[1] for h in hops))
                  if s.kind is BindMode.ASSIGN]
-        for var in dict.fromkeys(bound):
+        for var in dict.fromkeys(v for v in bound if v in self._locals):
             self._line(1, f"if {self._locals[var]} is not None:")
             self._line(2, f"anchors[{self.k(var)}] = {self._locals[var]}")
 

@@ -356,13 +356,6 @@ class OntologySchema:
 
     # -- hierarchy -------------------------------------------------------
 
-    def ancestors(self, identifier: str) -> tuple[str, ...]:
-        """Ancestor class identifiers from parent upward (exclusive)."""
-        try:
-            return self._lineage[identifier][1:]
-        except KeyError:
-            raise UnknownClassError(identifier) from None
-
     def is_subclass(self, child: str, ancestor: str) -> bool:
         """Reflexive-transitive subclass test over the class hierarchy."""
         self.class_def(ancestor)

@@ -111,12 +111,6 @@ class RecordTree:
     children: dict[str, tuple[str, ...]]
     roots: tuple[str, ...]
 
-    def record(self, reference: str) -> IsadRecord:
-        return self.records[reference]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 

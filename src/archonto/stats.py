@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -25,13 +24,6 @@ class UsageReport:
         return sum(count for _, count in self.ontology_totals)
 
 
-def _ontology_of(has: Callable[[str], bool], definition: Callable, identifier: str) -> str:
-    """The source ontology of a class or property, by that kind's lookups."""
-    if has(identifier):
-        return definition(identifier).source.value
-    return UNKNOWN_BUCKET
-
-
 def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageReport:
     """Tally node classes and triple properties, grouped by source ontology.
 
@@ -43,20 +35,18 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     # Rows by property id, a foreign predicate keeping its IRI.
     property_tally = {p: len(rows) for p, rows in graph._rows_by_predicate().items()}
 
-    def ranked(tally: dict[str, int], has, definition) -> tuple[tuple[str, str, int], ...]:
-        rows = [
-            (_ontology_of(has, definition, identifier), identifier, count)
-            for identifier, count in tally.items()
-        ]
+    def ranked(tally: dict[str, int], terms) -> tuple[tuple[str, str, int], ...]:
+        sources = {term.identifier: term.source.value for term in terms}
+        rows = [(sources.get(i, UNKNOWN_BUCKET), i, count) for i, count in tally.items()]
         rows.sort(key=lambda row: (-row[2], row[1]))
         return tuple(rows)
 
-    properties = ranked(property_tally, schema.has_property, schema.property_def)
+    properties = ranked(property_tally, schema.properties)
     totals: dict[str, int] = {}
     for ontology, _, count in properties:
         totals[ontology] = totals.get(ontology, 0) + count
     return UsageReport(
-        ranked(class_tally, schema.has_class, schema.class_def), properties,
+        ranked(class_tally, schema.classes), properties,
         tuple(sorted(totals.items())),
     )
 

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 
 from .graph import SHARED_SEGMENT, Graph, _Row, record_prefix
-from .ontology import LITERAL_RANGES, OntologySchema, XSD_DATETIME
+from .ontology import LITERAL_RANGES, OntologySchema, PropertyDef, XSD_DATETIME
 from .vocabulary import LEVEL_CLASS, LevelNestingGraph, VocabularyRegistry
 
 ERROR = "error"
@@ -93,10 +93,6 @@ class ValidationReport:
     def warning_count(self) -> int:
         return sum(1 for f in self.findings if f.severity == WARNING)
 
-    @property
-    def errors(self) -> tuple[ValidationFinding, ...]:
-        return tuple(f for f in self.findings if f.severity == ERROR)
-
     def lines(self) -> list[str]:
         return [finding.line() for finding in self.findings]
 
@@ -117,10 +113,42 @@ _Index = dict[str, list[_Row]]
 
 _Findings = list[ValidationFinding]
 
+# A finding that every row of one kind gets: its code, the judged text, and
+# how the row's object ends the message (str or repr), or None if it does not.
+_Judged = tuple[str, str, Callable[[str], str] | None]
+
 
 def _within(schema: OntologySchema, class_id: str, ancestor: str) -> bool | None:
     """Whether a class lies within an ancestor; None for an empty or unknown class."""
     return schema.is_subclass(class_id, ancestor) if schema.has_class(class_id) else None
+
+
+def _judge(
+    schema: OntologySchema,
+    predicate: str,
+    prop: PropertyDef | None,
+    subject_class: str,
+    object_class: str | None,
+) -> tuple[_Judged, ...]:
+    """The findings every row of one kind of a predicate's rows gets; an
+    undeclared predicate (no ``prop``) is judged like any other."""
+    if prop is None:
+        return ((UNKNOWN_PROPERTY, f"property {predicate} is not declared in the schema", None),)
+    judged = []
+    if _within(schema, subject_class, prop.domain) is False:
+        judged.append((DOMAIN_VIOLATION, f"subject class {subject_class} is outside the "
+                       f"domain {prop.domain} of {predicate}", None))
+    if prop.range in LITERAL_RANGES:
+        if object_class is not None:
+            judged.append((RANGE_VIOLATION, f"{predicate} expects a {prop.range} literal, "
+                           "found node ", str))
+    elif object_class is None:
+        judged.append((RANGE_VIOLATION, f"{predicate} expects a {prop.range} node, "
+                       "found literal ", repr))
+    elif _within(schema, object_class, prop.range) is False:
+        judged.append((RANGE_VIOLATION, f"object class {object_class} is outside the "
+                       f"range {prop.range} of {predicate}", None))
+    return tuple(judged)
 
 
 def _check_triples(
@@ -130,73 +158,26 @@ def _check_triples(
     out: _Findings,
 ) -> None:
     for predicate, rows in index.items():
-        if not schema.has_property(predicate):
-            for subject, *_ in rows:
-                out.append(ValidationFinding(
-                    UNKNOWN_PROPERTY,
-                    subject,
-                    predicate,
-                    f"property {predicate} is not declared in the schema",
-                ))
-            continue
-        prop = schema.property_def(predicate)
-        literal_range = prop.range in LITERAL_RANGES
-        # A predicate's rows hold few distinct (subject class, object class)
-        # pairs, None standing for a literal object.  Each pair is judged once,
-        # and the rows are walked only to report a pair at fault or to check
-        # the lexical form of dateTime literals.
-        pairs = {
-            (nodes[subject], None if literal else nodes[obj])
-            for subject, _, literal, obj, _ in rows
-        }
-        outside_domain = {s for s, _ in pairs if _within(schema, s, prop.domain) is False}
-        outside_range = set() if literal_range else {
-            o for _, o in pairs if o is not None and _within(schema, o, prop.range) is False
-        }
-        misplaced = any((o is None) is not literal_range for _, o in pairs)
-        if not (outside_domain or outside_range or misplaced or prop.range == XSD_DATETIME):
-            continue
-        for subject, _, literal, obj, _ in rows:
-            subject_class = nodes[subject]
-            if subject_class in outside_domain:
-                out.append(ValidationFinding(
-                    DOMAIN_VIOLATION,
-                    subject,
-                    predicate,
-                    f"subject class {subject_class} is outside the "
-                    f"domain {prop.domain} of {predicate}",
-                ))
-            if literal_range:
-                if not literal:
-                    out.append(ValidationFinding(
-                        RANGE_VIOLATION,
-                        subject,
-                        predicate,
-                        f"{predicate} expects a {prop.range} literal, found node {obj}",
-                    ))
-                elif prop.range == XSD_DATETIME and not validate_datetime(obj):
+        # A predicate's rows are of few kinds: (subject class, object class),
+        # None standing for a literal object.  Each kind is judged once, and
+        # the rows are walked again only if some kind is at fault, and to
+        # check the lexical form of dateTime literals.
+        kinds = {(nodes[s], None if literal else nodes[o]) for s, _, literal, o, _ in rows}
+        prop = schema.property_def(predicate) if schema.has_property(predicate) else None
+        table = {kind: _judge(schema, predicate, prop, *kind) for kind in kinds}
+        if any(table.values()):
+            for subject, _, literal, obj, _ in rows:
+                for code, text, shown in table[nodes[subject], None if literal else nodes[obj]]:
+                    message = text if shown is None else text + shown(obj)
+                    out.append(ValidationFinding(code, subject, predicate, message))
+        if prop is not None and prop.range == XSD_DATETIME:
+            for subject, _, literal, obj, _ in rows:
+                if literal and not validate_datetime(obj):
                     out.append(ValidationFinding(
                         DATETIME_LEXICAL,
                         subject,
                         predicate,
-                        f"literal {obj!r} does not match YYYY-MM-DDThh:mm:ss",
-                    ))
-            elif literal:
-                out.append(ValidationFinding(
-                    RANGE_VIOLATION,
-                    subject,
-                    predicate,
-                    f"{predicate} expects a {prop.range} node, found literal {obj!r}",
-                ))
-            else:
-                object_class = nodes[obj]
-                if object_class in outside_range:
-                    out.append(ValidationFinding(
-                        RANGE_VIOLATION,
-                        subject,
-                        predicate,
-                        f"object class {object_class} is outside the "
-                        f"range {prop.range} of {predicate}",
+                        "literal " + repr(obj) + " does not match YYYY-MM-DDThh:mm:ss",
                     ))
 
 

@@ -40,9 +40,6 @@ class VocabularyRegistry:
                     raise VocabularyError(f"vocabulary {class_id!r}: duplicate term {term!r}")
                 bucket[term] = None
 
-    def has(self, class_id: str) -> bool:
-        return class_id in self._by_class
-
     def vocabulary(self, class_id: str) -> tuple[str, ...] | None:
         terms = self._by_class.get(class_id)
         return None if terms is None else tuple(terms)

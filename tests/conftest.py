@@ -249,15 +249,18 @@ HOSTILE_RULES = (
 )
 
 
-def random_ruleset_text(rng: random.Random, schema, rule_count: int) -> str:
+def random_ruleset_text(
+    rng: random.Random, schema, rule_count: int, document_rule: bool = False
+) -> str:
     """Generate syntactically valid MDL text (alternation and hygiene respected).
     Most selectors are ones the engine fires, with the number of captures its
     adapter fills, so the rules reach the engine; a few are unknown names.
-    Half the sets start with the built-in document rule."""
+    Half the sets start with the built-in document rule, every set with
+    ``document_rule``; the random draws are the same either way."""
     class_ids = sorted(c.identifier for c in schema.classes)
     prop_ids = sorted(p.identifier for p in schema.properties)
     blocks = []
-    if rng.random() < 0.5:  # the built-in document rule, which binds the anchors
+    if rng.random() < 0.5 or document_rule:  # the built-in rule that binds the anchors
         blocks.append(render_mdl(builtin_rules().subset(1), schema).rstrip("\n"))
     for rule_no in range(len(blocks) + 1, rule_count + 1):
         if rng.random() < 0.1:

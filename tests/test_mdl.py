@@ -19,6 +19,10 @@ def schema():
     return builtin_schema()
 
 
+# The built-in rules by number.
+BUILTIN = {rule.rule_no: rule for rule in builtin_rules().rules}
+
+
 def test_parse_formal_title_path(schema):
     ruleset = parse_mdl(
         "RULE 5: $D1 -> Formal Title{FT} =>\n"
@@ -159,7 +163,7 @@ def test_builtin_has_eighteen_rules():
 
 
 def test_builtin_rule_11_shape():
-    rule = builtin_rules().rule(11)
+    rule = BUILTIN[11]
     (path,) = rule.paths
     assert [s.ident for s in path] == [None, "P45", "E57"]
     assert path[0].binding.value == "HMO1"
@@ -168,7 +172,7 @@ def test_builtin_rule_11_shape():
 
 
 def test_builtin_rule_17_shape():
-    rule = builtin_rules().rule(17)
+    rule = BUILTIN[17]
     (path,) = rule.paths
     assert path[1].ident == "P165"
     assert path[2].binding.mode is BindMode.DEREF
@@ -176,7 +180,7 @@ def test_builtin_rule_17_shape():
 
 
 def test_builtin_rule_7_shape():
-    rule = builtin_rules().rule(7)
+    rule = BUILTIN[7]
     assert rule.selector.captures == ("SD", "ED")
     assert any(
         step.ident == "DOE11"
@@ -188,7 +192,7 @@ def test_builtin_rule_7_shape():
 
 
 def test_builtin_rule_16_literal():
-    rule = builtin_rules().rule(16)
+    rule = BUILTIN[16]
     literals = [
         step.binding.value
         for path in rule.paths

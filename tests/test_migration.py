@@ -976,7 +976,7 @@ def test_rules_are_compiled_once_per_run(schema, registry, rules, monkeypatch):
     assert not result.has_errors and len(result.graph) > 200 * len(rules.rules)
     assert sorted(compiled) == sorted(rule.rule_no for rule in rules.rules)
     compiled.clear()
-    migrate_record(tree.record(min(tree.records)), rules, schema, registry)
+    migrate_record(tree.records[min(tree.records)], rules, schema, registry)
     assert len(compiled) == len(rules.rules)  # a direct call compiles for itself
 
 
@@ -1138,7 +1138,8 @@ def test_a_capture_is_found_before_an_anchor_of_the_same_name(schema, registry, 
 def test_random_rule_sets_migrate_the_same_in_any_record_order(
     schema, registry, rng, seed, size, defects, dates, bogus, blanks, strict
 ):
-    ruleset = parse_mdl(random_ruleset_text(rng, schema, rng.randint(2, 5)), schema)
+    text = random_ruleset_text(rng, schema, rng.randint(2, 5), document_rule=True)
+    ruleset = parse_mdl(text, schema)
     entries = synthetic_corpus(random.Random(seed), size)
     if defects:
         with_defects(entries, dates, bogus)
@@ -1181,7 +1182,8 @@ def test_rule_sets_migrate_as_their_paths_walked_step_by_step(
     seed, for variety over shrinking) and the built-in rules.  A physical
     location that repeats the reference code is an identifier of two rules."""
     rng = random.Random(rules_seed)
-    random_rules = parse_mdl(random_ruleset_text(rng, schema, rng.randint(2, 5)), schema)
+    text = random_ruleset_text(rng, schema, rng.randint(2, 5), document_rule=True)
+    random_rules = parse_mdl(text, schema)
     entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
     for index in blanks & set(range(size)):
         entries[index]["creators"] = [{"name": "Lino"}]
@@ -1247,3 +1249,30 @@ def test_only_strict_kernels_hold_strict_refusals(schema, rules):
     for strict in (False, True):
         for source in _kernel_sources(rules, schema, strict):
             assert "ctx.strict" not in source and "claim(" not in source
+
+
+@pytest.mark.parametrize(
+    "rule_no,old,new,message",
+    [
+        (4, _TITLE_PATH, "$D1 -> P128 is carried by -> T",
+         "rule 4 (1): P128 expects a E22 node, got literal 'Unidade A'"),
+        (1, "$D1 -> P128 is carried by -> E22 Human-Made Object{=HMO1}",
+         "$D1 -> ISAD1 has title -> E33 Linguistic Object -> P67 refers to -> "
+         "E22 Human-Made Object{=HMO1}",
+         "rule 1 (1): ISAD1 expects a xsd:string literal, got node "
+         "https://example.org/archonto/A/e33/1"),
+    ],
+    ids=["literal-on-P128", "node-on-ISAD1-before-a-binding"],
+)
+def test_a_strict_refusal_ends_its_path(schema, registry, rules, rule_no, old, new, message):
+    """A mismatched hop's refusal always raises, so a strict source holds no
+    statement after it, and a binding past it is not written or anchored."""
+    ruleset = _builtin_rules_with(schema, rules, (old, new))
+    (source,) = _kernel_sources(ruleset.subset(rule_no), schema, True)
+    lines = source.splitlines()
+    (at,) = [i for i, line in enumerate(lines) if "raise MigrationError(" in line]
+    indent = len(lines[at]) - len(lines[at].lstrip())
+    assert len(lines[at + 1]) - len(lines[at + 1].lstrip()) < indent, source
+    tree = parse_corpus(_corpus({"1.1": "A", "1.4": "Fonds", "1.2": "Unidade A"}))
+    result = migrate_tree(tree, ruleset, schema, registry, strict=True)
+    assert result.report_lines() == [f"A\terror\t{message}"]

@@ -202,7 +202,10 @@ def test_prefix_source_consistency(schema):
 def test_is_subclass_matches_ancestor_walk(schema):
     ids = [c.identifier for c in schema.classes]
     for child in ids:
-        lineage = (child,) + schema.ancestors(child)
+        # The parent links themselves, not the lineage is_subclass reads.
+        lineage = [child]
+        while schema.class_def(lineage[-1]).parent is not None:
+            lineage.append(schema.class_def(lineage[-1]).parent)
         for ancestor in ids:
             assert schema.is_subclass(child, ancestor) is (ancestor in lineage)
 

@@ -38,12 +38,12 @@ def test_two_record_tree():
     tree = parse_corpus(corpus)
     assert tree.roots == ("PT/TT/JIM",)
     assert tree.children["PT/TT/JIM"] == ("PT/TT/JIM/E",)
-    assert tree.record("PT/TT/JIM/E").parent_reference == "PT/TT/JIM"
+    assert tree.records["PT/TT/JIM/E"].parent_reference == "PT/TT/JIM"
 
 
 def test_empty_corpus():
     tree = parse_corpus("")
-    assert len(tree) == 0
+    assert tree.records == {}
     assert tree.roots == ()
 
 
@@ -112,7 +112,7 @@ def test_bad_dimension_kind_rejected():
 
 def test_numeric_dimension_value_accepted():
     tree = parse_corpus(_line(**{"1.1": "A", "dimensions": [{"value": 25, "unit": "Gram"}]}))
-    (entry,) = tree.record("A").elements["dimensions"]
+    (entry,) = tree.records["A"].elements["dimensions"]
     assert entry["value"] == 25
 
 
@@ -130,10 +130,10 @@ def test_inherit_language_from_parent():
         ]
     )
     tree = resolve_inheritance(parse_corpus(corpus))
-    child = tree.record("F/1")
+    child = tree.records["F/1"]
     assert child.elements["4.3"] == "Portuguese"
     assert child.provenance["4.3"] == Provenance("F")
-    parent = tree.record("F")
+    parent = tree.records["F"]
     assert parent.provenance["4.3"] == Provenance(None)
 
 
@@ -145,8 +145,8 @@ def test_own_value_wins_over_parent():
         ]
     )
     tree = resolve_inheritance(parse_corpus(corpus))
-    assert tree.record("F/1").elements["3.1"] == "specific scope"
-    assert tree.record("F/1").provenance["3.1"] == Provenance(None)
+    assert tree.records["F/1"].elements["3.1"] == "specific scope"
+    assert tree.records["F/1"].provenance["3.1"] == Provenance(None)
 
 
 def test_nearest_ancestor_wins():
@@ -158,7 +158,7 @@ def test_nearest_ancestor_wins():
         ]
     )
     tree = resolve_inheritance(parse_corpus(corpus))
-    leaf = tree.record("A/B/C")
+    leaf = tree.records["A/B/C"]
     assert leaf.elements["2.2"] == "mid history"
     assert leaf.provenance["2.2"] == Provenance("A/B")
 
@@ -171,14 +171,14 @@ def test_whitespace_only_counts_as_blank():
         ]
     )
     tree = resolve_inheritance(parse_corpus(corpus))
-    assert tree.record("A/B").elements["3.1"] == "real"
+    assert tree.records["A/B"].elements["3.1"] == "real"
 
 
 def test_missing_everywhere_stays_absent():
     corpus = "\n".join([_line(**{"1.1": "A"}), _line(**{"1.1": "A/B", "parent": "A"})])
     tree = resolve_inheritance(parse_corpus(corpus))
-    assert "3.1" not in tree.record("A/B").elements
-    assert "3.1" not in tree.record("A/B").provenance
+    assert "3.1" not in tree.records["A/B"].elements
+    assert "3.1" not in tree.records["A/B"].provenance
 
 
 def test_identity_elements_not_in_default_set():
@@ -194,7 +194,7 @@ def test_empty_list_inherits_and_own_list_is_kept():
         ]
     )
     tree = resolve_inheritance(parse_corpus(corpus), {"languages"})
-    empty, own = tree.record("P/1"), tree.record("P/2")
+    empty, own = tree.records["P/1"], tree.records["P/2"]
     assert empty.elements["languages"] == ["Latin"]
     assert empty.provenance["languages"] == Provenance("P")
     assert empty.provenance["languages"].inherited
@@ -223,7 +223,7 @@ def test_custom_inheritable_set():
         ]
     )
     tree = resolve_inheritance(parse_corpus(corpus), {"1.4"})
-    child = tree.record("A/B")
+    child = tree.records["A/B"]
     assert child.elements["1.4"] == "Fonds"  # explicitly requested
     assert "3.1" not in child.elements  # not in the override set
 
@@ -255,15 +255,15 @@ def test_locality():
         parse_corpus("\n".join(map(json.dumps, changed)))
     )
     # only A's subtree differs
-    assert resolved_base.record("X/Y") == resolved_changed.record("X/Y")
-    assert resolved_base.record("A/B") != resolved_changed.record("A/B")
+    assert resolved_base.records["X/Y"] == resolved_changed.records["X/Y"]
+    assert resolved_base.records["A/B"] != resolved_changed.records["A/B"]
 
 
 def _assert_matches_oracle(resolved, tree, keys):
     oracle = naive_inheritance(tree, keys)
     assert list(resolved.records) == list(tree.records)
     for ref, expected in oracle.items():
-        record = resolved.record(ref)
+        record = resolved.records[ref]
         for key in keys:
             if key in expected:
                 value, source = expected[key]
@@ -366,8 +366,8 @@ def test_line_separator_inside_corpus_string(separator):
     raw = json.dumps({"1.1": "A", "1.2": title}, ensure_ascii=False)
     escaped = json.dumps({"1.1": "B", "1.2": title})
     tree = parse_corpus(raw + "\r\n" + escaped + "\n")
-    assert tree.record("A").elements["1.2"] == title
-    assert tree.record("B").elements["1.2"] == title
+    assert tree.records["A"].elements["1.2"] == title
+    assert tree.records["B"].elements["1.2"] == title
 
 
 # Each refusal of a record's fields: (the record on line 2, the message).  A
@@ -565,7 +565,7 @@ def test_lone_surrogate_is_refused_in_str_and_bytes(case, as_bytes):
 @pytest.mark.parametrize("data", ['{"1.1": "A", "1.2": "\\ud83d\\udcdc scroll"}',
                                   b'{"1.1": "A", "1.2": "\\ud83d\\udcdc scroll"}'])
 def test_escaped_surrogate_pair_is_one_character(data):
-    assert parse_corpus(data).record("A").elements["1.2"] == "\U0001F4DC scroll"
+    assert parse_corpus(data).records["A"].elements["1.2"] == "\U0001F4DC scroll"
 
 
 def _per_key_inheritance(tree: RecordTree, keys) -> dict[str, IsadRecord]:

@@ -7,12 +7,19 @@ from collections import Counter
 from datetime import datetime
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archonto.graph import Graph
+from archonto.graph import RDF_TYPE, XSD_NAMESPACE, Graph, GraphError
 from archonto.migration import attach_isad_fallback, migrate_record, migrate_tree
-from archonto.ontology import XSD_DATETIME, XSD_STRING, ClassDef, OntologySchema, SourceOntology
+from archonto.ontology import (
+    LITERAL_RANGES,
+    XSD_DATETIME,
+    XSD_STRING,
+    ClassDef,
+    OntologySchema,
+    SourceOntology,
+)
 from archonto.records import parse_corpus, resolve_inheritance
 from archonto.validation import (
     ARP12_CARDINALITY,
@@ -25,11 +32,20 @@ from archonto.validation import (
     UNKNOWN_CLASS,
     UNKNOWN_PROPERTY,
     VOCABULARY_VIOLATION,
+    ValidationFinding,
     validate_datetime,
     validate_graph,
 )
 
-from conftest import corpus_text, make_record, synthetic_corpus
+from conftest import (
+    DATE_DEFECTS,
+    SUPPORT_DEFECTS,
+    corpus_text,
+    make_record,
+    ntriples_documents,
+    synthetic_corpus,
+    with_defects,
+)
 
 
 def codes(report, severity=None):
@@ -458,3 +474,111 @@ def test_class_unknown_to_the_validating_schema_is_a_finding(schema, registry, n
     assert [(f.subject, f.message) for f in unknown] == [
         (node, "node class E999 is not declared")
     ]
+
+
+# -- the triple check against a walk of every row ----------------------------------
+
+_TRIPLE_CODES = {UNKNOWN_PROPERTY, DOMAIN_VIOLATION, RANGE_VIOLATION, DATETIME_LEXICAL}
+
+
+def _row_by_row_triple_findings(graph, schema):
+    """The triple check as one walk of every row, with a branch per finding
+    kind: each row's findings worked out on their own, with no judgement of
+    the row's kind kept for the next row."""
+    nodes, out = graph._nodes, []
+
+    def outside(class_id, ancestor):
+        return schema.has_class(class_id) and not schema.is_subclass(class_id, ancestor)
+
+    for subject, predicate_iri, literal, obj, _ in graph._triples:
+        predicate = graph._terms.property_ids.get(predicate_iri, predicate_iri)
+        found = []
+        if not schema.has_property(predicate):
+            found.append((UNKNOWN_PROPERTY, f"property {predicate} is not declared in the schema"))
+        else:
+            prop = schema.property_def(predicate)
+            if outside(nodes[subject], prop.domain):
+                found.append((DOMAIN_VIOLATION, f"subject class {nodes[subject]} is outside the "
+                              f"domain {prop.domain} of {predicate}"))
+            if prop.range in LITERAL_RANGES:
+                if not literal:
+                    found.append((RANGE_VIOLATION,
+                                  f"{predicate} expects a {prop.range} literal, found node {obj}"))
+                elif prop.range == XSD_DATETIME and not validate_datetime(obj):
+                    found.append((DATETIME_LEXICAL,
+                                  f"literal {obj!r} does not match YYYY-MM-DDThh:mm:ss"))
+            elif literal:
+                found.append((RANGE_VIOLATION,
+                              f"{predicate} expects a {prop.range} node, found literal {obj!r}"))
+            elif outside(nodes[obj], prop.range):
+                found.append((RANGE_VIOLATION, f"object class {nodes[obj]} is outside the "
+                              f"range {prop.range} of {predicate}"))
+        out += [ValidationFinding(code, subject, predicate, text) for code, text in found]
+    return sorted(out, key=ValidationFinding.sort_key)
+
+
+def _assert_triple_check_walks_every_row(graph, schema, registry, nesting):
+    report = validate_graph(graph, schema, registry, nesting)
+    found = [f for f in report.findings if f.code in _TRIPLE_CODES]
+    assert found == _row_by_row_triple_findings(graph, schema)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=ntriples_documents())
+def test_triple_check_of_a_read_graph_is_the_walk_of_every_row(schema, registry, nesting, data):
+    try:
+        graph = Graph.from_ntriples(data, schema)
+    except GraphError:
+        return
+    _assert_triple_check_walks_every_row(graph, schema, registry, nesting)
+
+
+# Foreign rows for a migrated graph: predicates declared (by IRI and by bare
+# id) and not, node objects of every kind of class and literals with braces,
+# a percent sign, and good and bad dateTime text.
+_FOREIGN_PREDICATES = ("P128", "P3", "ISAD1", "DOP6", "DOP8", "ARP12", "P165")
+_FOREIGN_NODES = ("https://other.example/x", "https://other.example/untyped")
+_FOREIGN_TEXTS = ("{0} 100%", "1809-01-01T00:00:00", "1809-13-01T00:00:00", "note")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=1, max_value=12),
+    dates=DATE_DEFECTS,
+    bogus=SUPPORT_DEFECTS,
+    foreign=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**16),
+            st.integers(min_value=0, max_value=len(_FOREIGN_PREDICATES) + 1),
+            st.one_of(st.integers(min_value=0, max_value=2**16), st.sampled_from(_FOREIGN_TEXTS)),
+            st.booleans(),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+)
+def test_triple_check_of_a_migrated_graph_is_the_walk_of_every_row(
+    schema, registry, nesting, rules, seed, size, dates, bogus, foreign
+):
+    entries = with_defects(synthetic_corpus(random.Random(seed), size), dates, bogus)
+    migrated = migrate_tree(resolve_inheritance(parse_corpus(corpus_text(entries))), rules,
+                            schema, registry).graph
+    nodes = sorted(migrated._nodes) + list(_FOREIGN_NODES)
+    iris = migrated._terms.property_iris
+    predicates = [iris[p] for p in _FOREIGN_PREDICATES] + ["P3", "https://other.example/p"]
+    domains = {iris[p]: schema.property_def(p).domain for p in _FOREIGN_PREDICATES}
+    lines = [f"<{_FOREIGN_NODES[0]}> <{RDF_TYPE}> <https://other.example/C> ."]
+    for subject, predicate, obj, dated, fitting in foreign:
+        predicate = predicates[predicate]
+        # A subject in the predicate's domain, if asked and the graph has one.
+        within = [n for n in nodes if migrated._nodes.get(n) == domains.get(predicate)]
+        subjects = within if fitting and within else nodes
+        if isinstance(obj, int):
+            obj = f"<{nodes[obj % len(nodes)]}>"
+        else:
+            obj = f'"{obj}"' + (f"^^<{XSD_NAMESPACE}dateTime>" if dated else "")
+        lines.append(f"<{subjects[subject % len(subjects)]}> <{predicate}> {obj} .")
+    data = migrated.serialize() + "".join(line + "\n" for line in lines).encode("utf-8")
+    graph = Graph.from_ntriples(data, schema)
+    _assert_triple_check_walks_every_row(graph, schema, registry, nesting)
