@@ -360,8 +360,11 @@ _NODE_IRIS = st.sampled_from([
     _BASE + "PT/e31/1", _BASE + "PT/e22/1", _BASE + "PT%2FA/e31/1", "https://other.example/é",
     "urn:x:\U0001F600",
 ])
+# Predicates of each range kind: string literal (ISAD18, and P3 by bare id),
+# node (P128), dateTime literal (DOP8), and one the schema does not declare.
 _PREDICATE_IRIS = st.sampled_from([
-    _BASE + "ontology/ISAD18_has_notes", CRM_NAMESPACE + "P128_carries", "P3", "https://other.example/p",
+    _BASE + "ontology/ISAD18_has_notes", CRM_NAMESPACE + "P128_is_carried_by", "P3",
+    _BASE + "ontology/DOP8_timestamp", "https://other.example/p",
 ])
 # A datatype's IRI as a class is a foreign class, not the datatype's tag.
 _CLASS_IRIS = st.sampled_from([
