@@ -131,12 +131,25 @@ def _sink(path: Path | None) -> contextlib.AbstractContextManager[BinaryIO]:
     return _output_file(path)
 
 
+# Each input option's attribute, by flag.
+_INPUTS = {"--in": "in_path", "--corpus": "corpus_path", "--vocab": "vocab", "--nesting": "nesting",
+           "--rules": "rules"}
+
+
+def _refuse_overwrite(args: argparse.Namespace) -> None:
+    """Raise FileExistsError if an output, renamed over its real path, would
+    replace a file the command reads or the other output."""
+    out, report, real = args.out, getattr(args, "report", None), os.path.realpath
+    if out and report and real(out) == real(report) and (os.path.isfile(out) or not os.path.exists(out)):
+        raise FileExistsError(f"--out and --report name the same file: {report}")
+    for name, target in (("--out", out), ("--report", report)):
+        for flag, dest in _INPUTS.items():
+            source = getattr(args, dest, None)
+            if target and source and os.path.isfile(source) and real(target) == real(source):
+                raise FileExistsError(f"{name} names the {flag} file: {target}")
+
+
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    # One regular file as both outputs would keep only the one renamed last.
-    same = args.out and args.report and os.path.realpath(args.out) == os.path.realpath(args.report)
-    if same and (os.path.isfile(args.out) or not os.path.exists(args.out)):
-        _diag(f"error: --out and --report name the same file: {args.report}")
-        return EXIT_INPUT_ERROR
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_sink(args.out))
         report_file = None if args.report is None else stack.enter_context(_output_file(args.report))
@@ -259,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_overwrite(args)  # before any input is read
         return args.handler(args)
     except MigrationError as exc:
         # Only the --fail-fast stop gets here: a refused record, as without it.

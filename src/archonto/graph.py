@@ -220,22 +220,6 @@ class Graph:
         IRI; later mints show at once."""
         return MappingProxyType(self._nodes)
 
-    def _rows_by_predicate(self) -> dict[str, list[_Row]]:
-        """For validation, which changes none of them: the stored rows (not
-        copies) grouped by predicate id, a foreign predicate keeping its IRI."""
-        by_iri: dict[str, list[_Row]] = {}
-        for row in self._triples:
-            rows = by_iri.get(row[1])
-            if rows is None:
-                rows = by_iri[row[1]] = []
-            rows.append(row)
-        # A property's IRI and its bare id (read from input) name one group.
-        property_ids = self._terms.property_ids
-        by_id: dict[str, list[_Row]] = {}
-        for p, rows in by_iri.items():
-            by_id.setdefault(property_ids.get(p, p), []).extend(rows)
-        return by_id
-
     def __len__(self) -> int:
         return len(self._triples)
 
@@ -370,15 +354,16 @@ class Graph:
     # or comment line, or anything else (the last group: not a statement).
     # N-Triples whitespace is space and tab only; other Unicode spaces are not
     # separators.  Space, tab and CR (as of a CRLF) may pad either end of a
-    # line.  A literal holds no raw CR (nor LF, which ends a line).  An IRI is
-    # matched as anything up to its '>', which the regex engine scans with its
-    # one-character loop; the reader refuses the first sight of an IRI that
-    # holds a character `_IRI_FORBIDDEN` finds.  Only an IRI can hold an LF,
-    # so a match that runs on past its line is refused at that line: the
-    # same line and message as a pattern that refused the IRI itself.
+    # line.  A literal holds no raw CR (nor LF, which ends a line), nor a lone
+    # surrogate, which no UTF-8 output can hold.  An IRI is matched as anything
+    # up to its '>', which the regex engine scans with its one-character loop;
+    # the reader refuses the first sight of an IRI that holds a character
+    # `_IRI_FORBIDDEN` finds.  Only an IRI can hold an LF, so a match that
+    # runs on past its line is refused at that line: the same line and
+    # message as a pattern that refused the IRI itself.
     _NT_LINE = re.compile(
         r"^[ \t\r]*<([^>]+)>[ \t]+<([^>]+)>[ \t]+"
-        r"(?:<([^>]+)>|\"([^\"\\\r\n]*(?:\\.[^\"\\\r\n]*)*)\""
+        r"(?:<([^>]+)>|\"([^\"\\\r\n\ud800-\udfff]*(?:\\.[^\"\\\r\n\ud800-\udfff]*)*)\""
         r"(?:\^\^<([^>]+)>)?)[ \t]*\.[ \t\r]*$"
         r"|^[ \t\r]*(?:#.*)?$"
         r"|^(.*)$",

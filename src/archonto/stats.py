@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import Graph
 from .ontology import OntologySchema
@@ -32,8 +33,10 @@ def usage_report(graph: Graph, schema: OntologySchema | None = None) -> UsageRep
     """
     schema = schema or graph.schema
     class_tally = Counter(class_id or "(untyped)" for class_id in graph._nodes.values())
-    # Rows by property id, a foreign predicate keeping its IRI.
-    property_tally = {p: len(rows) for p, rows in graph._rows_by_predicate().items()}
+    # Rows by property id, a foreign predicate keeping its IRI: counted per IRI, then folded.
+    property_ids, property_tally = graph._terms.property_ids, Counter[str]()
+    for p, count in Counter(map(itemgetter(1), graph._triples)).items():
+        property_tally[property_ids.get(p, p)] += count
 
     def ranked(tally: dict[str, int], terms) -> tuple[tuple[str, str, int], ...]:
         sources = {term.identifier: term.source.value for term in terms}

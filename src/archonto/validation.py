@@ -7,7 +7,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
@@ -107,9 +107,11 @@ class ValidationReport:
         return f"{body}\n{summary}\n"
 
 
-# The graph's own rows by predicate id: (subject IRI, predicate IRI,
-# is_literal, object IRI or literal text, datatype tag or "").
-_Index = dict[str, list[_Row]]
+# The graph's own rows by the kind the triple check judges: (predicate IRI,
+# subject class, object class or None for a literal).
+_Kinds = dict[tuple[str, str, str | None], list[_Row]]
+# The rows of one predicate id, its IRI's and its bare id's alike.
+_RowsOf = Callable[[str], list[_Row]]
 
 _Findings = list[ValidationFinding]
 
@@ -152,33 +154,25 @@ def _judge(
 
 
 def _check_triples(
-    index: _Index,
-    nodes: Mapping[str, str],
+    kinds: _Kinds,
+    property_ids: Mapping[str, str],
     schema: OntologySchema,
     out: _Findings,
 ) -> None:
-    for predicate, rows in index.items():
-        # A predicate's rows are of few kinds: (subject class, object class),
-        # None standing for a literal object.  Each kind is judged once, and
-        # the rows are walked again only if some kind is at fault, and to
-        # check the lexical form of dateTime literals.
-        kinds = {(nodes[s], None if literal else nodes[o]) for s, _, literal, o, _ in rows}
+    # Each kind is judged once; its rows are walked only for a finding that
+    # every one of them gets, and to check the lexical form of dateTime literals.
+    for (iri, subject_class, object_class), rows in kinds.items():
+        predicate = property_ids.get(iri, iri)
         prop = schema.property_def(predicate) if schema.has_property(predicate) else None
-        table = {kind: _judge(schema, predicate, prop, *kind) for kind in kinds}
-        if any(table.values()):
-            for subject, _, literal, obj, _ in rows:
-                for code, text, shown in table[nodes[subject], None if literal else nodes[obj]]:
-                    message = text if shown is None else text + shown(obj)
-                    out.append(ValidationFinding(code, subject, predicate, message))
-        if prop is not None and prop.range == XSD_DATETIME:
-            for subject, _, literal, obj, _ in rows:
-                if literal and not validate_datetime(obj):
-                    out.append(ValidationFinding(
-                        DATETIME_LEXICAL,
-                        subject,
-                        predicate,
-                        "literal " + repr(obj) + " does not match YYYY-MM-DDThh:mm:ss",
-                    ))
+        for code, text, shown in _judge(schema, predicate, prop, subject_class, object_class):
+            for subject, _, _, obj, _ in rows:
+                message = text if shown is None else text + shown(obj)
+                out.append(ValidationFinding(code, subject, predicate, message))
+        if object_class is None and prop is not None and prop.range == XSD_DATETIME:
+            for subject, _, _, obj, _ in rows:
+                if not validate_datetime(obj):
+                    out.append(ValidationFinding(DATETIME_LEXICAL, subject, predicate,
+                                                 f"literal {obj!r} does not match YYYY-MM-DDThh:mm:ss"))
 
 
 def _check_nodes(
@@ -231,13 +225,13 @@ def _document_levels(
 
 def _check_documents(
     graph: Graph,
-    index: _Index,
+    rows_of: _RowsOf,
     nodes: Mapping[str, str],
     schema: OntologySchema,
     nesting: LevelNestingGraph,
     out: _Findings,
 ) -> None:
-    arp12 = index.get("ARP12", [])
+    arp12 = rows_of("ARP12")
     arp12_counts = Counter(row[0] for row in arp12)
     documents = {class_id for class_id in set(nodes.values()) if _within(schema, class_id, "E31")}
     for iri, class_id in nodes.items():
@@ -256,7 +250,7 @@ def _check_documents(
                 f"document has {count} levels of description",
             ))
     levels = _document_levels(graph, arp12)
-    for subject, _, literal, obj, _ in index.get("P165", ()):
+    for subject, _, literal, obj, _ in rows_of("P165"):
         if literal:
             continue
         # A document with no level (None) lies outside the nesting graph too.
@@ -273,12 +267,12 @@ def _check_documents(
             ))
 
 
-def _check_regex_strings(index: _Index, nodes: Mapping[str, str], out: _Findings) -> None:
+def _check_regex_strings(rows_of: _RowsOf, nodes: Mapping[str, str], out: _Findings) -> None:
     values: dict[str, list[str]] = {}
-    for subject, _, literal, text, _ in index.get("DOP7", ()):
+    for subject, _, literal, text, _ in rows_of("DOP7"):
         if literal:
             values.setdefault(subject, []).append(text)
-    for iri, _, literal, pattern, _ in index.get("DOP4", ()):
+    for iri, _, literal, pattern, _ in rows_of("DOP4"):
         if not literal or nodes.get(iri) != "DOE16":
             continue
         try:
@@ -298,16 +292,9 @@ def _check_regex_strings(index: _Index, nodes: Mapping[str, str], out: _Findings
                 ))
 
 
-def _check_inverses(index: _Index, schema: OntologySchema, out: _Findings) -> None:
-    edges = {
-        predicate: {
-            (subject, obj)
-            for subject, _, literal, obj, _ in index.get(predicate, ())
-            if not literal
-        }
-        for pair in schema.inverse_pairs
-        for predicate in pair
-    }
+def _check_inverses(rows_of: _RowsOf, schema: OntologySchema, out: _Findings) -> None:
+    edges = {predicate: {(s, o) for s, _, literal, o, _ in rows_of(predicate) if not literal}
+             for pair in schema.inverse_pairs for predicate in pair}
     for left, right in schema.inverse_pairs:
         for a, b in ((left, right), (right, left)):
             for subject, obj in edges[a]:
@@ -324,12 +311,21 @@ def validate_graph(
     nesting: LevelNestingGraph,
 ) -> ValidationReport:
     """Run every check over a graph and return the ordered findings."""
-    nodes, index = graph._nodes, graph._rows_by_predicate()
+    nodes, property_ids = graph._nodes, graph._terms.property_ids
+    # One pass groups the stored rows (not copies) by the kind the triple check judges.
+    kinds: _Kinds = defaultdict(list)
+    for row in graph._triples:
+        kinds[row[1], nodes[row[0]], None if row[2] else nodes[row[3]]].append(row)
+
+    def rows_of(predicate: str) -> list[_Row]:
+        return [row for (iri, _, _), rows in kinds.items()
+                if property_ids.get(iri, iri) == predicate for row in rows]
+
     out: _Findings = []
-    _check_triples(index, nodes, schema, out)
+    _check_triples(kinds, property_ids, schema, out)
     _check_nodes(graph, nodes, schema, registry, out)
-    _check_documents(graph, index, nodes, schema, nesting, out)
-    _check_regex_strings(index, nodes, out)
-    _check_inverses(index, schema, out)
+    _check_documents(graph, rows_of, nodes, schema, nesting, out)
+    _check_regex_strings(rows_of, nodes, out)
+    _check_inverses(rows_of, schema, out)
     # Findings with equal sort keys are equal, so this sort alone fixes the order.
     return ValidationReport(tuple(sorted(out, key=lambda f: f.sort_key())))

@@ -504,6 +504,48 @@ def test_migrate_refuses_one_file_as_both_graph_and_report(tmp_path, capsys, lin
     assert main(["migrate", "--in", str(corpus), "--out", os.devnull, "--report", os.devnull]) == 0
 
 
+@pytest.mark.parametrize("link", [False, True])
+@pytest.mark.parametrize(
+    "command,source,output",
+    [
+        ("migrate", "--in", "--out"),
+        ("migrate", "--in", "--report"),
+        ("migrate", "--vocab", "--out"),
+        ("migrate", "--nesting", "--report"),
+        ("migrate", "--rules", "--out"),
+        ("validate", "--in", "--out"),
+        ("validate", "--corpus", "--out"),
+        ("validate", "--nesting", "--out"),
+        ("stats", "--in", "--out"),
+        ("stats", "--corpus", "--out"),
+        ("stats", "--vocab", "--out"),
+        ("stats", "--rules", "--out"),
+    ],
+)
+def test_an_output_that_names_an_input_file_is_refused(tmp_path, capsys, command, source, output, link):
+    corpus, graph = tmp_path / "corpus.jsonl", tmp_path / "graph.nt"
+    corpus.write_text('{"1.1": "A", "1.4": "Fonds", "1.2": "T"}\n', encoding="utf-8")
+    assert main(["migrate", "--in", str(corpus), "--out", str(graph)]) == 0
+    inputs = {"--in": corpus if command == "migrate" else graph, "--corpus": corpus,
+              "--vocab": tmp_path / "vocab.tsv", "--nesting": tmp_path / "nesting.tsv",
+              "--rules": tmp_path / "rules.mdl"}
+    inputs["--vocab"].write_text("ARE1\tFonds\nARE1\tSerie\n", encoding="utf-8")
+    inputs["--nesting"].write_text("Fonds\tSerie\n", encoding="utf-8")
+    inputs["--rules"].write_text(render_mdl(builtin_rules(), builtin_schema()), encoding="utf-8")
+    flags = [source] if source in ("--in", "--corpus") else ["--in", source]
+    argv = [command, *(arg for flag in flags for arg in (flag, str(inputs[flag])))]
+    named = inputs[source]
+    if link:
+        named = tmp_path / "link"
+        named.symlink_to(inputs[source])
+    assert main([*argv, output, str(tmp_path / "elsewhere")]) == 0  # a distinct output is written
+    capsys.readouterr()
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main([*argv, output, str(named)]) == 2
+    assert capsys.readouterr() == ("", f"error: {output} names the {source} file: {named}\n")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 @pytest.mark.parametrize("ensure_ascii", [True, False])
 def test_line_separator_in_element_survives_migrate_and_validate(tmp_path, ensure_ascii):
     entry = {"1.1": "PT/F", "1.2": "Fundo", "title_type": "supplied", "1.4": "Fonds",

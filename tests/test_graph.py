@@ -521,6 +521,13 @@ def test_reader_rejects_other_escapes_and_code_points(escaped):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("text", ["bad \ud800", "\udfff", "\\n\udbff\udc00"])
+def test_reader_refuses_a_raw_lone_surrogate_in_a_literal(text):
+    # No UTF-8 output holds one, so the graph could not be written.
+    with pytest.raises(NTriplesParseError, match="^line 2: not a valid N-Triples statement$"):
+        _read_note(text)
+
+
 def test_second_type_line_with_another_class_is_a_parse_error():
     other = TYPE_LINE.replace("E31_Document", "E22_Human-Made_Object")
     read = Graph.from_ntriples(f"{TYPE_LINE}\n{TYPE_LINE}\n", builtin_schema())
